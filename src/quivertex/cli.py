@@ -52,19 +52,9 @@ def _emit(args, text, payload):
 
 
 def _coeff_map_text(pairs, symbol):
-    if not pairs:
-        return "0"
-    chunks = []
-    for la, c in pairs:
-        body = f"{symbol}({','.join(str(x) for x in la)})" if la else "1"
-        mag = abs(c)
-        if mag != 1 or not la:
-            body = f"{sz.rational_to_text(mag)}*{body}" if la else sz.rational_to_text(mag)
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
+    return sz.signed_sum_text(
+        pairs, lambda la: f"{symbol}({','.join(str(x) for x in la)})" if la else ""
+    )
 
 
 def _sorted_coeff_map(mapping):
@@ -126,15 +116,7 @@ def cmd_virasoro_bracket(args):
     if not quiver.is_quasi_smooth():
         raise ValueError("virasoro-bracket needs a quasi-smooth quiver")
     rng = random.Random(2024)
-    monos = []
-    for _ in range(4):
-        factors = []
-        weight = 0
-        for _ in range(rng.randint(1, 3)):
-            k = rng.randint(0, max(0, args.max_deg - weight))
-            weight += k
-            factors.append((k, rng.choice(quiver.vertices)))
-        monos.append(dc.DescendentPoly({tuple(sorted(factors)): 1}))
+    monos = [ck._random_monomial(rng, quiver, args.max_deg) for _ in range(4)]
     cases = []
     for n in range(-1, args.max_n + 1):
         for m in range(-1, args.max_n + 1):

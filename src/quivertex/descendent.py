@@ -9,29 +9,21 @@ from fractions import Fraction
 from math import factorial
 
 from . import quiver as qv
+from .lincomb import LinComb, add_all, add_to, coerce
 from .symfunc import SymFunc
 
 
-def _coerce(c):
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficients must be rational, got {type(c).__name__}")
-
-
-class DescendentPoly:
+class DescendentPoly(LinComb):
     """Sparse polynomial over monomials in the ch_k(vertex) symbols."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _coerce(c)
-                if c:
-                    self.terms[_check_monomial(mono)] = c
+    def _check_key(self, mono):
+        m = tuple(sorted((int(k), str(v)) for k, v in mono))
+        for k, _ in m:
+            if k < 0:
+                raise ValueError("ch symbols are indexed by nonnegative integers")
+        return m
 
     @staticmethod
     def zero():
@@ -48,63 +40,12 @@ class DescendentPoly:
             return DescendentPoly.zero()
         return DescendentPoly({((k, str(v)),): 1})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        f = DescendentPoly()
-        f.terms = out
-        return f
-
-    def __neg__(self):
-        f = DescendentPoly()
-        f.terms = {m: -c for m, c in self.terms.items()}
-        return f
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out = {}
-        for m1, a in self.terms.items():
-            for m2, b in other.terms.items():
-                key = tuple(sorted(m1 + m2))
-                s = out.get(key, 0) + a * b
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        f = DescendentPoly()
-        f.terms = out
-        return f
+        return self._product(other, lambda m1, m2: tuple(sorted(m1 + m2)))
 
     __rmul__ = __mul__
-
-    def scale(self, c):
-        c = _coerce(c)
-        f = DescendentPoly()
-        if c:
-            f.terms = {m: c * x for m, x in self.terms.items()}
-        return f
-
-    def __eq__(self, other):
-        if isinstance(other, DescendentPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == DescendentPoly.one().scale(other).terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def ch_weight(self):
         """Largest total ch-index of any monomial; -1 for zero."""
@@ -117,9 +58,9 @@ class DescendentPoly:
 
     def substitute_ch0(self, dims):
         """Evaluate in the quotient ch_0(v) = dims[v]; other symbols survive."""
-        out = DescendentPoly.zero()
+        out = {}
         for m, c in self.terms.items():
-            coeff = Fraction(c)
+            coeff = c
             rest = []
             for k, v in m:
                 if k == 0:
@@ -129,8 +70,8 @@ class DescendentPoly:
                 else:
                     rest.append((k, v))
             if coeff:
-                out = out + DescendentPoly({tuple(rest): coeff})
-        return out
+                add_to(out, tuple(rest), coerce(coeff))
+        return DescendentPoly._wrap(out)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -139,14 +80,6 @@ class DescendentPoly:
         from .serialize import descendent_to_text
 
         return f"DescendentPoly({descendent_to_text(self)})"
-
-
-def _check_monomial(mono):
-    m = tuple(sorted((int(k), str(v)) for k, v in mono))
-    for k, _ in m:
-        if k < 0:
-            raise ValueError("ch symbols are indexed by nonnegative integers")
-    return m
 
 
 def _require_quasi_smooth(quiver):
@@ -163,19 +96,17 @@ def r_op(quiver, n, f):
     """
     if n < -1:
         raise ValueError("R_n is defined for n >= -1")
-    out = DescendentPoly.zero()
+    out = {}
     for mono, c in f.terms.items():
         for i, (k, v) in enumerate(mono):
             if k + n < 0:
                 continue
-            coeff = Fraction(1)
+            coeff = 1
             for step in range(n + 1):
                 coeff *= k + step
-            if not coeff:
-                continue
-            new = tuple(sorted(mono[:i] + mono[i + 1 :] + ((k + n, v),)))
-            out = out + DescendentPoly({new: c * coeff})
-    return out
+            if coeff:
+                add_to(out, tuple(sorted(mono[:i] + mono[i + 1 :] + ((k + n, v),))), c * coeff)
+    return DescendentPoly._wrap(out)
 
 
 def t_element(quiver, n):
@@ -184,7 +115,7 @@ def t_element(quiver, n):
     if n < 0:
         return DescendentPoly.zero()
     units = {v: quiver.unit_vector(v) for v in quiver.vertices}
-    out = DescendentPoly.zero()
+    out = {}
     for a in range(n + 1):
         b = n - a
         fac = Fraction(factorial(a) * factorial(b))
@@ -193,20 +124,20 @@ def t_element(quiver, n):
                 chi = qv.euler_form(quiver, units[v], units[w])
                 if chi:
                     term = DescendentPoly.ch(a, v) * DescendentPoly.ch(b, w)
-                    out = out + term.scale(fac * chi)
-    return out
+                    add_all(out, term.terms, fac * chi)
+    return DescendentPoly._wrap(out)
 
 
 def framed_t_element(quiver, framing, n):
     """T_n^{f->*} = T_n - n! sum_v f_v ch_n(v)."""
     if n < 0:
         return DescendentPoly.zero()
-    out = t_element(quiver, n)
+    out = dict(t_element(quiver, n).terms)
     fac = Fraction(factorial(n))
     for v in quiver.vertices:
         if framing[v]:
-            out = out - DescendentPoly.ch(n, v).scale(fac * framing[v])
-    return out
+            add_all(out, DescendentPoly.ch(n, v).terms, -fac * framing[v])
+    return DescendentPoly._wrap(out)
 
 
 def l_op(quiver, n, f):
@@ -225,15 +156,15 @@ def l_wt0(quiver, f):
     The sum is finite: (R_{-1})^{n+1} kills f once n+1 exceeds its total
     ch-index.  The image lies in ker(R_{-1}).
     """
-    out = DescendentPoly.zero()
+    out = {}
     power = f  # (R_{-1})^{n+1} applied to f, starting at n = -1
     n = -1
     while power:
         sign = -1 if n % 2 else 1
-        out = out + l_op(quiver, n, power).scale(Fraction(sign, factorial(n + 1)))
+        add_all(out, l_op(quiver, n, power).terms, Fraction(sign, factorial(n + 1)))
         power = r_op(quiver, -1, power)
         n += 1
-    return out
+    return DescendentPoly._wrap(out)
 
 
 def to_symfunc(f, ch0_value):
@@ -244,9 +175,9 @@ def to_symfunc(f, ch0_value):
     vertices = {v for mono in f.terms for _, v in mono}
     if len(vertices) > 1:
         raise ValueError("to_symfunc needs a single-vertex polynomial")
-    out = SymFunc.zero()
+    out = {}
     for mono, c in f.terms.items():
-        coeff = Fraction(c)
+        coeff = c
         parts = []
         for k, _ in mono:
             if k == 0:
@@ -255,5 +186,5 @@ def to_symfunc(f, ch0_value):
                 coeff /= factorial(k)
                 parts.append(k)
         if coeff:
-            out = out + SymFunc.p_monomial(tuple(sorted(parts, reverse=True))).scale(coeff)
-    return out
+            add_to(out, tuple(sorted(parts, reverse=True)), coerce(coeff))
+    return SymFunc._wrap(out)

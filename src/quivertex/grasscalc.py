@@ -12,6 +12,7 @@ from math import factorial
 from . import latticeva as lv
 from . import partitions as pt
 from . import symfunc as sf
+from .lincomb import add_all, add_to
 from .symfunc import SymFunc
 
 
@@ -49,42 +50,33 @@ class GrElem:
 
 def hecke(n, f):
     """H_n = sum_{j>=0} (-1)^j h_{j+n} e_j^perp, truncated at j <= deg(f)."""
-    out = SymFunc.zero()
+    out = {}
     for j in range(0, f.degree() + 1):
         if j + n < 0:
             continue
         skewed = sf.skew_by(sf.elementary(j), f)
         if skewed:
-            term = sf.complete(j + n) * skewed
-            out = out + (term if j % 2 == 0 else -term)
-    return out
+            add_all(out, (sf.complete(j + n) * skewed).terms, 1 if j % 2 == 0 else -1)
+    return SymFunc._wrap(out)
 
 
 def hecke_sym(n, f):
-    """Mode n of exp(sum p_j/j z^j) exp(-sum 2 p_{-j}/j z^{-j}) applied to f."""
-    out = SymFunc.zero()
+    """Mode n of exp(sum p_j/j z^j) exp(-sum 2 p_{-j}/j z^{-j}) applied to f.
+
+    The z^{-m} coefficient of the annihilation exponential is the skew by
+    sum_{mu |- m} (-2)^{ell(mu)} p_mu / z_mu.
+    """
+    out = {}
     for m in range(0, f.degree() + 1):
         if n + m < 0:
             continue
-        piece = _annihilation_exp(f, m, weight=2)
+        series = SymFunc(
+            {mu: Fraction((-2) ** pt.length(mu)) / pt.z_factor(mu) for mu in pt.partitions_of(m)}
+        )
+        piece = sf.skew_by(series, f)
         if piece:
-            out = out + sf.complete(n + m) * piece
-    return out
-
-
-def _annihilation_exp(f, m, weight):
-    """z^{-m} coefficient of exp(-sum_{j>0} weight*p_{-j}/j z^{-j}) on f."""
-    out = SymFunc.zero()
-    for mu in pt.partitions_of(m):
-        piece = f
-        for part in mu:
-            piece = sf.annihilate(part, piece)
-            if not piece:
-                break
-        if piece:
-            coeff = Fraction((-weight) ** pt.length(mu)) / pt.z_factor(mu)
-            out = out + piece.scale(coeff)
-    return out
+            add_all(out, (sf.complete(n + m) * piece).terms)
+    return SymFunc._wrap(out)
 
 
 # -- the Grassmannian class ---------------------------------------------------
@@ -130,58 +122,54 @@ def _va_to_gr(x, N, k):
             if i != 1:
                 raise ValueError("Fock monomial leaves the q-direction")
             parts.append(mode)
-        la = tuple(sorted(parts, reverse=True))
-        terms[la] = terms.get(la, Fraction(0)) + c
-    return GrElem(N, k, SymFunc(terms))
+        add_to(terms, tuple(sorted(parts, reverse=True)), c)
+    return GrElem(N, k, SymFunc._wrap(terms))
 
 
 # -- Virasoro operators on the Grassmannian state space -----------------------
 
 
-def _lowering_part(n, linear_coeff, f):
-    """sum_j p_j p_{-n-j} + sum_{a+b=n} p_{-a} p_{-b} + linear_coeff p_{-n}, n >= 1."""
-    out = SymFunc.zero()
+def _lowering_part(n, linear_coeff, f, quad_coeff=1):
+    """sum_j p_j p_{-n-j} + quad_coeff sum_{a+b=n} p_{-a} p_{-b} + linear_coeff p_{-n},
+    n >= 1."""
+    out = {}
     deg = f.degree()
     for j in range(1, max(0, deg - n) + 1):
         piece = sf.annihilate(n + j, f)
         if piece:
-            out = out + SymFunc.p(j) * piece
+            add_all(out, (SymFunc.p(j) * piece).terms)
     for a in range(1, n):
         piece = sf.annihilate(n - a, f)
         if piece:
             piece = sf.annihilate(a, piece)
-        if piece:
-            out = out + piece
+        add_all(out, piece.terms, quad_coeff)
     if linear_coeff:
-        out = out + sf.annihilate(n, f).scale(linear_coeff)
-    return out
+        add_all(out, sf.annihilate(n, f).terms, linear_coeff)
+    return SymFunc._wrap(out)
 
 
 def _raising_part(n, linear_coeff, f):
     """sum_j p_{n+j} p_{-j} + sum_{a+b=n} p_a p_b + linear_coeff p_n, n >= 1."""
-    out = SymFunc.zero()
+    out = {}
     for j in range(1, f.degree() + 1):
         piece = sf.annihilate(j, f)
         if piece:
-            out = out + SymFunc.p(n + j) * piece
-    quad = SymFunc.zero()
+            add_all(out, (SymFunc.p(n + j) * piece).terms)
     for a in range(1, n):
-        quad = quad + SymFunc.p_monomial(pt.merge((a,), (n - a,)))
-    if quad:
-        out = out + quad * f
+        add_all(out, (SymFunc.p_monomial(pt.merge((a,), (n - a,))) * f).terms)
     if linear_coeff:
-        out = out + SymFunc.p(n) * f.scale(linear_coeff)
-    return out
+        add_all(out, (SymFunc.p(n) * f).terms, linear_coeff)
+    return SymFunc._wrap(out)
 
 
 def _l0(k, N, f):
     """sum_j p_j p_{-j} + k(k-N) id: multiplies each term by (degree + k(k-N))."""
-    out = SymFunc.zero()
+    out = {}
     for la, c in f.terms.items():
         w = pt.size(la) + k * (k - N)
         if w:
-            out = out + SymFunc({la: c * w})
-    return out
+            out[la] = c * w
+    return SymFunc._wrap(out)
 
 
 def gr_virasoro(n, x):
@@ -218,19 +206,7 @@ def constraint_check(k, N, n_max):
     l0_ok = all(pt.size(la) == d for la in s.terms)
     cases = []
     for n in range(1, n_max + 1):
-        acc = SymFunc.zero()
-        for j in range(1, max(0, s.degree() - n) + 1):
-            piece = sf.derivative(n + j, s)
-            if piece:
-                acc = acc + (SymFunc.p(j) * piece).scale(n + j)
-        for a in range(1, n):
-            b = n - a
-            piece = sf.derivative(b, s)
-            if piece:
-                piece = sf.derivative(a, piece)
-            if piece:
-                acc = acc + piece.scale(a * b)
-        acc = acc + sf.derivative(n, s).scale(Fraction((2 * k - N) * n))
+        acc = _lowering_part(n, Fraction(2 * k - N), s)
         cases.append(
             {"n": n, "ok": not acc, "residual": None if not acc else symfunc_to_text(acc)}
         )
@@ -299,13 +275,13 @@ def integrals_by_recursion(k, N, normalization):
 
 def calogero_sutherland(f):
     """The cubic operator (1/2)(sum p_a p_b p_{-a-b} + p_{a+b} p_{-a} p_{-b})."""
-    out = SymFunc.zero()
+    out = {}
     deg = f.degree()
     for a in range(1, deg + 1):
         for b in range(1, deg - a + 1):
             piece = sf.annihilate(a + b, f)
             if piece:
-                out = out + SymFunc.p_monomial(pt.merge((a,), (b,))) * piece
+                add_all(out, (SymFunc.p_monomial(pt.merge((a,), (b,))) * piece).terms)
     for b in range(1, deg + 1):
         inner = sf.annihilate(b, f)
         if not inner:
@@ -313,8 +289,8 @@ def calogero_sutherland(f):
         for a in range(1, inner.degree() + 1):
             piece = sf.annihilate(a, inner)
             if piece:
-                out = out + SymFunc.p(a + b) * piece
-    return out.scale(Fraction(1, 2))
+                add_all(out, (SymFunc.p(a + b) * piece).terms)
+    return SymFunc._wrap(out).scale(Fraction(1, 2))
 
 
 def r_n_symfunc(n, f):
@@ -322,17 +298,12 @@ def r_n_symfunc(n, f):
     the dictionary p_j = j! ch_j), for n >= 1."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    out = SymFunc.zero()
+    out = {}
     for la, c in f.terms.items():
-        seen = set()
-        for j in la:
-            if j in seen:
-                continue
-            seen.add(j)
+        for j in set(la):
             m = pt.multiplicity(la, j)
-            new = pt.merge(pt.remove_one(la, j), (j + n,))
-            out = out + SymFunc({new: c * m * j})
-    return out
+            add_to(out, pt.merge(pt.remove_one(la, j), (j + n,)), c * m * j)
+    return SymFunc._wrap(out)
 
 
 def geometricity_check(k, N, n, deg_max):
@@ -425,22 +396,7 @@ def fock_virasoro(params, n, f):
     (beta^2/2) sum_{s+t=n} p_{-s} p_{-t} + sum_{s>0} p_s p_{-s-n} + c_n p_{-n}."""
     if n < 1:
         raise ValueError("fock_virasoro is defined for n >= 1")
-    out = SymFunc.zero()
-    half = params.beta_sq / 2
-    for a in range(1, n):
-        piece = sf.annihilate(n - a, f)
-        if piece:
-            piece = sf.annihilate(a, piece)
-        if piece:
-            out = out + piece.scale(half)
-    for j in range(1, max(0, f.degree() - n) + 1):
-        piece = sf.annihilate(n + j, f)
-        if piece:
-            out = out + SymFunc.p(j) * piece
-    coeff = params.linear_coefficient(n)
-    if coeff:
-        out = out + sf.annihilate(n, f).scale(coeff)
-    return out
+    return _lowering_part(n, params.linear_coefficient(n), f, quad_coeff=params.beta_sq / 2)
 
 
 def fock_l0_weight(params, f):

@@ -14,14 +14,7 @@ commuting past the j-th creation factor acts only on the factors after j.
 from fractions import Fraction
 
 from . import partitions as pt
-
-
-def _coerce(c):
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficients must be rational, got {type(c).__name__}")
+from .lincomb import LinComb, add_all, add_to
 
 
 class Lattice:
@@ -79,42 +72,36 @@ def single_box_lattice():
     return Lattice(B=[[2]], b=[[1]])
 
 
-class VAElem:
+class VAElem(LinComb):
     """Sparse element of the lattice vertex algebra.
 
     Keys are (alpha, fock) with alpha a tuple of ints of length rank and
     fock a sorted tuple of (basis index, mode >= 1) pairs.
     """
 
-    __slots__ = ("lattice", "terms")
+    __slots__ = ("lattice",)
 
     def __init__(self, lattice, terms=None):
         self.lattice = lattice
-        self.terms = {}
-        if terms:
-            for (alpha, fock), c in terms.items():
-                c = _coerce(c)
-                if not c:
-                    continue
-                key = (self._check_alpha(alpha), self._check_fock(fock))
-                self.terms[key] = self.terms.get(key, Fraction(0)) + c
-                if not self.terms[key]:
-                    del self.terms[key]
+        super().__init__(terms)
 
-    def _check_alpha(self, alpha):
+    def _check_key(self, key):
+        alpha, fock = key
         a = tuple(int(x) for x in alpha)
         if len(a) != self.lattice.rank:
             raise ValueError("lattice vector has wrong length")
-        return a
-
-    def _check_fock(self, fock):
         f = tuple(sorted((int(i), int(k)) for i, k in fock))
         for i, k in f:
             if not (0 <= i < self.lattice.rank):
                 raise ValueError("basis index out of range")
             if k < 1:
                 raise ValueError("creation modes must be >= 1")
-        return f
+        return a, f
+
+    def _like(self, terms):
+        out = self._wrap(terms)
+        out.lattice = self.lattice
+        return out
 
     @staticmethod
     def vacuum(lattice):
@@ -123,33 +110,6 @@ class VAElem:
     @staticmethod
     def group_element(lattice, alpha):
         return VAElem(lattice, {(tuple(alpha), ()): 1})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        res = VAElem(self.lattice)
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = VAElem(self.lattice)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = _coerce(c)
-        res = VAElem(self.lattice)
-        if c:
-            res.terms = {k: c * x for k, x in self.terms.items()}
-        return res
 
     def __eq__(self, other):
         return (
@@ -160,9 +120,6 @@ class VAElem:
 
     def __hash__(self):
         return hash((self.lattice, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def fock_degree(self):
         """Largest total mode sum among terms; -1 for zero."""
@@ -187,13 +144,12 @@ def create(lattice, v, k, x):
     if k < 1:
         raise ValueError("creation mode must be >= 1")
     v = tuple(int(c) for c in v)
-    out = VAElem(lattice)
+    out = {}
     for (alpha, fock), c in x.terms.items():
         for i, vi in enumerate(v):
             if vi:
-                key = (alpha, tuple(sorted(fock + ((i, k),))))
-                out = out + VAElem(lattice, {key: c * vi})
-    return out
+                add_to(out, (alpha, tuple(sorted(fock + ((i, k),)))), c * vi)
+    return x._like(out)
 
 
 def annihilate_mode(lattice, v, k, x):
@@ -202,21 +158,20 @@ def annihilate_mode(lattice, v, k, x):
     if k < 0:
         raise ValueError("annihilation mode must be >= 0")
     v = tuple(int(c) for c in v)
-    out = VAElem(lattice)
+    out = {}
     for (alpha, fock), c in x.terms.items():
         if k == 0:
             coeff = lattice.pairing(v, alpha)
             if coeff:
-                out = out + VAElem(lattice, {(alpha, fock): c * coeff})
+                add_to(out, (alpha, fock), c * coeff)
             continue
         for j, (i, mode) in enumerate(fock):
             if mode != k:
                 continue
             coeff = k * lattice.pairing(v, lattice.basis_vector(i))
             if coeff:
-                rest = fock[:j] + fock[j + 1 :]
-                out = out + VAElem(lattice, {(alpha, rest): c * coeff})
-    return out
+                add_to(out, (alpha, fock[:j] + fock[j + 1 :]), c * coeff)
+    return x._like(out)
 
 
 def apply_mode(lattice, v, m, x):
@@ -228,14 +183,13 @@ def apply_mode(lattice, v, m, x):
 
 def translate(lattice, x):
     """Translation operator: [T, v_{(-k)}] = k v_{(-k-1)}, T e^alpha = e^alpha (x) alpha_{-1}."""
-    out = VAElem(lattice)
+    out = {}
     for (alpha, fock), c in x.terms.items():
         for j, (i, mode) in enumerate(fock):
             bumped = tuple(sorted(fock[:j] + fock[j + 1 :] + ((i, mode + 1),)))
-            out = out + VAElem(lattice, {(alpha, bumped): c * mode})
-        base = VAElem(lattice, {(alpha, fock): c})
-        out = out + create(lattice, alpha, 1, base)
-    return out
+            add_to(out, (alpha, bumped), c * mode)
+        add_all(out, create(lattice, alpha, 1, x._like({(alpha, fock): c})).terms)
+    return x._like(out)
 
 
 def virasoro(lattice, n, x):
@@ -245,10 +199,10 @@ def virasoro(lattice, n, x):
         raise ValueError("only L_n with n >= -1 is defined")
     if n == -1:
         return translate(lattice, x)
-    out = VAElem(lattice)
+    out = {}
     for (alpha, fock), c in x.terms.items():
-        out = out + _virasoro_term(lattice, n, alpha, fock).scale(c)
-    return out
+        add_all(out, _virasoro_term(lattice, n, alpha, fock).terms, c)
+    return x._like(out)
 
 
 def _virasoro_term(lattice, n, alpha, fock):
@@ -272,12 +226,12 @@ def field_mode(lattice, alpha, n, x):
     exponential truncated at the single contributing z-power.
     """
     alpha = tuple(int(c) for c in alpha)
-    out = VAElem(lattice)
+    out = {}
     for (beta, fock), c in x.terms.items():
         sign = -1 if lattice.sign_exponent(alpha, beta) % 2 else 1
         shift = lattice.pairing(alpha, beta)
         gamma = tuple(a + b for a, b in zip(alpha, beta))
-        base = VAElem(lattice, {(beta, fock): c * sign})
+        base = x._like({(beta, fock): c * sign})
         max_m = sum(k for _, k in fock)
         for m in range(0, max_m + 1):
             annihilated = _exp_annihilation(lattice, alpha, m, base)
@@ -288,13 +242,13 @@ def field_mode(lattice, alpha, n, x):
                 continue
             created = _exp_creation(lattice, alpha, p, annihilated)
             for (_, w), cc in created.terms.items():
-                out = out + VAElem(lattice, {(gamma, w): cc})
-    return out
+                add_to(out, (gamma, w), cc)
+    return x._like(out)
 
 
 def _exp_annihilation(lattice, alpha, m, x):
     """z^{-m} coefficient of exp(-sum_{k>0} alpha_(k)/k z^{-k}) applied to x."""
-    out = VAElem(lattice)
+    out = {}
     for mu in pt.partitions_of(m):
         piece = x
         for part in mu:
@@ -303,13 +257,13 @@ def _exp_annihilation(lattice, alpha, m, x):
                 break
         if piece:
             sign = -1 if pt.length(mu) % 2 else 1
-            out = out + piece.scale(Fraction(sign, 1) / pt.z_factor(mu))
-    return out
+            add_all(out, piece.terms, Fraction(sign, 1) / pt.z_factor(mu))
+    return x._like(out)
 
 
 def _exp_creation(lattice, alpha, p, x):
     """z^{p} coefficient of exp(sum_{j>0} alpha_(-j)/j z^{j}) applied to x."""
-    out = VAElem(lattice)
+    out = {}
     for nu in pt.partitions_of(p):
         piece = x
         for part in nu:
@@ -317,8 +271,8 @@ def _exp_creation(lattice, alpha, p, x):
             if not piece:
                 break
         if piece:
-            out = out + piece.scale(Fraction(1) / pt.z_factor(nu))
-    return out
+            add_all(out, piece.terms, Fraction(1) / pt.z_factor(nu))
+    return x._like(out)
 
 
 def borcherds_bracket(lattice, alpha, x):
@@ -365,13 +319,13 @@ def is_primary(lattice, x):
 
     # finite weight-one criterion: nonzero value means x mod T(V) is not a
     # weight-one primary state
-    wt_sum = VAElem(lattice)
+    wt_sum = {}
     for n in range(-1, max_deg + 1):
         term = virasoro(lattice, n, x)
         for _ in range(n + 1):
             term = translate(lattice, term)
         sign = -1 if n % 2 else 1
-        wt_sum = wt_sum + term.scale(Fraction(sign, _factorial(n + 1)))
+        add_all(wt_sum, term.terms, Fraction(sign, _factorial(n + 1)))
 
     return {
         "primary": not failures,

@@ -1,0 +1,113 @@
+"""Sparse rational linear combinations: the arithmetic shared by SymFunc,
+DescendentPoly and VAElem.
+
+An element stores ``terms``, a plain dict from hashable keys to nonzero
+Fractions.  Operators build a result by summing into one fresh dict with
+``add_to``/``add_all`` and wrap it once with ``_like``, so no step copies
+or re-validates the partial sum.  A subclass supplies ``_check_key`` (key
+validation for the public constructor); an algebra also defines
+``__mul__`` through ``_product`` with the product of two basis keys, and
+its empty key ``()`` is the unit, so the constant c is ``{(): c}``.
+"""
+
+from fractions import Fraction
+
+
+def coerce(c):
+    """c as a Fraction; TypeError unless it is an int or a Fraction."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"coefficients must be rational, got {type(c).__name__}")
+
+
+def add_to(out, key, c):
+    """out[key] += c in place, dropping the key when the sum vanishes."""
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def add_all(out, terms, c=1):
+    """out += c * terms in place, for a term dict."""
+    get = out.get
+    scaled = c != 1  # the common c == 1 skips a Fraction product per term
+    for key, x in terms.items():
+        if scaled:
+            x = c * x
+        s = get(key, 0) + x
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+
+
+class LinComb:
+    """Base of the sparse element types; see the module docstring."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            for key, c in terms.items():
+                c = coerce(c)
+                if c:
+                    add_to(self.terms, self._check_key(key), c)
+
+    @classmethod
+    def _wrap(cls, terms):
+        """An element holding terms as given: valid keys, nonzero Fractions."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
+
+    def _like(self, terms):
+        """An element of the same type and ambient data as self holding terms."""
+        return self._wrap(terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        add_all(out, other.terms)
+        return self._like(out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        add_all(out, other.terms, -1)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = coerce(c)
+        return self._like({k: c * x for k, x in self.terms.items()} if c else {})
+
+    def _product(self, other, key):
+        """The bilinear product in which basis keys k1, k2 multiply to key(k1, k2)."""
+        out = {}
+        for k1, a in self.terms.items():
+            for k2, b in other.terms.items():
+                add_to(out, key(k1, k2), a * b)
+        return self._like(out)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == ({(): other} if other else {})
+        return NotImplemented
+
+    def __hash__(self):
+        # A constant hashes like the scalar it equals, as __eq__ requires.
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and () in self.terms:
+            return hash(self.terms[()])
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)

@@ -12,6 +12,7 @@ from . import quiver as qv
 from .descendent import DescendentPoly
 from .grasscalc import GrElem
 from .latticeva import Lattice, VAElem
+from .lincomb import add_to
 from .symfunc import SymFunc
 
 
@@ -65,12 +66,15 @@ def _p_monomial_text(la):
     return "*".join(factors)
 
 
-def symfunc_to_text(f):
-    if not f.terms:
-        return "0"
+def signed_sum_text(pairs, monomial_text):
+    """Canonical text of a sum over (key, coefficient) pairs, in the given order.
+
+    A term reads `c*mono`, or `mono` when |c| = 1; an empty monomial text
+    leaves the bare number.  Signs join terms as ` + ` / ` - `; no terms is `0`.
+    """
     chunks = []
-    for la, c in f.sorted_terms():
-        mono = _p_monomial_text(la)
+    for key, c in pairs:
+        mono = monomial_text(key)
         mag = abs(c)
         if mono and mag == 1:
             body = mono
@@ -82,7 +86,11 @@ def symfunc_to_text(f):
             chunks.append(body if c > 0 else f"-{body}")
         else:
             chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
+    return " ".join(chunks) if chunks else "0"
+
+
+def symfunc_to_text(f):
+    return signed_sum_text(f.sorted_terms(), _p_monomial_text)
 
 
 _TERM_SPLIT = re.compile(r"(?<![\^*/])\s*([+-])\s*")
@@ -97,16 +105,17 @@ def symfunc_from_text(s):
         return SymFunc.zero()
     pieces = _TERM_SPLIT.split(s)
     # pieces = [first, sign, term, sign, term, ...]; an empty first means a leading sign
-    out = SymFunc.zero()
+    out = {}
     if pieces[0].strip():
-        out = out + _parse_sym_term(pieces[0], 1)
+        add_to(out, *_parse_sym_term(pieces[0], 1))
     for i in range(1, len(pieces), 2):
         sign = 1 if pieces[i] == "+" else -1
-        out = out + _parse_sym_term(pieces[i + 1], sign)
-    return out
+        add_to(out, *_parse_sym_term(pieces[i + 1], sign))
+    return SymFunc._wrap(out)
 
 
 def _parse_sym_term(term, sign):
+    """(partition, coefficient) of one signed term."""
     term = term.strip()
     if not term:
         raise ValueError("empty term in symmetric-function expression")
@@ -124,8 +133,7 @@ def _parse_sym_term(term, sign):
             parts.extend([idx] * int(m.group(2) or 1))
         else:
             coeff *= rational_from_text(factor)
-    la = tuple(sorted(parts, reverse=True))
-    return SymFunc({la: coeff})
+    return tuple(sorted(parts, reverse=True)), coeff
 
 
 def symfunc_to_json(f):
@@ -143,23 +151,9 @@ def symfunc_from_json(data):
 
 
 def descendent_to_text(f):
-    if not f.terms:
-        return "0"
-    chunks = []
-    for mono, c in f.sorted_terms():
-        factors = "*".join(f"ch{k}({v})" for k, v in mono)
-        mag = abs(c)
-        if factors and mag == 1:
-            body = factors
-        elif factors:
-            body = f"{rational_to_text(mag)}*{factors}"
-        else:
-            body = rational_to_text(mag)
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
+    return signed_sum_text(
+        f.sorted_terms(), lambda mono: "*".join(f"ch{k}({v})" for k, v in mono)
+    )
 
 
 def descendent_to_json(f):

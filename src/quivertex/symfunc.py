@@ -11,28 +11,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import partitions as pt
+from .lincomb import LinComb, add_all, add_to
 
 
-def _coerce(c):
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficients must be rational, got {type(c).__name__}")
-
-
-class SymFunc:
+class SymFunc(LinComb):
     """Sparse rational linear combination of power-sum monomials p_la."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for la, c in terms.items():
-                c = _coerce(c)
-                if c:
-                    self.terms[pt.check_partition(la)] = c
+    def _check_key(self, la):
+        return pt.check_partition(la)
 
     # -- constructors ------------------------------------------------------
 
@@ -56,65 +44,12 @@ class SymFunc:
         """p_la = prod_i p_{la_i}."""
         return SymFunc({pt.check_partition(la): Fraction(1)})
 
-    # -- ring structure ----------------------------------------------------
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for la, c in other.terms.items():
-            s = out.get(la, 0) + c
-            if s:
-                out[la] = s
-            else:
-                out.pop(la, None)
-        f = SymFunc()
-        f.terms = out
-        return f
-
-    def __neg__(self):
-        f = SymFunc()
-        f.terms = {la: -c for la, c in self.terms.items()}
-        return f
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out = {}
-        for la, a in self.terms.items():
-            for mu, b in other.terms.items():
-                key = pt.merge(la, mu)
-                s = out.get(key, 0) + a * b
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        f = SymFunc()
-        f.terms = out
-        return f
+        return self._product(other, pt.merge)
 
     __rmul__ = __mul__
-
-    def scale(self, c):
-        c = _coerce(c)
-        f = SymFunc()
-        if c:
-            f.terms = {la: c * x for la, x in self.terms.items()}
-        return f
-
-    def __eq__(self, other):
-        if isinstance(other, SymFunc):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == SymFunc.one().scale(other).terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     # -- structure queries -------------------------------------------------
 
@@ -129,9 +64,7 @@ class SymFunc:
         return len({pt.size(la) for la in self.terms}) <= 1
 
     def homogeneous_part(self, d):
-        f = SymFunc()
-        f.terms = {la: c for la, c in self.terms.items() if pt.size(la) == d}
-        return f
+        return SymFunc._wrap({la: c for la, c in self.terms.items() if pt.size(la) == d})
 
     def constant_term(self):
         return self.terms.get((), Fraction(0))
@@ -156,11 +89,10 @@ def elementary(j):
         return SymFunc.zero()
     if j == 0:
         return SymFunc.one()
-    acc = SymFunc.zero()
+    out = {}
     for i in range(1, j + 1):
-        term = elementary(j - i) * SymFunc.p(i)
-        acc = acc + term.scale(Fraction((-1) ** (i - 1), j))
-    return acc
+        add_all(out, (elementary(j - i) * SymFunc.p(i)).terms, Fraction((-1) ** (i - 1), j))
+    return SymFunc._wrap(out)
 
 
 @lru_cache(maxsize=None)
@@ -170,10 +102,10 @@ def complete(j):
         return SymFunc.zero()
     if j == 0:
         return SymFunc.one()
-    acc = SymFunc.zero()
+    out = {}
     for i in range(1, j + 1):
-        acc = acc + (complete(j - i) * SymFunc.p(i)).scale(Fraction(1, j))
-    return acc
+        add_all(out, (complete(j - i) * SymFunc.p(i)).terms, Fraction(1, j))
+    return SymFunc._wrap(out)
 
 
 @lru_cache(maxsize=None)
@@ -199,17 +131,15 @@ def _det_of_completes(rows):
     def minor(i, cols):
         if i == n:
             return SymFunc.one()
-        acc = SymFunc.zero()
+        out = {}
         for pos, j in enumerate(cols):
             idx = rows[i][j]
             if idx < 0:
                 continue
             sub = minor(i + 1, cols[:pos] + cols[pos + 1 :])
-            if not sub:
-                continue
-            term = complete(idx) * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
-        return acc
+            if sub:
+                add_all(out, (complete(idx) * sub).terms, 1 if pos % 2 == 0 else -1)
+        return SymFunc._wrap(out)
 
     return minor(0, tuple(range(n)))
 
@@ -229,21 +159,21 @@ def _monomial_basis(d):
     # A[mu][nu] = (coefficient of p_nu in h_mu) * z_nu
     mat = [[Fraction(0)] * k for _ in range(k)]
     for i, mu in enumerate(parts):
-        h_mu = SymFunc.one()
-        for part in mu:
-            h_mu = h_mu * complete(part)
-        for nu, c in h_mu.terms.items():
+        for nu, c in _complete_product(mu).terms.items():
             mat[i][index[nu]] = c * pt.z_factor(nu)
     inv = _invert_matrix(mat)
-    out = {}
-    for la in parts:
-        col = index[la]
-        f = SymFunc()
-        f.terms = {
-            parts[r]: inv[r][col] for r in range(k) if inv[r][col]
-        }
-        out[la] = f
-    return out
+    return {
+        la: SymFunc._wrap({parts[r]: inv[r][col] for r in range(k) if inv[r][col]})
+        for col, la in enumerate(parts)
+    }
+
+
+def _complete_product(mu):
+    """h_mu = prod_i h_{mu_i}."""
+    h = SymFunc.one()
+    for part in mu:
+        h = h * complete(part)
+    return h
 
 
 def _invert_matrix(mat):
@@ -286,41 +216,26 @@ def annihilate(n, f):
     for la, c in f.terms.items():
         m = pt.multiplicity(la, n)
         if m:
-            key = pt.remove_one(la, n)
-            s = out.get(key, 0) + c * m * n
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    g = SymFunc()
-    g.terms = out
-    return g
-
-
-def derivative(n, f):
-    """d/dp_n, the plain formal partial derivative."""
-    return annihilate(n, f).scale(Fraction(1, n))
+            add_to(out, pt.remove_one(la, n), c * m * n)
+    return SymFunc._wrap(out)
 
 
 def involution(f):
     """The algebra involution sending p_j to (-1)^(j-1) p_j (s_la to s_la^t)."""
-    g = SymFunc()
-    g.terms = {la: c * pt.sign_of_conjugation(la) for la, c in f.terms.items()}
-    return g
+    return SymFunc._wrap({la: c * pt.sign_of_conjugation(la) for la, c in f.terms.items()})
 
 
 def skew_by(g, f):
     """g^perp(f): the Hall adjoint of multiplication by g, applied to f."""
-    out = SymFunc.zero()
+    out = {}
     for la, c in g.terms.items():
         piece = f
         for part in la:
             piece = annihilate(part, piece)
             if not piece:
                 break
-        if piece:
-            out = out + piece.scale(c)
-    return out
+        add_all(out, piece.terms, c)
+    return SymFunc._wrap(out)
 
 
 def schur_expand(f):
@@ -337,37 +252,17 @@ def schur_expand(f):
 
 
 def monomial_expand(f):
-    """Coefficients {la: c_la} with f = sum c_la m_la."""
+    """Coefficients {la: c_la} with f = sum c_la m_la.
+
+    The m and h bases are Hall-dual, so c_la = <f, h_la>.
+    """
     out = {}
     for d in sorted({pt.size(la) for la in f.terms}):
-        fd = f.homogeneous_part(d)
-        parts = list(pt.partitions_of(d))
-        basis = _monomial_basis(d)
-        # Solve sum_la x_la * m_la = fd in the p-coordinates.
-        mat = [[basis[mu].terms.get(nu, Fraction(0)) for mu in parts] for nu in parts]
-        rhs = [fd.terms.get(nu, Fraction(0)) for nu in parts]
-        sol = _solve_linear(mat, rhs)
-        for la, x in zip(parts, sol):
-            if x:
-                out[la] = x
+        for la in pt.partitions_of(d):
+            c = hall(f, _complete_product(la))
+            if c:
+                out[la] = c
     return out
-
-
-def _solve_linear(mat, rhs):
-    n = len(mat)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular linear system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 # -- Jack polynomials ---------------------------------------------------------
@@ -404,11 +299,11 @@ def _jack_basis(d, alpha):
     done = []  # (partition, P, <P, P>_alpha)
     out = {}
     for la in parts:
-        f = monomial(la)
+        f = SymFunc._wrap(dict(monomial(la).terms))
         for mu, g, norm in done:
             c = hall_deformed(f, g, alpha)
             if c:
-                f = f - g.scale(c / norm)
+                add_all(f.terms, g.terms, -c / norm)
         norm = hall_deformed(f, f, alpha)
         if norm == 0:
             raise ValueError(

@@ -9,13 +9,13 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from quivertex import checks as ck
 from quivertex import descendent as dc
 from quivertex import grasscalc as gc
 from quivertex import latticeva as lv
 from quivertex import partitions as pt
 from quivertex import quiver as qv
 from quivertex import symfunc as sf
+from quivertex.checks import _random_monomial, _random_symfunc, _random_vaelem
 from quivertex.symfunc import SymFunc
 
 
@@ -261,35 +261,3 @@ def test_criterion_11_euler_goldens():
                 kq, qv.DimVector(kq, [1, k1]), qv.DimVector(kq, [0, k2])
             )
 
-
-def _random_symfunc(rng, max_deg):
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        d = rng.randint(0, max_deg)
-        parts = pt.partitions_of(d)
-        terms[parts[rng.randrange(len(parts))]] = F(rng.randint(-3, 3) or 1)
-    return SymFunc(terms)
-
-
-def _random_monomial(rng, quiver, max_weight):
-    factors = []
-    weight = 0
-    for _ in range(rng.randint(1, 3)):
-        k = rng.randint(0, max(0, max_weight - weight))
-        weight += k
-        factors.append((k, rng.choice(quiver.vertices)))
-    return dc.DescendentPoly({tuple(sorted(factors)): 1})
-
-
-def _random_vaelem(lat, rng, max_fock):
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        alpha = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
-        fock = []
-        budget = rng.randint(0, max_fock)
-        while budget > 0:
-            k = rng.randint(1, budget)
-            fock.append((rng.randrange(lat.rank), k))
-            budget -= k
-        terms[(alpha, tuple(sorted(fock)))] = F(rng.randint(-3, 3) or 1)
-    return lv.VAElem(lat, terms)

@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from quivertex import quiver as qv
 from quivertex import serialize as sz
-from quivertex.cli import main
+from quivertex.cli import _coeff_map_text, main
 
 
 def run(capsys, *argv):
@@ -23,6 +24,8 @@ def test_schur_bases(capsys):
     code, out, _ = run(capsys, "schur", "2,1", "--basis", "m")
     assert code == 0
     assert out.strip() == "2*m(1,1,1) + m(2,1)"
+    pairs = [((), Fraction(-1, 2)), ((1,), Fraction(1)), ((2, 1), Fraction(-3, 4))]
+    assert _coeff_map_text(pairs, "m") == "-1/2 + m(1) - 3/4*m(2,1)"
     code, out, _ = run(capsys, "schur", "2,1", "--basis", "schur")
     assert out.strip() == "s(2,1)"
     code, out, _ = run(capsys, "schur", "-", "--basis", "p")

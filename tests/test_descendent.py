@@ -5,6 +5,7 @@ import pytest
 
 from quivertex import descendent as dc
 from quivertex import quiver as qv
+from quivertex.checks import _random_monomial
 from quivertex.descendent import DescendentPoly
 from quivertex.symfunc import SymFunc
 
@@ -35,8 +36,8 @@ def test_r_op_is_derivation():
     rng = random.Random(2)
     for n in range(-1, 4):
         for _ in range(10):
-            f = _random_poly(rng, BEILINSON)
-            g = _random_poly(rng, BEILINSON)
+            f = _random_monomial(rng, BEILINSON, 6)
+            g = _random_monomial(rng, BEILINSON, 6)
             lhs = dc.r_op(BEILINSON, n, f * g)
             rhs = dc.r_op(BEILINSON, n, f) * g + f * dc.r_op(BEILINSON, n, g)
             assert lhs == rhs
@@ -79,7 +80,7 @@ def test_virasoro_bracket():
     # [L_n, L_m] = (m - n) L_{n+m} on monomials of ch-weight <= 6
     rng = random.Random(4)
     for quiver in (A1, BEILINSON):
-        monos = [_random_poly(rng, quiver) for _ in range(6)]
+        monos = [_random_monomial(rng, quiver, 6) for _ in range(6)]
         for n in range(-1, 4):
             for m in range(-1, 4):
                 for f in monos:
@@ -93,7 +94,7 @@ def test_virasoro_bracket():
 def test_framed_virasoro_bracket():
     rng = random.Random(9)
     framing = qv.FramingVector(BEILINSON, [2, 0, 1])
-    monos = [_random_poly(rng, BEILINSON) for _ in range(5)]
+    monos = [_random_monomial(rng, BEILINSON, 6) for _ in range(5)]
     for n in range(0, 4):
         for m in range(0, 4):
             for f in monos:
@@ -118,7 +119,7 @@ def test_l_wt0_lands_in_r_minus1_kernel():
     dims = {"1": 2, "2": 1, "3": 3}
     for quiver in (A1, BEILINSON):
         for _ in range(8):
-            f = _random_poly(rng, quiver, max_weight=4)
+            f = _random_monomial(rng, quiver, 4)
             image = dc.l_wt0(quiver, f)
             shifted = dc.r_op(quiver, -1, image)
             assert shifted == DescendentPoly.zero()
@@ -151,14 +152,3 @@ def test_framed_t_to_symfunc():
             expected = expected + SymFunc.p(n).scale(2 * k - 4)
             assert got == expected, (n, k)
 
-
-def _random_poly(rng, quiver, max_weight=6):
-    """Random monomial with total ch-index <= max_weight, as a 1-term poly."""
-    factors = []
-    weight = 0
-    for _ in range(rng.randint(1, 3)):
-        k = rng.randint(0, max(0, max_weight - weight))
-        weight += k
-        v = rng.choice(quiver.vertices)
-        factors.append((k, v))
-    return DescendentPoly({tuple(sorted(factors)): 1})

@@ -9,6 +9,7 @@ from quivertex import latticeva as lv
 from quivertex import partitions as pt
 from quivertex import quiver as qv
 from quivertex import symfunc as sf
+from quivertex.checks import _random_symfunc
 from quivertex.grasscalc import FockParams, GrElem
 from quivertex.symfunc import SymFunc
 
@@ -18,15 +19,6 @@ F = Fraction
 
 def p(*parts):
     return SymFunc.p_monomial(tuple(parts))
-
-
-def _random_symfunc(rng, max_deg):
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        d = rng.randint(0, max_deg)
-        parts = pt.partitions_of(d)
-        terms[parts[rng.randrange(len(parts))]] = F(rng.randint(-3, 3) or 1)
-    return SymFunc(terms)
 
 
 # -- Hecke operators -----------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from quivertex import latticeva as lv
 from quivertex import symfunc as sf
 from quivertex import partitions as pt
+from quivertex.checks import _random_vaelem
 from quivertex.latticeva import Lattice, VAElem
 from quivertex.symfunc import SymFunc
 
@@ -87,24 +88,10 @@ def test_virasoro_base_cases():
     assert lv.virasoro(GR, 2, y) == VAElem(GR)
 
 
-def _random_elem(lat, rng, max_fock=5):
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        alpha = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
-        fock = []
-        budget = rng.randint(0, max_fock)
-        while budget > 0:
-            k = rng.randint(1, budget)
-            fock.append((rng.randrange(lat.rank), k))
-            budget -= k
-        terms[(alpha, tuple(sorted(fock)))] = F(rng.randint(-3, 3) or 1)
-    return VAElem(lat, terms)
-
-
 def test_virasoro_bracket_relations():
     rng = random.Random(13)
     for lat in (GR, DEGEN):
-        elems = [_random_elem(lat, rng) for _ in range(4)]
+        elems = [_random_vaelem(lat, rng) for _ in range(4)]
         for n in range(-1, 4):
             for m in range(-1, 4):
                 for x in elems:
@@ -122,7 +109,7 @@ def test_field_mode_vacuum_state_is_identity():
     rng = random.Random(17)
     zero = GR.zero()
     for _ in range(5):
-        x = _random_elem(GR, rng)
+        x = _random_vaelem(GR, rng)
         for n in (-3, -2, -1, 0, 1, 2):
             expected = x if n == -1 else VAElem(GR)
             assert lv.field_mode(GR, zero, n, x) == expected
@@ -143,7 +130,7 @@ def test_field_mode_translation_covariance():
     rng = random.Random(19)
     alpha = (0, 1)
     for _ in range(4):
-        x = _random_elem(GR, rng, max_fock=3)
+        x = _random_vaelem(GR, rng, max_fock=3)
         for n in range(-3, 3):
             lhs = lv.translate(GR, lv.field_mode(GR, alpha, n, x))
             rhs = lv.field_mode(GR, alpha, n, lv.translate(GR, x)) - lv.field_mode(

@@ -49,6 +49,8 @@ def test_symfunc_text_golden():
     assert sz.symfunc_to_text(SymFunc.one()) == "1"
     assert sz.symfunc_to_text(-SymFunc.p(2)) == "-p2"
     assert sz.symfunc_to_text(SymFunc.one().scale(F(-2, 3)) + SymFunc.p(1)) == "-2/3 + p1"
+    f = SymFunc({(): F(-1, 2), (1,): 1, (2, 1): F(-3, 4)})
+    assert sz.symfunc_to_text(f) == "-1/2 + p1 - 3/4*p1*p2"
 
 
 def test_symfunc_text_round_trip():
@@ -90,6 +92,8 @@ def test_descendent_round_trip():
     assert sz.descendent_to_text(DescendentPoly.zero()) == "0"
     text = sz.descendent_to_text(f)
     assert "ch2(1)" in text
+    g = DescendentPoly({(): F(-1, 2), ((1, "1"),): 1, ((0, "2"), (2, "1")): -3})
+    assert sz.descendent_to_text(g) == "-1/2 + ch1(1) - 3*ch0(2)*ch2(1)"
 
 
 def test_quiver_round_trip():
