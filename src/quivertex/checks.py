@@ -3,7 +3,7 @@
 Each check runs one family of exact identities at its stated bounds and
 returns {"name", "ok", "detail"}.  The fast suite covers every module
 invariant; the full suite adds the heavier end-to-end computations
-(wall-crossing vs Schubert classes up to N = 6, constraints up to N = 7,
+(wall-crossing vs Schubert classes up to N = 8, constraints up to N = 7,
 the Jack singular-vector grid, and the descendent-integral goldens).
 """
 
@@ -501,7 +501,7 @@ def check_constraints_grid(max_N=7, max_n=6):
     return _report("virasoro_constraints_grid", True, f"N <= {max_N}, n <= {max_n}")
 
 
-def check_wallcross_grid(max_N=6):
+def check_wallcross_grid(max_N=8):
     for N in range(0, max_N + 1):
         for k in range(0, N + 1):
             if gc.gr_class_wallcross(k, N) != gc.gr_class_schur(k, N):

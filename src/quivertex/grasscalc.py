@@ -12,7 +12,7 @@ from math import factorial
 from . import latticeva as lv
 from . import partitions as pt
 from . import symfunc as sf
-from .lincomb import add_all, add_to
+from .lincomb import add_all, add_to, expand_translation
 from .symfunc import SymFunc
 
 
@@ -49,33 +49,27 @@ class GrElem:
 
 
 def hecke(n, f):
-    """H_n = sum_{j>=0} (-1)^j h_{j+n} e_j^perp, truncated at j <= deg(f)."""
-    out = {}
-    for j in range(0, f.degree() + 1):
-        if j + n < 0:
-            continue
-        skewed = sf.skew_by(sf.elementary(j), f)
-        if skewed:
-            add_all(out, (sf.complete(j + n) * skewed).terms, 1 if j % 2 == 0 else -1)
-    return SymFunc._wrap(out)
+    """H_n = sum_{j>=0} (-1)^j h_{j+n} e_j^perp, where sum_j (-1)^j e_j^perp z^{-j}
+    = exp(-sum p_{-j}/j z^{-j}) is the translation p_k -> p_k - z^{-k}."""
+    return _translated_mode(n, 1, f)
 
 
 def hecke_sym(n, f):
-    """Mode n of exp(sum p_j/j z^j) exp(-sum 2 p_{-j}/j z^{-j}) applied to f.
+    """Mode n of exp(sum p_j/j z^j) exp(-sum 2 p_{-j}/j z^{-j}) applied to f."""
+    return _translated_mode(n, 2, f)
 
-    The z^{-m} coefficient of the annihilation exponential is the skew by
-    sum_{mu |- m} (-2)^{ell(mu)} p_mu / z_mu.
-    """
+
+def _translated_mode(n, weight, f):
+    """sum_m h_{n+m} [z^{-m}] f(p_k - weight z^{-k}), one product per h_{n+m}."""
+    pieces = {}  # m -> {la: coefficient}
+    for la, c in f.terms.items():
+        for (m, kept), t in expand_translation(la, lambda k: (k, weight)).items():
+            if n + m >= 0:
+                add_to(pieces.setdefault(m, {}), kept, c * t)
     out = {}
-    for m in range(0, f.degree() + 1):
-        if n + m < 0:
-            continue
-        series = SymFunc(
-            {mu: Fraction((-2) ** pt.length(mu)) / pt.z_factor(mu) for mu in pt.partitions_of(m)}
-        )
-        piece = sf.skew_by(series, f)
+    for m, piece in pieces.items():
         if piece:
-            add_all(out, (sf.complete(n + m) * piece).terms)
+            add_all(out, (sf.complete(n + m) * SymFunc._wrap(piece)).terms)
     return SymFunc._wrap(out)
 
 
@@ -261,7 +255,8 @@ def integrals_by_recursion(k, N, normalization):
         tilde = tuple(sorted([1] * (m + 1) + ascending[m + 1 :], reverse=True))
         g = gr_virasoro_dual(t - 1, N, k, SymFunc.p_monomial(tilde))
         lead = g.coefficient(la)
-        assert lead == m + 1, (la, lead)
+        if lead != m + 1:
+            raise ValueError(f"recursion pivot for {la} is {lead}, expected {m + 1}")
         total = Fraction(0)
         for mu, c in g.terms.items():
             if mu != la:

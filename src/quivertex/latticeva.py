@@ -12,9 +12,9 @@ commuting past the j-th creation factor acts only on the factors after j.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
-from . import partitions as pt
-from .lincomb import LinComb, add_all, add_to
+from .lincomb import LinComb, add_all, add_to, expand_translation
 
 
 class Lattice:
@@ -221,58 +221,44 @@ def _virasoro_term(lattice, n, alpha, fock):
 def field_mode(lattice, alpha, n, x):
     """Coefficient of z^{-1-n} in Y(e^alpha, z) x.
 
-    Per beta-component: sign (-1)^{b(alpha,beta)}, monomial shift by
-    B(alpha,beta), annihilation exponential (finite on any state), creation
-    exponential truncated at the single contributing z-power.
+    Per beta-component: sign (-1)^{b(alpha,beta)} and monomial shift by
+    B(alpha,beta).  The annihilation exponential is the translation
+    (e_i)_{-k} -> (e_i)_{-k} - B(alpha, e_i) z^{-k}; its pieces are summed per
+    target (gamma, p) and multiplied once by the z^p creation series.
     """
     alpha = tuple(int(c) for c in alpha)
-    out = {}
+    weights = [lattice.pairing(alpha, lattice.basis_vector(i)) for i in range(lattice.rank)]
+    buckets = {}  # (gamma, p) -> {fock: coefficient}
     for (beta, fock), c in x.terms.items():
-        sign = -1 if lattice.sign_exponent(alpha, beta) % 2 else 1
-        shift = lattice.pairing(alpha, beta)
+        c = -c if lattice.sign_exponent(alpha, beta) % 2 else c
         gamma = tuple(a + b for a, b in zip(alpha, beta))
-        base = x._like({(beta, fock): c * sign})
-        max_m = sum(k for _, k in fock)
-        for m in range(0, max_m + 1):
-            annihilated = _exp_annihilation(lattice, alpha, m, base)
-            if not annihilated:
-                continue
-            p = m - 1 - n - shift
-            if p < 0:
-                continue
-            created = _exp_creation(lattice, alpha, p, annihilated)
-            for (_, w), cc in created.terms.items():
-                add_to(out, (gamma, w), cc)
-    return x._like(out)
-
-
-def _exp_annihilation(lattice, alpha, m, x):
-    """z^{-m} coefficient of exp(-sum_{k>0} alpha_(k)/k z^{-k}) applied to x."""
+        shift = 1 + n + lattice.pairing(alpha, beta)
+        for (m, kept), t in expand_translation(fock, lambda f: (f[1], weights[f[0]])).items():
+            if m >= shift:
+                add_to(buckets.setdefault((gamma, m - shift), {}), kept, c * t)
     out = {}
-    for mu in pt.partitions_of(m):
-        piece = x
-        for part in mu:
-            piece = annihilate_mode(lattice, alpha, part, piece)
-            if not piece:
-                break
-        if piece:
-            sign = -1 if pt.length(mu) % 2 else 1
-            add_all(out, piece.terms, Fraction(sign, 1) / pt.z_factor(mu))
+    for (gamma, p), annihilated in buckets.items():
+        series = _creation_series(alpha, p)
+        for fock, c in annihilated.items():
+            for created, d in series:
+                add_to(out, (gamma, tuple(sorted(fock + created))), c * d)
     return x._like(out)
 
 
-def _exp_creation(lattice, alpha, p, x):
-    """z^{p} coefficient of exp(sum_{j>0} alpha_(-j)/j z^{j}) applied to x."""
-    out = {}
-    for nu in pt.partitions_of(p):
-        piece = x
-        for part in nu:
-            piece = create(lattice, alpha, part, piece)
-            if not piece:
-                break
-        if piece:
-            add_all(out, piece.terms, Fraction(1) / pt.z_factor(nu))
-    return x._like(out)
+@lru_cache(maxsize=1024)
+def _creation_series(alpha, p):
+    """z^p coefficient S_p of exp(sum_{j>0} alpha_(-j)/j z^j), as (fock, coeff) pairs.
+
+    Differentiating in z gives p S_p = sum_{j=1}^{p} alpha_(-j) S_{p-j}; the
+    form B plays no part, so the lattice is not in the cache key.
+    """
+    out = {} if p else {(): Fraction(1)}
+    for j in range(1, p + 1):
+        for fock, c in _creation_series(alpha, p - j):
+            for i, a in enumerate(alpha):
+                if a:
+                    add_to(out, tuple(sorted(fock + ((i, j),))), c * a / p)
+    return tuple(out.items())
 
 
 def borcherds_bracket(lattice, alpha, x):

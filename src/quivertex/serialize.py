@@ -25,6 +25,8 @@ def rational_from_text(s):
     s = s.strip()
     if not re.fullmatch(r"-?\d+(/\d+)?", s):
         raise ValueError(f"bad rational {s!r}")
+    if re.fullmatch(r"-?\d+/0+", s):
+        raise ValueError(f"zero denominator in rational {s!r}")
     return Fraction(s)
 
 
@@ -33,8 +35,10 @@ def rational_to_json(c):
 
 
 def rational_from_json(pair):
-    num, den = pair
-    return Fraction(int(num), int(den))
+    num, den = map(int, pair)
+    if den == 0:
+        raise ValueError(f"zero denominator in rational {pair!r}")
+    return Fraction(num, den)
 
 
 def partition_to_text(la):

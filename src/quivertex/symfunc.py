@@ -293,7 +293,7 @@ def jack(la, alpha):
     return _jack_basis(pt.size(la), alpha)[la]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # keyed by the caller's alpha, so bounded
 def _jack_basis(d, alpha):
     parts = sorted(pt.partitions_of(d))  # ascending lexicographic
     done = []  # (partition, P, <P, P>_alpha)

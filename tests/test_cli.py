@@ -150,6 +150,25 @@ def test_parse_error_exit_code(capsys):
     assert e.value.code == 2
 
 
+def test_zero_denominator_is_malformed_input(capsys):
+    for argv in (
+        ["jack", "2", "1/0"],
+        ["hall", "p1", "1/0*p1"],
+        ["gr-recursion", "2", "4", "--norm", "1/0"],
+    ):
+        # argparse reports a rejected argument by raising SystemExit
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
+        assert "invalid" in capsys.readouterr().err
+
+
+def test_selftest_full(capsys):
+    code, out, _ = run(capsys, "selftest", "--suite", "full")
+    assert code == 0
+    assert "PASS overall" in out
+
+
 def test_selftest_fast(capsys):
     code, out, _ = run(capsys, "selftest", "--suite", "fast")
     assert code == 0

@@ -163,6 +163,12 @@ def test_gr_class_wallcross_small():
     assert gc.gr_class_wallcross(2, 4) == gc.gr_class_schur(2, 4)
 
 
+@pytest.mark.parametrize("N", [7, 8])
+def test_gr_class_wallcross_equals_schur(N):
+    for k in range(0, N + 1):
+        assert gc.gr_class_wallcross(k, N) == gc.gr_class_schur(k, N), (k, N)
+
+
 def test_field_modes_match_symmetrized_hecke_series():
     # Y(q, z) on Q^N q^k (x) f is (-1)^(N-k) z^(2k-N) H^sym(z) f: the mode-n
     # coefficient must be (-1)^(N-k) H^sym_{N-2k-1-n} f for every n

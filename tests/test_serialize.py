@@ -34,6 +34,14 @@ def test_rational_text():
         sz.rational_from_text("1.5")
 
 
+def test_rational_zero_denominator():
+    for text in ("1/0", "-3/00", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            sz.rational_from_text(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        sz.rational_from_json([1, 0])
+
+
 def test_partition_text():
     assert sz.partition_to_text((3, 1)) == "3,1"
     assert sz.partition_from_text("3,1") == (3, 1)

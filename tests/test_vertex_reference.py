@@ -1,0 +1,145 @@
+"""The translation kernel against the per-partition vertex-operator exponentials.
+
+The reference implementations below expand each exponential over every
+partition mu of m and apply annihilators or creators one part at a time.
+They share no code with ``lincomb.expand_translation``, which the library's
+field modes and Hecke operators use, so they are an independent oracle.
+"""
+
+import random
+from fractions import Fraction
+
+from quivertex import grasscalc as gc
+from quivertex import latticeva as lv
+from quivertex import partitions as pt
+from quivertex import symfunc as sf
+from quivertex.checks import _random_symfunc, _random_vaelem
+from quivertex.lincomb import add_all, add_to
+from quivertex.symfunc import SymFunc
+
+
+def ref_exp_annihilation(lattice, alpha, m, x):
+    """z^{-m} coefficient of exp(-sum_{k>0} alpha_(k)/k z^{-k}) applied to x."""
+    out = {}
+    for mu in pt.partitions_of(m):
+        piece = x
+        for part in mu:
+            piece = lv.annihilate_mode(lattice, alpha, part, piece)
+            if not piece:
+                break
+        if piece:
+            sign = -1 if pt.length(mu) % 2 else 1
+            add_all(out, piece.terms, Fraction(sign, 1) / pt.z_factor(mu))
+    return x._like(out)
+
+
+def ref_exp_creation(lattice, alpha, p, x):
+    """z^{p} coefficient of exp(sum_{j>0} alpha_(-j)/j z^{j}) applied to x."""
+    out = {}
+    for nu in pt.partitions_of(p):
+        piece = x
+        for part in nu:
+            piece = lv.create(lattice, alpha, part, piece)
+            if not piece:
+                break
+        if piece:
+            add_all(out, piece.terms, Fraction(1) / pt.z_factor(nu))
+    return x._like(out)
+
+
+def ref_field_mode(lattice, alpha, n, x):
+    """Coefficient of z^{-1-n} in Y(e^alpha, z) x, term by term and part by part."""
+    out = {}
+    for (beta, fock), c in x.terms.items():
+        sign = -1 if lattice.sign_exponent(alpha, beta) % 2 else 1
+        shift = lattice.pairing(alpha, beta)
+        gamma = tuple(a + b for a, b in zip(alpha, beta))
+        base = x._like({(beta, fock): c * sign})
+        for m in range(0, sum(k for _, k in fock) + 1):
+            annihilated = ref_exp_annihilation(lattice, alpha, m, base)
+            p = m - 1 - n - shift
+            if not annihilated or p < 0:
+                continue
+            for (_, w), cc in ref_exp_creation(lattice, alpha, p, annihilated).terms.items():
+                add_to(out, (gamma, w), cc)
+    return x._like(out)
+
+
+def ref_hecke(n, f):
+    """H_n = sum_{j>=0} (-1)^j h_{j+n} e_j^perp, truncated at j <= deg(f)."""
+    out = {}
+    for j in range(0, f.degree() + 1):
+        if j + n < 0:
+            continue
+        skewed = sf.skew_by(sf.elementary(j), f)
+        if skewed:
+            add_all(out, (sf.complete(j + n) * skewed).terms, 1 if j % 2 == 0 else -1)
+    return SymFunc._wrap(out)
+
+
+def ref_hecke_sym(n, f):
+    """Mode n of exp(sum p_j/j z^j) exp(-sum 2 p_{-j}/j z^{-j}), skewing by
+    sum_{mu |- m} (-2)^{ell(mu)} p_mu / z_mu."""
+    out = {}
+    for m in range(0, f.degree() + 1):
+        if n + m < 0:
+            continue
+        series = SymFunc(
+            {mu: Fraction((-2) ** pt.length(mu)) / pt.z_factor(mu) for mu in pt.partitions_of(m)}
+        )
+        piece = sf.skew_by(series, f)
+        if piece:
+            add_all(out, (sf.complete(n + m) * piece).terms)
+    return SymFunc._wrap(out)
+
+
+def _random_lattice(rng):
+    """Rank 1..3 with a random integral sign datum b and B = b + b^T."""
+    rank = rng.randint(1, 3)
+    b = [[rng.randint(-1, 1) for _ in range(rank)] for _ in range(rank)]
+    B = [[b[i][j] + b[j][i] for j in range(rank)] for i in range(rank)]
+    return lv.Lattice(B, b)
+
+
+def _creation_degree(lattice, alpha, n, x):
+    return max(
+        sum(k for _, k in fock) - 1 - n - lattice.pairing(alpha, beta)
+        for beta, fock in x.terms
+    )
+
+
+def test_field_mode_matches_partition_exponentials():
+    rng = random.Random(211)
+    done = nontrivial = 0
+    while done < 60:
+        lat = _random_lattice(rng)
+        alpha = tuple(rng.randint(-1, 1) for _ in range(lat.rank))
+        n = rng.randint(-4, 3)
+        x = _random_vaelem(lat, rng, max_fock=5)
+        # the reference enumerates the partitions of the creation degree
+        if not x or _creation_degree(lat, alpha, n, x) > 10:
+            continue
+        got = lv.field_mode(lat, alpha, n, x)
+        assert got == ref_field_mode(lat, alpha, n, x), (lat, alpha, n, x)
+        done += 1
+        nontrivial += bool(got) and any(any(r) for r in lat.b)
+    assert nontrivial >= 20
+
+
+def test_grassmannian_brackets_match_partition_exponentials():
+    lat = lv.grassmannian_lattice()
+    for N in range(0, 6):
+        x = lv.VAElem.group_element(lat, (N, 0))
+        for _ in range(N // 2 + 1):
+            want = ref_field_mode(lat, (0, 1), 0, x)
+            assert lv.borcherds_bracket(lat, (0, 1), x) == want, N
+            x = want
+
+
+def test_hecke_matches_skew_forms():
+    rng = random.Random(223)
+    for _ in range(300):
+        f = _random_symfunc(rng, 8)
+        n = rng.randint(-6, 4)
+        assert gc.hecke(n, f) == ref_hecke(n, f), (n, f)
+        assert gc.hecke_sym(n, f) == ref_hecke_sym(n, f), (n, f)
