@@ -1,14 +1,20 @@
-"""Named identity suites behind the CLI selftest.
+"""Named identity suites behind the CLI selftest and the acceptance tests.
 
 Each check runs one family of exact identities at its stated bounds and
 returns {"name", "ok", "detail"}.  The fast suite covers every module
 invariant; the full suite adds the heavier end-to-end computations
 (wall-crossing vs Schubert classes up to N = 8, constraints up to N = 7,
 the Jack singular-vector grid, and the descendent-integral goldens).
+
+The Virasoro brackets and the Hecke identities are stated once, as functions
+returning the residual lhs - rhs on given inputs, which the checks, the acceptance
+criteria and ``virasoro-bracket`` call.  A failing check names a non-zero residual.
 """
 
 import random
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from math import factorial
 
 from . import descendent as dc
@@ -25,6 +31,28 @@ F = Fraction
 
 def _report(name, ok, detail=""):
     return {"name": name, "ok": bool(ok), "detail": detail}
+
+
+def _verdict(name, cases, detail):
+    """Report on (label, residual) pairs: pass with detail when every residual
+    vanishes, else fail naming the first label and its residual's leading term
+    (sorted_terms()[0] of an element, the value of a scalar)."""
+    for label, residual in cases:
+        if residual:
+            if hasattr(residual, "sorted_terms"):
+                residual = "{1} * {0}".format(*residual.sorted_terms()[0])
+            return _report(name, False, f"{label}: residual {residual}")
+    return _report(name, True, detail)
+
+
+def bracket_residual(op, n, m, x, sign=1):
+    """[op_n, op_m] x - sign (m - n) op_{n+m} x, the last term dropped for n + m < -1.
+
+    sign is 1 for [L_n, L_m] = (m - n) L_{n+m} (the descendent convention) and
+    -1 for (n - m) L_{n+m} (the lattice vertex algebra).
+    """
+    lhs = op(n, op(m, x)) - op(m, op(n, x))
+    return lhs - op(n + m, x).scale(sign * (m - n)) if n + m >= -1 else lhs
 
 
 def _random_symfunc(rng, max_deg):
@@ -201,26 +229,15 @@ def check_slope_scaling(samples=20):
 
 
 def check_descendent_virasoro_bracket(max_weight=6):
-    rng = random.Random(127)
-    for name in ("linear(1)", "beilinson_p2"):
-        quiver = qv.builtin(name)
-        monos = [_random_monomial(rng, quiver, max_weight) for _ in range(4)]
-        for n in range(-1, 4):
-            for m in range(-1, 4):
-                for f in monos:
-                    lhs = dc.l_op(quiver, n, dc.l_op(quiver, m, f)) - dc.l_op(
-                        quiver, m, dc.l_op(quiver, n, f)
-                    )
-                    rhs = (
-                        dc.l_op(quiver, n + m, f).scale(m - n)
-                        if n + m >= -1
-                        else dc.DescendentPoly.zero()
-                    )
-                    if lhs != rhs:
-                        return _report(
-                            "descendent_virasoro_bracket", False, f"{name} n={n} m={m}"
-                        )
-    return _report("descendent_virasoro_bracket", True, "A_1 and beilinson_p2")
+    def cases():
+        rng = random.Random(127)
+        for name in ("linear(1)", "beilinson_p2"):
+            quiver = qv.builtin(name)
+            monos = [_random_monomial(rng, quiver, max_weight) for _ in range(4)]
+            for n, m, f in product(range(-1, 4), range(-1, 4), monos):
+                yield f"{name} n={n} m={m}", bracket_residual(partial(dc.l_op, quiver), n, m, f)
+
+    return _verdict("descendent_virasoro_bracket", cases(), "A_1 and beilinson_p2")
 
 
 def check_framed_virasoro_bracket(max_weight=6):
@@ -228,17 +245,12 @@ def check_framed_virasoro_bracket(max_weight=6):
     quiver = qv.builtin("beilinson_p2")
     framing = qv.FramingVector(quiver, [2, 0, 1])
     monos = [_random_monomial(rng, quiver, max_weight) for _ in range(4)]
-    for n in range(0, 4):
-        for m in range(0, 4):
-            for f in monos:
-                lhs = dc.l_op_framed(
-                    quiver, framing, n, dc.l_op_framed(quiver, framing, m, f)
-                ) - dc.l_op_framed(
-                    quiver, framing, m, dc.l_op_framed(quiver, framing, n, f)
-                )
-                if lhs != dc.l_op_framed(quiver, framing, n + m, f).scale(m - n):
-                    return _report("framed_virasoro_bracket", False, f"n={n} m={m}")
-    return _report("framed_virasoro_bracket", True, "beilinson_p2, 0 <= n,m <= 3")
+    op = partial(dc.l_op_framed, quiver, framing)
+    cases = (
+        (f"n={n} m={m}", bracket_residual(op, n, m, f))
+        for n, m, f in product(range(0, 4), range(0, 4), monos)
+    )
+    return _verdict("framed_virasoro_bracket", cases, "beilinson_p2, 0 <= n,m <= 3")
 
 
 def check_r_derivation(samples=20):
@@ -297,24 +309,15 @@ def check_framed_matches_dual_virasoro(max_n=4, max_deg=6):
 
 
 def check_lattice_virasoro_bracket(max_fock=5):
-    rng = random.Random(151)
-    degenerate = lv.Lattice(B=[[2, 2], [2, 2]], b=[[1, 2], [0, 1]])
-    for lat in (lv.grassmannian_lattice(), degenerate):
-        elems = [_random_vaelem(lat, rng, max_fock) for _ in range(3)]
-        for n in range(-1, 4):
-            for m in range(-1, 4):
-                for x in elems:
-                    lhs = lv.virasoro(lat, n, lv.virasoro(lat, m, x)) - lv.virasoro(
-                        lat, m, lv.virasoro(lat, n, x)
-                    )
-                    rhs = (
-                        lv.virasoro(lat, n + m, x).scale(n - m)
-                        if n + m >= -1
-                        else lv.VAElem(lat)
-                    )
-                    if lhs != rhs:
-                        return _report("lattice_virasoro_bracket", False, f"n={n} m={m}")
-    return _report("lattice_virasoro_bracket", True, "grassmannian and degenerate rank 2")
+    def cases():
+        rng = random.Random(151)
+        degenerate = lv.Lattice(B=[[2, 2], [2, 2]], b=[[1, 2], [0, 1]])
+        for lat in (lv.grassmannian_lattice(), degenerate):
+            elems = [_random_vaelem(lat, rng, max_fock) for _ in range(3)]
+            for n, m, x in product(range(-1, 4), range(-1, 4), elems):
+                yield f"n={n} m={m}", bracket_residual(partial(lv.virasoro, lat), n, m, x, sign=-1)
+
+    return _verdict("lattice_virasoro_bracket", cases(), "grassmannian and degenerate rank 2")
 
 
 def check_field_translation_covariance():
@@ -368,71 +371,98 @@ def check_vacuum_field_identity():
 # -- grasscalc ----------------------------------------------------------------------
 
 
+def hecke_p_commutator(n, m, f):
+    """Identity (1), [H_n, p_m] = -H_{n+m} for m != 0 (p_m, m < 0, annihilates)."""
+    if m > 0:
+        comm = gc.hecke(n, SymFunc.p(m) * f) - SymFunc.p(m) * gc.hecke(n, f)
+    else:
+        comm = gc.hecke(n, sf.annihilate(-m, f)) - sf.annihilate(-m, gc.hecke(n, f))
+    return comm + gc.hecke(n + m, f)
+
+
+def hecke_adjoint(n, f, g):
+    """Identity (2), H_n^perp = (-1)^n sigma H_{-n} sigma: <H_n f, g> - <f, H_n^perp g>."""
+    adj = sf.involution(gc.hecke(-n, sf.involution(g))).scale(-1 if n % 2 else 1)
+    return sf.hall(gc.hecke(n, f), g) - sf.hall(f, adj)
+
+
+def hecke_braid(n, m, f):
+    """Identity (3), H_n H_m = -H_{m-1} H_{n+1}; so H_n H_{n+1} = 0."""
+    return gc.hecke(n, gc.hecke(m, f)) + gc.hecke(m - 1, gc.hecke(n + 1, f))
+
+
+def hecke_schur_chain(la):
+    """Identity (4), s_la = H_la1 ... H_lal (1)."""
+    acc = SymFunc.one()
+    for part in reversed(la):
+        acc = gc.hecke(part, acc)
+    return acc - sf.schur(la)
+
+
+def hecke_sym_rectangle(m, k):
+    """Prop 7.5, H^sym_{m-k+1} ... H^sym_{m+k-1} (1) = (-1)^{k(k-1)/2} k! s_{m^k}."""
+    acc = SymFunc.one()
+    for n in range(m + k - 1, m - k, -2):
+        acc = gc.hecke_sym(n, acc)
+    sign = -1 if (k * (k - 1) // 2) % 2 else 1
+    return acc - sf.schur(pt.rectangle(m, k)).scale(sign * factorial(k))
+
+
+def dual_virasoro_hecke_commutator(n, m, f):
+    """Prop 7.9, [L_n, H_m] = (m+1) H_{n+m} + sum_{0<j<n} p_j H_{n+m-j} - p_n H_m
+    for the dual Virasoro operator L_n of the (0, 0) component, n >= 1."""
+    ell = lambda g: gc.gr_virasoro_dual(n, 0, 0, g)
+    lhs = ell(gc.hecke(m, f)) - gc.hecke(m, ell(f))
+    rhs = gc.hecke(n + m, f).scale(m + 1) - SymFunc.p(n) * gc.hecke(m, f)
+    return lhs - sum((SymFunc.p(j) * gc.hecke(n + m - j, f) for j in range(1, n)), rhs)
+
+
+def lowering_hecke_sym_commutator(n, m, f):
+    """Prop 7.10, [L_n, H^sym_m] = (m+1) H^sym_{m-n} - 2 p_{-n} H^sym_m for the
+    lowering operator L_n with no linear term, n >= 1."""
+    low = lambda g: gc._lowering_part(n, F(0), g)
+    lhs = low(gc.hecke_sym(m, f)) - gc.hecke_sym(m, low(f))
+    rhs = gc.hecke_sym(m - n, f).scale(m + 1) - sf.annihilate(n, gc.hecke_sym(m, f)).scale(2)
+    return lhs - rhs
+
+
 def check_hecke_identities(max_deg=5, max_idx=4):
-    rng = random.Random(167)
-    for n in range(-max_idx, max_idx + 1):
-        for m in range(-max_idx, max_idx + 1):
-            f = _random_symfunc(rng, max_deg)
-            if m != 0:
-                if m > 0:
-                    comm = gc.hecke(n, SymFunc.p(m) * f) - SymFunc.p(m) * gc.hecke(n, f)
-                else:
-                    comm = gc.hecke(n, sf.annihilate(-m, f)) - sf.annihilate(
-                        -m, gc.hecke(n, f)
-                    )
-                if comm != -gc.hecke(n + m, f):
-                    return _report("hecke_commutation", False, f"(1) n={n} m={m}")
-            if gc.hecke(n, gc.hecke(m, f)) != -gc.hecke(m - 1, gc.hecke(n + 1, f)):
-                return _report("hecke_commutation", False, f"(3) n={n} m={m}")
-        g = _random_symfunc(rng, max_deg)
-        h = _random_symfunc(rng, max_deg)
-        adj = sf.involution(gc.hecke(-n, sf.involution(h))).scale(-1 if n % 2 else 1)
-        if sf.hall(gc.hecke(n, g), h) != sf.hall(g, adj):
-            return _report("hecke_commutation", False, f"(2) n={n}")
-    for la in [(2, 1), (3, 2), (2, 2, 1), (4, 3, 1)]:
-        acc = SymFunc.one()
-        for part in reversed(la):
-            acc = gc.hecke(part, acc)
-        if acc != sf.schur(la):
-            return _report("hecke_commutation", False, f"(4) la={la}")
-    return _report("hecke_commutation", True, f"|n|,|m| <= {max_idx}, deg <= {max_deg}")
+    def cases():
+        rng = random.Random(167)
+        for n in range(-max_idx, max_idx + 1):
+            for m in range(-max_idx, max_idx + 1):
+                f = _random_symfunc(rng, max_deg)
+                if m != 0:
+                    yield f"(1) n={n} m={m}", hecke_p_commutator(n, m, f)
+                yield f"(3) n={n} m={m}", hecke_braid(n, m, f)
+            g = _random_symfunc(rng, max_deg)
+            h = _random_symfunc(rng, max_deg)
+            yield f"(2) n={n}", hecke_adjoint(n, g, h)
+        for la in [(2, 1), (3, 2), (2, 2, 1), (4, 3, 1)]:
+            yield f"(4) la={la}", hecke_schur_chain(la)
+
+    return _verdict("hecke_commutation", cases(), f"|n|,|m| <= {max_idx}, deg <= {max_deg}")
 
 
 def check_rectangular_hecke_sym(max_total=6):
-    for m in range(1, max_total):
-        for k in range(1, max_total):
-            if m + k > max_total:
-                continue
-            acc = SymFunc.one()
-            for n in range(m + k - 1, m - k, -2):
-                acc = gc.hecke_sym(n, acc)
-            sign = -1 if (k * (k - 1) // 2) % 2 else 1
-            if acc != sf.schur(pt.rectangle(m, k)).scale(sign * factorial(k)):
-                return _report("rectangular_hecke_sym", False, f"m={m} k={k}")
-    return _report("rectangular_hecke_sym", True, f"m + k <= {max_total}")
+    cases = (
+        (f"m={m} k={k}", hecke_sym_rectangle(m, k))
+        for m, k in product(range(1, max_total), repeat=2)
+        if m + k <= max_total
+    )
+    return _verdict("rectangular_hecke_sym", cases, f"m + k <= {max_total}")
 
 
 def check_virasoro_hecke_commutators(max_deg=5):
-    rng = random.Random(173)
-    for n in (1, 2, 3):
-        for m in range(-3, 4):
-            f = _random_symfunc(rng, max_deg)
-            ell = lambda g: gc.gr_virasoro_dual(n, 0, 0, g)
-            lhs = ell(gc.hecke(m, f)) - gc.hecke(m, ell(f))
-            rhs = gc.hecke(n + m, f).scale(m + 1)
-            for j in range(1, n):
-                rhs = rhs + SymFunc.p(j) * gc.hecke(n + m - j, f)
-            rhs = rhs - SymFunc.p(n) * gc.hecke(m, f)
-            if lhs != rhs:
-                return _report("virasoro_hecke_commutators", False, f"dual n={n} m={m}")
-            low = lambda g: gc._lowering_part(n, F(0), g)
-            lhs = low(gc.hecke_sym(m, f)) - gc.hecke_sym(m, low(f))
-            rhs = gc.hecke_sym(m - n, f).scale(m + 1) - sf.annihilate(
-                n, gc.hecke_sym(m, f)
-            ).scale(2)
-            if lhs != rhs:
-                return _report("virasoro_hecke_commutators", False, f"sym n={n} m={m}")
-    return _report("virasoro_hecke_commutators", True, f"n <= 3, |m| <= 3, deg <= {max_deg}")
+    def cases():
+        rng = random.Random(173)
+        for n in (1, 2, 3):
+            for m in range(-3, 4):
+                f = _random_symfunc(rng, max_deg)
+                yield f"dual n={n} m={m}", dual_virasoro_hecke_commutator(n, m, f)
+                yield f"sym n={n} m={m}", lowering_hecke_sym_commutator(n, m, f)
+
+    return _verdict("virasoro_hecke_commutators", cases(), f"n <= 3, |m| <= 3, deg <= {max_deg}")
 
 
 def check_rectangle_constraints(max_side=4, max_n=3):
@@ -462,15 +492,17 @@ def check_calogero_sutherland(max_deg=6):
 
 
 def check_recursion_uniqueness(max_N=6):
-    for N in range(0, max_N + 1):
-        for k in range(0, N + 1):
-            d = k * (N - k)
-            norm = gc.gr_integral(k, N, SymFunc.p_monomial(pt.rectangle(1, d)))
-            table = gc.integrals_by_recursion(k, N, norm)
-            for la in pt.partitions_of(d):
-                if table[la] != gc.gr_integral(k, N, SymFunc.p_monomial(la)):
-                    return _report("recursion_uniqueness", False, f"k={k} N={N} la={la}")
-    return _report("recursion_uniqueness", True, f"N <= {max_N}")
+    def cases():
+        for N in range(0, max_N + 1):
+            for k in range(0, N + 1):
+                d = k * (N - k)
+                norm = gc.gr_integral(k, N, SymFunc.p_monomial(pt.rectangle(1, d)))
+                table = gc.integrals_by_recursion(k, N, norm)
+                for la in pt.partitions_of(d):
+                    value = gc.gr_integral(k, N, SymFunc.p_monomial(la))
+                    yield f"k={k} N={N} la={la}", table[la] - value
+
+    return _verdict("recursion_uniqueness", cases(), f"N <= {max_N}")
 
 
 # -- heavier end-to-end suites (full) ------------------------------------------------
@@ -502,25 +534,27 @@ def check_constraints_grid(max_N=7, max_n=6):
 
 
 def check_wallcross_grid(max_N=8):
-    for N in range(0, max_N + 1):
-        for k in range(0, N + 1):
-            if gc.gr_class_wallcross(k, N) != gc.gr_class_schur(k, N):
-                return _report("wallcross_equals_schur", False, f"k={k} N={N}")
-    return _report("wallcross_equals_schur", True, f"N <= {max_N}")
+    # Both classes live on the (N, k) component, so their f parts are compared.
+    cases = (
+        (f"k={k} N={N}", gc.gr_class_wallcross(k, N).f - gc.gr_class_schur(k, N).f)
+        for N in range(0, max_N + 1)
+        for k in range(0, N + 1)
+    )
+    return _verdict("wallcross_equals_schur", cases, f"N <= {max_N}")
 
 
 def check_singular_vector_grid():
-    for r in (1, 2, 3):
-        for s in (1, 2, 3):
-            if r * s > 6:
-                continue
-            for b2 in (F(2), F(3), F(5, 2)):
-                rep = gc.singular_check(gc.FockParams(b2, r, s), "beta_sq/2")
-                if not rep["all_ok"]:
-                    return _report(
-                        "jack_singular_vectors", False, f"r={r} s={s} beta^2={b2}"
-                    )
-    return _report("jack_singular_vectors", True, "(r,s) grid, beta^2 in {2, 3, 5/2}")
+    def cases():
+        for r in (1, 2, 3):
+            for s in (1, 2, 3):
+                if r * s > 6:
+                    continue
+                for b2 in (F(2), F(3), F(5, 2)):
+                    rep = gc.singular_check(gc.FockParams(b2, r, s), "beta_sq/2")
+                    for case in rep["cases"]:  # residual: None, or its text
+                        yield f"r={r} s={s} beta^2={b2} n={case['n']}", case["residual"]
+
+    return _verdict("jack_singular_vectors", cases(), "(r,s) grid, beta^2 in {2, 3, 5/2}")
 
 
 def check_geometricity_grid(max_k=3, max_N=6, max_n=3, deg_max=6):

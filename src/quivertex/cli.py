@@ -9,6 +9,8 @@ import argparse
 import json
 import random
 import sys
+from functools import partial
+from itertools import product
 
 from . import checks as ck
 from . import descendent as dc
@@ -19,16 +21,16 @@ from . import serialize as sz
 from . import symfunc as sf
 
 
-def _partition_arg(s):
-    return sz.partition_from_text(s)
+def _arg(parse):
+    """An argparse type for parse that keeps the reason a value was rejected."""
 
+    def convert(s):
+        try:
+            return parse(s)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(f"invalid value {s!r}: {e}") from None
 
-def _symfunc_arg(s):
-    return sz.symfunc_from_text(s)
-
-
-def _rational_arg(s):
-    return sz.rational_from_text(s)
+    return convert
 
 
 def _load_quiver(path):
@@ -61,9 +63,9 @@ def _sorted_coeff_map(mapping):
     return sorted(mapping.items(), key=lambda kv: (pt.size(kv[0]), kv[0]))
 
 
-def _report_lines(report_cases, label_key):
+def _report_lines(report_cases, label):
     return [
-        f"{'PASS' if case['ok'] else 'FAIL'} {case[label_key]}"
+        f"{'PASS' if case['ok'] else 'FAIL'} {label(case)}"
         + (f"  residual: {case['residual']}" if case.get("residual") else "")
         for case in report_cases
     ]
@@ -117,23 +119,14 @@ def cmd_virasoro_bracket(args):
         raise ValueError("virasoro-bracket needs a quasi-smooth quiver")
     rng = random.Random(2024)
     monos = [ck._random_monomial(rng, quiver, args.max_deg) for _ in range(4)]
-    cases = []
-    for n in range(-1, args.max_n + 1):
-        for m in range(-1, args.max_n + 1):
-            ok = True
-            for f in monos:
-                lhs = dc.l_op(quiver, n, dc.l_op(quiver, m, f)) - dc.l_op(
-                    quiver, m, dc.l_op(quiver, n, f)
-                )
-                rhs = (
-                    dc.l_op(quiver, n + m, f).scale(m - n)
-                    if n + m >= -1
-                    else dc.DescendentPoly.zero()
-                )
-                ok = ok and lhs == rhs
-            cases.append({"case": f"[L_{n}, L_{m}]", "ok": ok})
+    op = partial(dc.l_op, quiver)
+    cases = [
+        {"case": f"[L_{n}, L_{m}]", "ok": not any(ck.bracket_residual(op, n, m, f) for f in monos)}
+        for n, m in product(range(-1, args.max_n + 1), repeat=2)
+    ]
     all_ok = all(c["ok"] for c in cases)
-    lines = _report_lines(cases, "case") + [f"{'PASS' if all_ok else 'FAIL'} overall"]
+    lines = _report_lines(cases, lambda case: case["case"])
+    lines.append(f"{'PASS' if all_ok else 'FAIL'} overall")
     _emit(args, "\n".join(lines), {"cases": cases, "all_ok": all_ok})
     return 0 if all_ok else 1
 
@@ -156,11 +149,7 @@ def cmd_gr_integral(args):
 def cmd_gr_constraints(args):
     rep = gc.constraint_check(args.k, args.N, args.max_n)
     lines = [f"L_0 degree identity: {'PASS' if rep['l0_ok'] else 'FAIL'}"]
-    lines += [
-        f"{'PASS' if case['ok'] else 'FAIL'} L_{case['n']}"
-        + (f"  residual: {case['residual']}" if case["residual"] else "")
-        for case in rep["cases"]
-    ]
+    lines += _report_lines(rep["cases"], lambda case: f"L_{case['n']}")
     lines.append(f"{'PASS' if rep['all_ok'] else 'FAIL'} overall")
     _emit(args, "\n".join(lines), rep)
     return 0 if rep["all_ok"] else 1
@@ -227,20 +216,23 @@ def build_parser():
     )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sub = parser.add_subparsers(dest="command", required=True)
+    partition = _arg(sz.partition_from_text)
+    symfunc = _arg(sz.symfunc_from_text)
+    rational = _arg(sz.rational_from_text)
 
     s = sub.add_parser("schur", help="Schur polynomial of a partition")
-    s.add_argument("partition", type=_partition_arg, help="e.g. 2,2 (use - for empty)")
+    s.add_argument("partition", type=partition, help="e.g. 2,2 (use - for empty)")
     s.add_argument("--basis", choices=("p", "m", "schur"), default="p")
     s.set_defaults(func=cmd_schur)
 
     s = sub.add_parser("hall", help="Hall pairing of two symmetric functions")
-    s.add_argument("f", type=_symfunc_arg)
-    s.add_argument("g", type=_symfunc_arg)
+    s.add_argument("f", type=symfunc)
+    s.add_argument("g", type=symfunc)
     s.set_defaults(func=cmd_hall)
 
     s = sub.add_parser("jack", help="monic Jack polynomial P_la(alpha)")
-    s.add_argument("partition", type=_partition_arg)
-    s.add_argument("alpha", type=_rational_arg)
+    s.add_argument("partition", type=partition)
+    s.add_argument("alpha", type=rational)
     s.set_defaults(func=cmd_jack)
 
     s = sub.add_parser("euler", help="Euler form of a quiver on two dimension vectors")
@@ -267,7 +259,7 @@ def build_parser():
     s = sub.add_parser("gr-integral", help="descendent integral over Gr(k,N)")
     s.add_argument("k", type=int)
     s.add_argument("N", type=int)
-    s.add_argument("f", type=_symfunc_arg)
+    s.add_argument("f", type=symfunc)
     s.set_defaults(func=cmd_gr_integral)
 
     s = sub.add_parser("gr-constraints", help="Virasoro constraints on s_{(N-k)^k}")
@@ -281,23 +273,23 @@ def build_parser():
     )
     s.add_argument("k", type=int)
     s.add_argument("N", type=int)
-    s.add_argument("--norm", type=_rational_arg, required=True, help="value of <p_1^d, f>")
+    s.add_argument("--norm", type=rational, required=True, help="value of <p_1^d, f>")
     s.set_defaults(func=cmd_gr_recursion)
 
     s = sub.add_parser("hecke", help="apply a Hecke operator")
     s.add_argument("n", type=int)
-    s.add_argument("f", type=_symfunc_arg)
+    s.add_argument("f", type=symfunc)
     s.add_argument("--sym", action="store_true", help="symmetrized variant")
     s.set_defaults(func=cmd_hecke)
 
     s = sub.add_parser("cs", help="apply the Calogero-Sutherland operator")
-    s.add_argument("f", type=_symfunc_arg)
+    s.add_argument("f", type=symfunc)
     s.set_defaults(func=cmd_cs)
 
     s = sub.add_parser("singular", help="Jack singular-vector check for a Fock module")
     s.add_argument("r", type=int)
     s.add_argument("s", type=int)
-    s.add_argument("beta2", type=_rational_arg)
+    s.add_argument("beta2", type=rational)
     s.set_defaults(func=cmd_singular)
 
     s = sub.add_parser("selftest", help="run the identity suites")

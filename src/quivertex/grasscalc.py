@@ -144,11 +144,7 @@ def _lowering_part(n, linear_coeff, f, quad_coeff=1):
 
 def _raising_part(n, linear_coeff, f):
     """sum_j p_{n+j} p_{-j} + sum_{a+b=n} p_a p_b + linear_coeff p_n, n >= 1."""
-    out = {}
-    for j in range(1, f.degree() + 1):
-        piece = sf.annihilate(j, f)
-        if piece:
-            add_all(out, (SymFunc.p(n + j) * piece).terms)
+    out = dict(r_n_symfunc(n, f).terms)  # the first sum is R_n
     for a in range(1, n):
         add_all(out, (SymFunc.p_monomial(pt.merge((a,), (n - a,))) * f).terms)
     if linear_coeff:

@@ -13,6 +13,7 @@ commuting past the j-th creation factor acts only on the factors after j.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .lincomb import LinComb, add_all, add_to, expand_translation
 
@@ -311,7 +312,7 @@ def is_primary(lattice, x):
         for _ in range(n + 1):
             term = translate(lattice, term)
         sign = -1 if n % 2 else 1
-        add_all(wt_sum, term.terms, Fraction(sign, _factorial(n + 1)))
+        add_all(wt_sum, term.terms, Fraction(sign, factorial(n + 1)))
 
     return {
         "primary": not failures,
@@ -320,10 +321,3 @@ def is_primary(lattice, x):
         "failures": failures,
         "wt0_sum_zero": not wt_sum,
     }
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

@@ -9,6 +9,7 @@ and e, h, m, s and Jack polynomials are conversions.
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import partitions as pt
 from .lincomb import LinComb, add_all, add_to
@@ -49,6 +50,10 @@ class SymFunc(LinComb):
             return self.scale(other)
         return self._product(other, pt.merge)
 
+    def __reduce__(self):
+        # a cached value holds a read-only view, which pickle and deepcopy cannot copy
+        return (SymFunc._wrap, (dict(self.terms),))
+
     __rmul__ = __mul__
 
     # -- structure queries -------------------------------------------------
@@ -82,30 +87,28 @@ class SymFunc(LinComb):
 # -- generators of the classical bases --------------------------------------
 
 
+def _frozen(terms):
+    """A SymFunc over a read-only view of terms: a cache hands the same value
+    to every caller, so writing to its .terms must raise TypeError."""
+    return SymFunc._wrap(MappingProxyType(terms))
+
+
 @lru_cache(maxsize=None)
 def elementary(j):
     """e_j in the p-basis, via Newton's identity j*e_j = sum (-1)^{i-1} e_{j-i} p_i."""
-    if j < 0:
-        return SymFunc.zero()
-    if j == 0:
-        return SymFunc.one()
-    out = {}
+    out = {(): Fraction(1)} if j == 0 else {}
     for i in range(1, j + 1):
         add_all(out, (elementary(j - i) * SymFunc.p(i)).terms, Fraction((-1) ** (i - 1), j))
-    return SymFunc._wrap(out)
+    return _frozen(out)
 
 
 @lru_cache(maxsize=None)
 def complete(j):
     """h_j in the p-basis, via Newton's identity j*h_j = sum h_{j-i} p_i."""
-    if j < 0:
-        return SymFunc.zero()
-    if j == 0:
-        return SymFunc.one()
-    out = {}
+    out = {(): Fraction(1)} if j == 0 else {}
     for i in range(1, j + 1):
         add_all(out, (complete(j - i) * SymFunc.p(i)).terms, Fraction(1, j))
-    return SymFunc._wrap(out)
+    return _frozen(out)
 
 
 @lru_cache(maxsize=None)
@@ -113,10 +116,8 @@ def schur(la):
     """s_la by the Jacobi-Trudi determinant det(h_{la_i - i + j})."""
     la = pt.check_partition(la)
     n = len(la)
-    if n == 0:
-        return SymFunc.one()
-    rows = [[la[i] - i + j for j in range(n)] for i in range(n)]
-    return _det_of_completes(tuple(map(tuple, rows)))
+    rows = tuple(tuple(la[i] - i + j for j in range(n)) for i in range(n))
+    return _frozen(_det_of_completes(rows).terms)
 
 
 def _det_of_completes(rows):
@@ -145,27 +146,33 @@ def _det_of_completes(rows):
 
 
 def monomial(la):
-    """m_la in the p-basis, by inverting the h-to-p transition in degree |la|."""
+    """m_la in the p-basis, by back-substitution on the p-to-m transition in degree |la|."""
     la = pt.check_partition(la)
     return _monomial_basis(pt.size(la))[la]
 
 
 @lru_cache(maxsize=None)
 def _monomial_basis(d):
-    """All m_la for |la| = d, solved from <m_la, h_mu> = delta via h in p-basis."""
-    parts = list(pt.partitions_of(d))
-    k = len(parts)
-    index = {la: i for i, la in enumerate(parts)}
-    # A[mu][nu] = (coefficient of p_nu in h_mu) * z_nu
-    mat = [[Fraction(0)] * k for _ in range(k)]
-    for i, mu in enumerate(parts):
-        for nu, c in _complete_product(mu).terms.items():
-            mat[i][index[nu]] = c * pt.z_factor(nu)
-    inv = _invert_matrix(mat)
-    return {
-        la: SymFunc._wrap({parts[r]: inv[r][col] for r in range(k) if inv[r][col]})
-        for col, la in enumerate(parts)
-    }
+    """All m_la for |la| = d, by back-substitution on p_la = sum_mu <p_la, h_mu> m_mu.
+
+    m and h are Hall-dual; <p_la, h_mu> vanishes unless mu >= la in dominance
+    order, which the descending lexicographic order of partitions_of(d) refines,
+    so each m_mu with mu != la is known when m_la is solved for.
+    """
+    parts = pt.partitions_of(d)  # descending lexicographic
+    pairing = {la: {} for la in parts}  # pairing[la][mu] = <p_la, h_mu>
+    for mu in parts:
+        for la, c in _complete_product(mu).terms.items():
+            pairing[la][mu] = c * pt.z_factor(la)
+    out = {}
+    for la in parts:
+        row = pairing[la]
+        terms = {la: Fraction(1)}
+        for mu, c in row.items():
+            if mu != la:
+                add_all(terms, out[mu].terms, -c)
+        out[la] = _frozen({nu: c / row[la] for nu, c in terms.items()})
+    return out
 
 
 def _complete_product(mu):
@@ -174,24 +181,6 @@ def _complete_product(mu):
     for part in mu:
         h = h * complete(part)
     return h
-
-
-def _invert_matrix(mat):
-    """Exact inverse by Gauss-Jordan elimination over the rationals."""
-    n = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular transition matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # -- Hall pairing and friends ------------------------------------------------
@@ -310,5 +299,5 @@ def _jack_basis(d, alpha):
                 f"Gram matrix singular at alpha={alpha} (norm of P_{la} vanishes)"
             )
         done.append((la, f, norm))
-        out[la] = f
+        out[la] = _frozen(f.terms)
     return out

@@ -1,0 +1,59 @@
+"""A failing check names its first non-zero residual, and the residual
+functions the acceptance criteria call see the same faults."""
+
+from fractions import Fraction
+
+from quivertex import checks as ck
+from quivertex import grasscalc as gc
+from quivertex import symfunc as sf
+from quivertex.serialize import symfunc_to_text
+from quivertex.symfunc import SymFunc
+
+
+def _leading(residual):
+    return "{1} * {0}".format(*residual.sorted_terms()[0])
+
+
+def test_doubled_hecke_fails_with_a_residual_term(monkeypatch):
+    hecke = gc.hecke
+    monkeypatch.setattr(gc, "hecke", lambda n, f: hecke(n, f).scale(2))
+    report = ck.check_hecke_identities()
+    assert not report["ok"]
+    # (1)-(3) are homogeneous in H, so a uniformly doubled H first breaks (4):
+    # H_2 H_1 (1) = 4 s_21 leaves the residual 3 s_21.
+    residual = ck.hecke_schur_chain((2, 1))
+    assert residual and residual == sf.schur((2, 1)).scale(3)
+    assert report["detail"] == f"(4) la=(2, 1): residual {_leading(residual)}"
+    assert not ck.hecke_p_commutator(-1, 2, SymFunc.one())
+
+
+def test_hecke_p_commutator_sees_a_broken_hecke(monkeypatch):
+    hecke = gc.hecke
+    assert not ck.hecke_p_commutator(-1, 2, SymFunc.one())
+    # doubling only H_n for n > 0 breaks (1): [H_-1, p_2] 1 + 2 H_1 1 = h_1
+    monkeypatch.setattr(gc, "hecke", lambda n, f: hecke(n, f).scale(2 if n > 0 else 1))
+    assert ck.hecke_p_commutator(-1, 2, SymFunc.one()) == SymFunc.p(1)
+    report = ck.check_hecke_identities()
+    assert not report["ok"] and ": residual " in report["detail"]
+
+
+def test_grid_checks_name_their_residual(monkeypatch):
+    wallcross, recursion, fock = (
+        gc.gr_class_wallcross,
+        gc.integrals_by_recursion,
+        gc.fock_virasoro,
+    )
+    monkeypatch.setattr(gc, "gr_class_wallcross", lambda k, N: wallcross(k, N).scale(2))
+    monkeypatch.setattr(
+        gc,
+        "integrals_by_recursion",
+        lambda k, N, norm: {la: 2 * v for la, v in recursion(k, N, norm).items()},
+    )
+    monkeypatch.setattr(gc, "fock_virasoro", lambda params, n, f: fock(params, n, f) + f)
+    assert ck.check_wallcross_grid(2)["detail"] == "k=0 N=0: residual 1 * ()"
+    assert ck.check_recursion_uniqueness(2)["detail"] == "k=0 N=0 la=(): residual 1"
+    report = ck.check_singular_vector_grid()
+    assert not report["ok"]
+    # the residual L_1 w = w, as singular_check renders it
+    w = gc.singular_vector(gc.FockParams(Fraction(2), 1, 1))
+    assert report["detail"] == f"r=1 s=1 beta^2=2 n=1: residual {symfunc_to_text(w)}"

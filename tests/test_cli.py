@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -160,7 +161,10 @@ def test_zero_denominator_is_malformed_input(capsys):
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2, argv
-        assert "invalid" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid" in err
+        assert "zero denominator" in err, err
+        assert not re.search(r"_\w+_arg", err), err
 
 
 def test_selftest_full(capsys):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -230,3 +232,29 @@ def _random_symfunc(rng, max_deg):
         la = parts[rng.randrange(len(parts))]
         terms[la] = F(rng.randint(-4, 4), rng.randint(1, 3))
     return SymFunc(terms)
+
+
+def test_cached_values_are_read_only():
+    cached = {
+        "elementary": lambda: sf.elementary(3),
+        "complete": lambda: sf.complete(2),
+        "complete(-1)": lambda: sf.complete(-1),
+        "schur": lambda: sf.schur((2, 1)),
+        "schur(())": lambda: sf.schur(()),
+        "monomial": lambda: sf.monomial((2, 1)),
+        "jack": lambda: sf.jack((2, 1), F(2)),
+    }
+    for name, get in cached.items():
+        value = get()
+        before = dict(value.terms)
+        with pytest.raises(TypeError):
+            value.terms[(3,)] = F(5)
+        with pytest.raises(TypeError):
+            del value.terms[next(iter(before), (1,))]
+        assert not hasattr(value.terms, "clear"), name
+        assert dict(get().terms) == before, name
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value, name
+    # the two writes of the original report no longer corrupt later values
+    assert sf.schur((2, 1)) == p(1, 1, 1).scale(F(1, 3)) - p(3).scale(F(1, 3))
+    assert sf.schur((2,)) == p(1, 1).scale(F(1, 2)) + p(2).scale(F(1, 2))
