@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from . import descendent as dc
 from . import grasscalc as gc
@@ -23,6 +23,7 @@ from . import latticeva as lv
 from . import partitions as pt
 from . import quiver as qv
 from . import symfunc as sf
+from .lincomb import add_all
 from .symfunc import SymFunc
 
 
@@ -114,13 +115,14 @@ def check_annihilation_adjoint(max_deg=8, max_n=8, samples=30):
 
 
 def check_newton_series_inverse(max_deg=10):
-    for d in range(1, max_deg + 1):
-        acc = SymFunc.zero()
-        for j in range(d + 1):
-            acc = acc + (sf.elementary(j) * sf.complete(d - j)).scale((-1) ** j)
-        if acc:
-            return _report("newton_series_inverse", False, f"degree {d}")
-    return _report("newton_series_inverse", True, f"degrees 1..{max_deg}")
+    def cases():
+        for d in range(1, max_deg + 1):
+            acc = {}
+            for j in range(d + 1):
+                add_all(acc, (sf.elementary(j) * sf.complete(d - j)).terms, (-1) ** j)
+            yield f"degree {d}", SymFunc._wrap(acc)
+
+    return _verdict("newton_series_inverse", cases(), f"degrees 1..{max_deg}")
 
 
 def check_involution_on_schur(max_deg=8):
@@ -254,55 +256,51 @@ def check_framed_virasoro_bracket(max_weight=6):
 
 
 def check_r_derivation(samples=20):
-    rng = random.Random(137)
-    quiver = qv.builtin("beilinson_p2")
-    for _ in range(samples):
-        n = rng.randint(-1, 3)
-        f = _random_monomial(rng, quiver, 5)
-        g = _random_monomial(rng, quiver, 5)
-        lhs = dc.r_op(quiver, n, f * g)
-        rhs = dc.r_op(quiver, n, f) * g + f * dc.r_op(quiver, n, g)
-        if lhs != rhs:
-            return _report("r_op_derivation", False, f"n={n}")
-    return _report("r_op_derivation", True, f"{samples} samples")
+    def cases():
+        rng = random.Random(137)
+        quiver = qv.builtin("beilinson_p2")
+        for _ in range(samples):
+            n = rng.randint(-1, 3)
+            f = _random_monomial(rng, quiver, 5)
+            g = _random_monomial(rng, quiver, 5)
+            lhs = dc.r_op(quiver, n, f * g)
+            yield f"n={n}", lhs - dc.r_op(quiver, n, f) * g - f * dc.r_op(quiver, n, g)
+
+    return _verdict("r_op_derivation", cases(), f"{samples} samples")
 
 
 def check_l_wt0_kernel(samples=10):
-    rng = random.Random(139)
-    dims = {"1": 2, "2": 1, "3": 3}
-    for name in ("linear(1)", "beilinson_p2"):
-        quiver = qv.builtin(name)
-        for _ in range(samples):
-            f = _random_monomial(rng, quiver, 4)
-            image = dc.r_op(quiver, -1, dc.l_wt0(quiver, f))
-            if image.substitute_ch0(dims):
-                return _report("l_wt0_kernel", False, name)
-    return _report("l_wt0_kernel", True, "A_1 and beilinson_p2, weight <= 4")
+    def cases():
+        rng = random.Random(139)
+        dims = {"1": 2, "2": 1, "3": 3}
+        for name in ("linear(1)", "beilinson_p2"):
+            quiver = qv.builtin(name)
+            for _ in range(samples):
+                f = _random_monomial(rng, quiver, 4)
+                yield name, dc.r_op(quiver, -1, dc.l_wt0(quiver, f)).substitute_ch0(dims)
+
+    return _verdict("l_wt0_kernel", cases(), "A_1 and beilinson_p2, weight <= 4")
 
 
 def check_framed_matches_dual_virasoro(max_n=4, max_deg=6):
-    rng = random.Random(149)
-    a1 = qv.builtin("linear(1)")
-    for N in (2, 4):
-        framing = qv.FramingVector(a1, [N])
-        for k in (0, 1, 3):
-            for n in range(0, max_n + 1):
-                for _ in range(3):
-                    f = _random_symfunc(rng, max_deg)
-                    poly = dc.DescendentPoly.zero()
-                    for la, c in f.terms.items():
-                        coeff = F(c)
-                        for part in la:
-                            coeff *= factorial(part)
-                        poly = poly + dc.DescendentPoly(
-                            {tuple(sorted((part, "1") for part in la)): coeff}
-                        )
-                    got = dc.to_symfunc(dc.l_op_framed(a1, framing, n, poly), k)
-                    if got != gc.gr_virasoro_dual(n, N, k, f):
-                        return _report(
-                            "framed_matches_dual_virasoro", False, f"N={N} k={k} n={n}"
-                        )
-    return _report("framed_matches_dual_virasoro", True, f"n <= {max_n}, deg <= {max_deg}")
+    def cases():
+        rng = random.Random(149)
+        a1 = qv.builtin("linear(1)")
+        for N, k, n in product((2, 4), (0, 1, 3), range(0, max_n + 1)):
+            framing = qv.FramingVector(a1, [N])
+            for _ in range(3):
+                f = _random_symfunc(rng, max_deg)
+                # p_la = prod_i la_i! ch_{la_i}
+                poly = dc.DescendentPoly(
+                    {
+                        tuple((part, "1") for part in la): c * prod(map(factorial, la))
+                        for la, c in f.terms.items()
+                    }
+                )
+                got = dc.to_symfunc(dc.l_op_framed(a1, framing, n, poly), k)
+                yield f"N={N} k={k} n={n}", got - gc.gr_virasoro_dual(n, N, k, f)
+
+    return _verdict("framed_matches_dual_virasoro", cases(), f"n <= {max_n}, deg <= {max_deg}")
 
 
 # -- latticeva ---------------------------------------------------------------------
@@ -321,51 +319,54 @@ def check_lattice_virasoro_bracket(max_fock=5):
 
 
 def check_field_translation_covariance():
-    rng = random.Random(157)
-    lat = lv.grassmannian_lattice()
-    alpha = (0, 1)
-    for _ in range(4):
-        x = _random_vaelem(lat, rng, max_fock=3)
-        for n in range(-3, 3):
-            lhs = lv.translate(lat, lv.field_mode(lat, alpha, n, x))
-            rhs = lv.field_mode(lat, alpha, n, lv.translate(lat, x)) - lv.field_mode(
-                lat, alpha, n - 1, x
-            ).scale(n)
-            if lhs != rhs:
-                return _report("field_translation_covariance", False, f"n={n}")
-    return _report("field_translation_covariance", True, "q-field on the Gr lattice")
+    def cases():
+        rng = random.Random(157)
+        lat = lv.grassmannian_lattice()
+        alpha = (0, 1)
+        for _ in range(4):
+            x = _random_vaelem(lat, rng, max_fock=3)
+            for n in range(-3, 3):
+                lhs = lv.translate(lat, lv.field_mode(lat, alpha, n, x))
+                rhs = lv.field_mode(lat, alpha, n, lv.translate(lat, x)) - lv.field_mode(
+                    lat, alpha, n - 1, x
+                ).scale(n)
+                yield f"n={n}", lhs - rhs
+
+    return _verdict("field_translation_covariance", cases(), "q-field on the Gr lattice")
 
 
 def check_lattice_annihilation_dictionary(max_deg=6):
-    lat = lv.single_box_lattice()
-    for d in range(1, max_deg + 1):
-        for la in pt.partitions_of(d):
-            x = lv.VAElem(lat, {((0,), tuple((0, part) for part in la)): 1})
-            for n in range(1, d + 1):
-                lhs = lv.annihilate_mode(lat, (1,), n, x)
-                target = sf.annihilate(n, SymFunc.p_monomial(la)).scale(2)
-                rhs = lv.VAElem(
-                    lat,
-                    {
-                        ((0,), tuple((0, part) for part in mu)): c
-                        for mu, c in target.terms.items()
-                    },
-                )
-                if lhs != rhs:
-                    return _report("lattice_annihilation_dictionary", False, f"{la} n={n}")
-    return _report("lattice_annihilation_dictionary", True, f"deg <= {max_deg} on (Z,2)")
+    def cases():
+        lat = lv.single_box_lattice()
+        for d in range(1, max_deg + 1):
+            for la in pt.partitions_of(d):
+                x = lv.VAElem(lat, {((0,), tuple((0, part) for part in la)): 1})
+                for n in range(1, d + 1):
+                    lhs = lv.annihilate_mode(lat, (1,), n, x)
+                    target = sf.annihilate(n, SymFunc.p_monomial(la)).scale(2)
+                    rhs = lv.VAElem(
+                        lat,
+                        {
+                            ((0,), tuple((0, part) for part in mu)): c
+                            for mu, c in target.terms.items()
+                        },
+                    )
+                    yield f"{la} n={n}", lhs - rhs
+
+    return _verdict("lattice_annihilation_dictionary", cases(), f"deg <= {max_deg} on (Z,2)")
 
 
 def check_vacuum_field_identity():
-    rng = random.Random(163)
-    lat = lv.grassmannian_lattice()
-    for _ in range(4):
-        x = _random_vaelem(lat, rng, 4)
-        for n in range(-3, 3):
-            expected = x if n == -1 else lv.VAElem(lat)
-            if lv.field_mode(lat, lat.zero(), n, x) != expected:
-                return _report("vacuum_field_identity", False, f"n={n}")
-    return _report("vacuum_field_identity", True, "")
+    def cases():
+        rng = random.Random(163)
+        lat = lv.grassmannian_lattice()
+        for _ in range(4):
+            x = _random_vaelem(lat, rng, 4)
+            for n in range(-3, 3):
+                expected = x if n == -1 else lv.VAElem(lat)
+                yield f"n={n}", lv.field_mode(lat, lat.zero(), n, x) - expected
+
+    return _verdict("vacuum_field_identity", cases(), "")
 
 
 # -- grasscalc ----------------------------------------------------------------------
@@ -466,29 +467,30 @@ def check_virasoro_hecke_commutators(max_deg=5):
 
 
 def check_rectangle_constraints(max_side=4, max_n=3):
-    for m in range(1, max_side + 1):
-        for k in range(1, max_side + 1):
+    def cases():
+        for m, k in product(range(1, max_side + 1), repeat=2):
             s = sf.schur(pt.rectangle(m, k))
             for n in range(1, max_n + 1):
-                if gc._lowering_part(n, F(0), s) != sf.annihilate(n, s).scale(m - k):
-                    return _report("rectangle_lowering_identity", False, f"m={m} k={k} n={n}")
-    return _report("rectangle_lowering_identity", True, f"m,k <= {max_side}, n <= {max_n}")
+                lhs = gc._lowering_part(n, F(0), s)
+                yield f"m={m} k={k} n={n}", lhs - sf.annihilate(n, s).scale(m - k)
+
+    return _verdict("rectangle_lowering_identity", cases(), f"m,k <= {max_side}, n <= {max_n}")
 
 
 def check_calogero_sutherland(max_deg=6):
-    for j in range(1, max_deg + 1):
-        ev = F(j * (j - 1), 2)
-        if gc.calogero_sutherland(sf.complete(j)) != sf.complete(j).scale(ev):
-            return _report("calogero_sutherland", False, f"h{j}")
-        if gc.calogero_sutherland(sf.elementary(j)) != sf.elementary(j).scale(-ev):
-            return _report("calogero_sutherland", False, f"e{j}")
-    for d in range(1, max_deg + 1):
-        for la in pt.partitions_of(d):
-            s = sf.schur(la)
-            image = gc.calogero_sutherland(s)
-            if image != s.scale(sf.hall(image, s)):
-                return _report("calogero_sutherland", False, f"s_{la} not an eigenvector")
-    return _report("calogero_sutherland", True, f"|la| <= {max_deg}")
+    def cases():
+        for j in range(1, max_deg + 1):
+            ev = F(j * (j - 1), 2)
+            h, e = sf.complete(j), sf.elementary(j)
+            yield f"h{j}", gc.calogero_sutherland(h) - h.scale(ev)
+            yield f"e{j}", gc.calogero_sutherland(e) - e.scale(-ev)
+        for d in range(1, max_deg + 1):
+            for la in pt.partitions_of(d):
+                s = sf.schur(la)
+                image = gc.calogero_sutherland(s)
+                yield f"s_{la} eigenvector", image - s.scale(sf.hall(image, s))
+
+    return _verdict("calogero_sutherland", cases(), f"|la| <= {max_deg}")
 
 
 def check_recursion_uniqueness(max_N=6):

@@ -6,6 +6,7 @@ is realized by substitution at evaluation time, never as a separate type.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from . import quiver as qv
@@ -114,17 +115,13 @@ def t_element(quiver, n):
     _require_quasi_smooth(quiver)
     if n < 0:
         return DescendentPoly.zero()
-    units = {v: quiver.unit_vector(v) for v in quiver.vertices}
+    chi = qv.euler_matrix(quiver)
     out = {}
     for a in range(n + 1):
-        b = n - a
-        fac = Fraction(factorial(a) * factorial(b))
-        for v in quiver.vertices:
-            for w in quiver.vertices:
-                chi = qv.euler_form(quiver, units[v], units[w])
-                if chi:
-                    term = DescendentPoly.ch(a, v) * DescendentPoly.ch(b, w)
-                    add_all(out, term.terms, fac * chi)
+        fac = factorial(a) * factorial(n - a)
+        for (i, v), (j, w) in product(enumerate(quiver.vertices), repeat=2):
+            if chi[i][j]:
+                add_to(out, tuple(sorted(((a, v), (n - a, w)))), Fraction(fac * chi[i][j]))
     return DescendentPoly._wrap(out)
 
 
@@ -133,10 +130,8 @@ def framed_t_element(quiver, framing, n):
     if n < 0:
         return DescendentPoly.zero()
     out = dict(t_element(quiver, n).terms)
-    fac = Fraction(factorial(n))
     for v in quiver.vertices:
-        if framing[v]:
-            add_all(out, DescendentPoly.ch(n, v).terms, -fac * framing[v])
+        add_to(out, ((n, v),), Fraction(-factorial(n) * framing[v]))
     return DescendentPoly._wrap(out)
 
 

@@ -123,32 +123,34 @@ def _va_to_gr(x, N, k):
 # -- Virasoro operators on the Grassmannian state space -----------------------
 
 
+def _lowered(la):
+    """(q, m, rest) with p_{-q} p_la = m p_rest, for each distinct part q of la."""
+    return [(q, pt.multiplicity(la, q) * q, pt.remove_one(la, q)) for q in set(la)]
+
+
 def _lowering_part(n, linear_coeff, f, quad_coeff=1):
     """sum_j p_j p_{-n-j} + quad_coeff sum_{a+b=n} p_{-a} p_{-b} + linear_coeff p_{-n},
     n >= 1."""
     out = {}
-    deg = f.degree()
-    for j in range(1, max(0, deg - n) + 1):
-        piece = sf.annihilate(n + j, f)
-        if piece:
-            add_all(out, (SymFunc.p(j) * piece).terms)
-    for a in range(1, n):
-        piece = sf.annihilate(n - a, f)
-        if piece:
-            piece = sf.annihilate(a, piece)
-        add_all(out, piece.terms, quad_coeff)
-    if linear_coeff:
-        add_all(out, sf.annihilate(n, f).terms, linear_coeff)
+    for la, c in f.terms.items():
+        for q, m, rest in _lowered(la):
+            if q > n:
+                add_to(out, pt.merge(rest, (q - n,)), c * m)
+            elif q == n:
+                add_to(out, rest, c * m * linear_coeff)
+            elif n - q in rest:
+                m2 = pt.multiplicity(rest, n - q) * (n - q)
+                add_to(out, pt.remove_one(rest, n - q), c * m * m2 * quad_coeff)
     return SymFunc._wrap(out)
 
 
 def _raising_part(n, linear_coeff, f):
     """sum_j p_{n+j} p_{-j} + sum_{a+b=n} p_a p_b + linear_coeff p_n, n >= 1."""
     out = dict(r_n_symfunc(n, f).terms)  # the first sum is R_n
-    for a in range(1, n):
-        add_all(out, (SymFunc.p_monomial(pt.merge((a,), (n - a,))) * f).terms)
-    if linear_coeff:
-        add_all(out, (SymFunc.p(n) * f).terms, linear_coeff)
+    for la, c in f.terms.items():
+        for a in range(1, n):
+            add_to(out, pt.merge(la, (a, n - a)), c)
+        add_to(out, pt.merge(la, (n,)), c * linear_coeff)
     return SymFunc._wrap(out)
 
 
@@ -267,21 +269,13 @@ def integrals_by_recursion(k, N, normalization):
 def calogero_sutherland(f):
     """The cubic operator (1/2)(sum p_a p_b p_{-a-b} + p_{a+b} p_{-a} p_{-b})."""
     out = {}
-    deg = f.degree()
-    for a in range(1, deg + 1):
-        for b in range(1, deg - a + 1):
-            piece = sf.annihilate(a + b, f)
-            if piece:
-                add_all(out, (SymFunc.p_monomial(pt.merge((a,), (b,))) * piece).terms)
-    for b in range(1, deg + 1):
-        inner = sf.annihilate(b, f)
-        if not inner:
-            continue
-        for a in range(1, inner.degree() + 1):
-            piece = sf.annihilate(a, inner)
-            if piece:
-                add_all(out, (SymFunc.p(a + b) * piece).terms)
-    return SymFunc._wrap(out).scale(Fraction(1, 2))
+    for la, c in f.terms.items():
+        for q, m, rest in _lowered(la):
+            for a in range(1, q):
+                add_to(out, pt.merge(rest, (a, q - a)), c * m / 2)
+            for a, m2, rest2 in _lowered(rest):
+                add_to(out, pt.merge(rest2, (q + a,)), c * m * m2 / 2)
+    return SymFunc._wrap(out)
 
 
 def r_n_symfunc(n, f):
@@ -291,9 +285,8 @@ def r_n_symfunc(n, f):
         raise ValueError("needs n >= 1")
     out = {}
     for la, c in f.terms.items():
-        for j in set(la):
-            m = pt.multiplicity(la, j)
-            add_to(out, pt.merge(pt.remove_one(la, j), (j + n,)), c * m * j)
+        for j, m, rest in _lowered(la):
+            add_to(out, pt.merge(rest, (j + n,)), c * m)
     return SymFunc._wrap(out)
 
 

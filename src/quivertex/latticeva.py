@@ -175,48 +175,43 @@ def annihilate_mode(lattice, v, k, x):
     return x._like(out)
 
 
-def apply_mode(lattice, v, m, x):
-    """v_{(m)} for any integer m: creation for m < 0, zero mode, or annihilation."""
-    if m < 0:
-        return create(lattice, v, -m, x)
-    return annihilate_mode(lattice, v, m, x)
-
-
 def translate(lattice, x):
-    """Translation operator: [T, v_{(-k)}] = k v_{(-k-1)}, T e^alpha = e^alpha (x) alpha_{-1}."""
-    out = {}
-    for (alpha, fock), c in x.terms.items():
-        for j, (i, mode) in enumerate(fock):
-            bumped = tuple(sorted(fock[:j] + fock[j + 1 :] + ((i, mode + 1),)))
-            add_to(out, (alpha, bumped), c * mode)
-        add_all(out, create(lattice, alpha, 1, x._like({(alpha, fock): c})).terms)
-    return x._like(out)
+    """Translation operator T = L_{-1}: [T, v_{(-k)}] = k v_{(-k-1)},
+    T e^alpha = e^alpha (x) alpha_{-1}."""
+    return virasoro(lattice, -1, x)
 
 
 def virasoro(lattice, n, x):
-    """L_n for n >= -1: L_{-1} = T, L_0 e^a = B(a,a)/2 e^a, L_{n>0} e^a = 0,
-    commuted past creations by [L_n, v_{(-k)}] = k v_{(-k+n)}."""
+    """L_n for n >= -1, one monomial at a time by [L_n, v_{(-k)}] = k v_{(n-k)}.
+
+    A factor (e_i)_{-k} moves to mode k - n for k > n, with coefficient k;
+    for k = n it is removed, with coefficient n B(e_i, alpha); for k < n it
+    contracts with each later factor (e_j)_{-(n-k)}, with coefficient
+    k (n - k) B(e_i, e_j).  On e^alpha, L_{-1} creates alpha_{-1}, L_0 is
+    B(alpha, alpha)/2 and L_{n>0} vanishes.
+    """
     if n < -1:
         raise ValueError("only L_n with n >= -1 is defined")
-    if n == -1:
-        return translate(lattice, x)
+    B = lattice.B
     out = {}
     for (alpha, fock), c in x.terms.items():
-        add_all(out, _virasoro_term(lattice, n, alpha, fock).terms, c)
+        if n == -1:
+            for i, a in enumerate(alpha):
+                if a:
+                    add_to(out, (alpha, tuple(sorted(fock + ((i, 1),)))), c * a)
+        elif n == 0:
+            add_to(out, (alpha, fock), c * Fraction(lattice.pairing(alpha, alpha), 2))
+        for j, (i, k) in enumerate(fock):
+            rest = fock[:j] + fock[j + 1 :]
+            if k > n:
+                add_to(out, (alpha, tuple(sorted(rest + ((i, k - n),)))), c * k)
+            elif k == n:
+                add_to(out, (alpha, rest), c * n * sum(b * a for b, a in zip(B[i], alpha)))
+            else:
+                for l, (i2, k2) in enumerate(rest[j:], j):
+                    if k2 == n - k:
+                        add_to(out, (alpha, rest[:l] + rest[l + 1 :]), c * k * k2 * B[i][i2])
     return x._like(out)
-
-
-def _virasoro_term(lattice, n, alpha, fock):
-    if not fock:
-        if n == 0:
-            w = Fraction(lattice.pairing(alpha, alpha), 2)
-            return VAElem(lattice, {(alpha, ()): w}) if w else VAElem(lattice)
-        return VAElem(lattice)
-    (i, mode), rest = fock[0], fock[1:]
-    suffix = VAElem(lattice, {(alpha, rest): 1})
-    bracket = apply_mode(lattice, lattice.basis_vector(i), n - mode, suffix).scale(mode)
-    tail = create(lattice, lattice.basis_vector(i), mode, _virasoro_term(lattice, n, alpha, rest))
-    return bracket + tail
 
 
 def field_mode(lattice, alpha, n, x):

@@ -187,6 +187,11 @@ def quiver_from_json(data):
         arrows = [(a["src"], a["tgt"], a.get("deg", 0)) for a in data["arrows"]]
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed quiver JSON: {e}") from None
+    if not isinstance(vertices, list):
+        raise qv.QuiverError("malformed_vertices", f"vertices must be a list, got {vertices!r}")
+    for s, t, deg in arrows:
+        if type(deg) is not int:  # bool is an int, and int() would truncate 0.5 or accept "1"
+            raise qv.QuiverError("malformed_degree", f"arrow {s}->{t} has degree {deg!r}")
     return qv.DgQuiver(vertices, arrows)
 
 

@@ -95,20 +95,14 @@ def _frozen(terms):
 
 @lru_cache(maxsize=None)
 def elementary(j):
-    """e_j in the p-basis, via Newton's identity j*e_j = sum (-1)^{i-1} e_{j-i} p_i."""
-    out = {(): Fraction(1)} if j == 0 else {}
-    for i in range(1, j + 1):
-        add_all(out, (elementary(j - i) * SymFunc.p(i)).terms, Fraction((-1) ** (i - 1), j))
-    return _frozen(out)
+    """e_j = omega(h_j) in the p-basis."""
+    return _frozen(involution(complete(j)).terms)
 
 
 @lru_cache(maxsize=None)
 def complete(j):
-    """h_j in the p-basis, via Newton's identity j*h_j = sum h_{j-i} p_i."""
-    out = {(): Fraction(1)} if j == 0 else {}
-    for i in range(1, j + 1):
-        add_all(out, (complete(j - i) * SymFunc.p(i)).terms, Fraction(1, j))
-    return _frozen(out)
+    """h_j = sum_{la |- j} p_la / z_la in the p-basis."""
+    return _frozen({la: 1 / pt.z_factor(la) for la in pt.partitions_of(j)})
 
 
 @lru_cache(maxsize=None)

@@ -57,3 +57,12 @@ def test_grid_checks_name_their_residual(monkeypatch):
     # the residual L_1 w = w, as singular_check renders it
     w = gc.singular_vector(gc.FockParams(Fraction(2), 1, 1))
     assert report["detail"] == f"r=1 s=1 beta^2=2 n=1: residual {symfunc_to_text(w)}"
+
+
+def test_calogero_sutherland_check_names_its_residual(monkeypatch):
+    cs = gc.calogero_sutherland
+    monkeypatch.setattr(gc, "calogero_sutherland", lambda f: cs(f) + f)
+    # CS h_1 = 0, so the broken operator leaves the residual h_1 = p_1
+    report = ck.check_calogero_sutherland()
+    assert not report["ok"]
+    assert report["detail"] == f"h1: residual {_leading(SymFunc.p(1))}"

@@ -177,3 +177,20 @@ def test_selftest_fast(capsys):
     code, out, _ = run(capsys, "selftest", "--suite", "fast")
     assert code == 0
     assert "PASS overall" in out
+
+
+def test_malformed_quiver_json_is_rejected_with_a_code(tmp_path, capsys):
+    arrow = {"src": "a", "tgt": "b"}
+    for data, code in (
+        ({"vertices": "ab", "arrows": [arrow]}, "malformed_vertices"),
+        ({"vertices": ["a", "b"], "arrows": [{**arrow, "deg": -0.5}]}, "malformed_degree"),
+        ({"vertices": ["a", "b"], "arrows": [{**arrow, "deg": True}]}, "malformed_degree"),
+        ({"vertices": ["a", "b"], "arrows": [{**arrow, "deg": "x"}]}, "malformed_degree"),
+    ):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(data))
+        exit_code, out, err = run(capsys, "euler", str(path), "1,0", "0,1")
+        assert (exit_code, out) == (2, ""), data
+        assert err.startswith(f"error[{code}]:"), (data, err)
+    path.write_text(json.dumps({"vertices": ["a", "b"], "arrows": [{**arrow, "deg": -1}]}))
+    assert run(capsys, "euler", str(path), "1,0", "0,1")[:2] == (0, "1\n")
