@@ -8,6 +8,7 @@ all-pass, 1 on a failed identity, 2 on malformed input.
 import argparse
 import json
 import random
+import re
 import sys
 from functools import partial
 from itertools import product
@@ -296,6 +297,10 @@ def build_parser():
     s.add_argument("--suite", choices=("fast", "full"), default="fast")
     s.set_defaults(func=cmd_selftest)
 
+    # argparse takes -7/3 or -p1 for an option, as only -<digits> and -<decimal> look
+    # negative; every option here but the exactly matched -h is long, so read them as values.
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-[^-]")
     return parser
 
 

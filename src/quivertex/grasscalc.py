@@ -7,12 +7,12 @@ Jack singular vectors.  Everything is exact over Q.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from . import latticeva as lv
 from . import partitions as pt
 from . import symfunc as sf
-from .lincomb import add_all, add_to, expand_translation
+from .lincomb import _product_into, add_to, expand_translation, integral, rational
 from .symfunc import SymFunc
 
 
@@ -60,17 +60,22 @@ def hecke_sym(n, f):
 
 
 def _translated_mode(n, weight, f):
-    """sum_m h_{n+m} [z^{-m}] f(p_k - weight z^{-k}), one product per h_{n+m}."""
-    pieces = {}  # m -> {la: coefficient}
-    for la, c in f.terms.items():
+    """sum_m h_{n+m} [z^{-m}] f(p_k - weight z^{-k}), summed in int over d_f lcm_m d_h(n+m)."""
+    d, terms = integral(f.terms)
+    pieces = {}  # m -> {la: int coefficient over d}
+    for la, c in terms:
         for (m, kept), t in expand_translation(la, lambda k: (k, weight)).items():
             if n + m >= 0:
-                add_to(pieces.setdefault(m, {}), kept, c * t)
+                piece = pieces.setdefault(m, {})
+                piece[kept] = piece.get(kept, 0) + c * t
+    # a piece that cancelled to zero needs no h_{n+m}, which is costly to build and cache
+    pieces = {m: piece for m, piece in pieces.items() if any(piece.values())}
+    h = {m: integral(sf.complete(n + m).terms) for m in pieces}
+    d_h = lcm(*(dm for dm, _ in h.values()))
     out = {}
-    for m, piece in pieces.items():
-        if piece:
-            add_all(out, (sf.complete(n + m) * SymFunc._wrap(piece)).terms)
-    return SymFunc._wrap(out)
+    for m, (dm, h_terms) in h.items():
+        _product_into(out, d_h // dm, h_terms, pieces[m].items(), pt.merge)
+    return SymFunc._wrap(rational(out, d * d_h))
 
 
 # -- the Grassmannian class ---------------------------------------------------

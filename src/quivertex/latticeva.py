@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .lincomb import LinComb, add_all, add_to, expand_translation
+from .lincomb import LinComb, _product_into, add_all, add_to, expand_translation, integral, rational
 
 
 class Lattice:
@@ -219,42 +219,49 @@ def field_mode(lattice, alpha, n, x):
 
     Per beta-component: sign (-1)^{b(alpha,beta)} and monomial shift by
     B(alpha,beta).  The annihilation exponential is the translation
-    (e_i)_{-k} -> (e_i)_{-k} - B(alpha, e_i) z^{-k}; its pieces are summed per
-    target (gamma, p) and multiplied once by the z^p creation series.
+    (e_i)_{-k} -> (e_i)_{-k} - B(alpha, e_i) z^{-k}; its pieces are summed in
+    int per target (gamma, p) and multiplied once by the integer series p! S_p,
+    lifted by P!/p! to the common denominator d P! (d that of x, P the largest p).
     """
     alpha = tuple(int(c) for c in alpha)
     weights = [lattice.pairing(alpha, lattice.basis_vector(i)) for i in range(lattice.rank)]
-    buckets = {}  # (gamma, p) -> {fock: coefficient}
-    for (beta, fock), c in x.terms.items():
+    d, terms = integral(x.terms)
+    buckets = {}  # (gamma, p) -> {fock: int coefficient over d}
+    for (beta, fock), c in terms:
         c = -c if lattice.sign_exponent(alpha, beta) % 2 else c
         gamma = tuple(a + b for a, b in zip(alpha, beta))
         shift = 1 + n + lattice.pairing(alpha, beta)
         for (m, kept), t in expand_translation(fock, lambda f: (f[1], weights[f[0]])).items():
             if m >= shift:
-                add_to(buckets.setdefault((gamma, m - shift), {}), kept, c * t)
+                bucket = buckets.setdefault((gamma, m - shift), {})
+                bucket[kept] = bucket.get(kept, 0) + c * t
+    # a bucket that cancelled to zero needs no creation series S_p, nor a lift to p!
+    buckets = {target: bucket for target, bucket in buckets.items() if any(bucket.values())}
+    top = factorial(max((p for _, p in buckets), default=0))
     out = {}
     for (gamma, p), annihilated in buckets.items():
+        key = lambda fock, created: (gamma, tuple(sorted(fock + created)))
         series = _creation_series(alpha, p)
-        for fock, c in annihilated.items():
-            for created, d in series:
-                add_to(out, (gamma, tuple(sorted(fock + created))), c * d)
-    return x._like(out)
+        _product_into(out, top // factorial(p), annihilated.items(), series, key)
+    return x._like(rational(out, d * top))
 
 
 @lru_cache(maxsize=1024)
 def _creation_series(alpha, p):
-    """z^p coefficient S_p of exp(sum_{j>0} alpha_(-j)/j z^j), as (fock, coeff) pairs.
+    """p! S_p, S_p the z^p coefficient of exp(sum_{j>0} alpha_(-j)/j z^j), as
+    (fock, int coefficient) pairs.
 
-    Differentiating in z gives p S_p = sum_{j=1}^{p} alpha_(-j) S_{p-j}; the
-    form B plays no part, so the lattice is not in the cache key.
+    Differentiating in z gives p S_p = sum_{j=1}^{p} alpha_(-j) S_{p-j}, so
+    p! S_p = sum_j (p-1)!/(p-j)! alpha_(-j) (p-j)! S_{p-j}; the form B plays
+    no part, so the lattice is not in the cache key.
     """
-    out = {} if p else {(): Fraction(1)}
+    out = {} if p else {(): 1}
+    key = lambda fock, f: tuple(sorted(fock + (f,)))
     for j in range(1, p + 1):
-        for fock, c in _creation_series(alpha, p - j):
-            for i, a in enumerate(alpha):
-                if a:
-                    add_to(out, tuple(sorted(fock + ((i, j),))), c * a / p)
-    return tuple(out.items())
+        lift = factorial(p - 1) // factorial(p - j)
+        created = [((i, j), a) for i, a in enumerate(alpha) if a]
+        _product_into(out, lift, _creation_series(alpha, p - j), created, key)
+    return tuple((fock, c) for fock, c in out.items() if c)
 
 
 def borcherds_bracket(lattice, alpha, x):

@@ -8,11 +8,13 @@ or re-validates the partial sum.  A subclass supplies ``_check_key`` (key
 validation for the public constructor); an algebra also defines
 ``__mul__`` through ``_product`` with the product of two basis keys, and
 its empty key ``()`` is the unit, so the constant c is ``{(): c}``.
+The hot kernels put their input over one denominator with ``integral``, sum
+in int, and build one Fraction per output key with ``rational``.
 """
 
 from fractions import Fraction
 from itertools import groupby
-from math import comb
+from math import comb, lcm
 
 
 def coerce(c):
@@ -45,6 +47,27 @@ def add_all(out, terms, c=1):
             out[key] = s
         else:
             out.pop(key, None)
+
+
+def integral(terms):
+    """(d, [(key, n)]) for a term dict, d the lcm of its denominators and each c = n / d."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(key, c.numerator * (d // c.denominator)) for key, c in terms.items()]
+
+
+def rational(int_terms, d):
+    """{key: Fraction(n, d)} for each nonzero n of an int term dict."""
+    return {key: Fraction(n, d) for key, n in int_terms.items() if n}
+
+
+def _product_into(out, s, t1, t2, key):
+    """out[key(k1, k2)] += s * a * b over int terms (k1, a) of t1, (k2, b) of t2; zeros stay."""
+    get = out.get
+    for k1, a in t1:
+        sa = s * a
+        for k2, b in t2:
+            k = key(k1, k2)
+            out[k] = get(k, 0) + sa * b
 
 
 def expand_translation(factors, weight):
@@ -113,11 +136,11 @@ class LinComb:
 
     def _product(self, other, key):
         """The bilinear product in which basis keys k1, k2 multiply to key(k1, k2)."""
+        d1, t1 = integral(self.terms)
+        d2, t2 = integral(other.terms)
         out = {}
-        for k1, a in self.terms.items():
-            for k2, b in other.terms.items():
-                add_to(out, key(k1, k2), a * b)
-        return self._like(out)
+        _product_into(out, 1, t1, t2, key)
+        return self._like(rational(out, d1 * d2))
 
     def __eq__(self, other):
         if type(other) is type(self):

@@ -7,12 +7,14 @@ used elsewhere are simple there, which is why p is the canonical basis
 and e, h, m, s and Jack polynomials are conversions.
 """
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
 
 from . import partitions as pt
-from .lincomb import LinComb, add_all, add_to
+from .lincomb import LinComb, _product_into, add_all, add_to, integral, rational
 
 
 class SymFunc(LinComb):
@@ -117,26 +119,37 @@ def schur(la):
 def _det_of_completes(rows):
     """Determinant of (h_{rows[i][j]})_{ij} by cofactor expansion.
 
-    Minors are memoized on (row offset, surviving columns); entries with a
-    negative index are h_{<0} = 0.
+    Minors are memoized on (row offset, surviving columns) as (d, int terms)
+    over their own denominator d; entries with a negative index are h_{<0} = 0.
+    Inside, la is keyed by the int |la| + sum_{p in la} B^p, B = 2^b above every
+    degree, so that a product of p-monomials adds keys and |la| = key mod B.
     """
     n = len(rows)
+    b = (sum(max(*row, 0) for row in rows) + 1).bit_length()
+    mask = (1 << b) - 1
+    code = lambda la: sum(la) + sum(1 << b * p for p in la)
+    h = {i: integral({code(la): c for la, c in complete(i).terms.items()}) for r in rows for i in r}
 
     @lru_cache(maxsize=None)
     def minor(i, cols):
         if i == n:
-            return SymFunc.one()
-        out = {}
+            return 1, [(0, 1)]
+        pieces = []  # (sign, denominator, h terms, minor terms)
         for pos, j in enumerate(cols):
-            idx = rows[i][j]
-            if idx < 0:
-                continue
-            sub = minor(i + 1, cols[:pos] + cols[pos + 1 :])
-            if sub:
-                add_all(out, (complete(idx) * sub).terms, 1 if pos % 2 == 0 else -1)
-        return SymFunc._wrap(out)
+            d_h, h_terms = h[rows[i][j]]
+            if h_terms:
+                d_sub, sub = minor(i + 1, cols[:pos] + cols[pos + 1 :])
+                pieces.append((-1 if pos % 2 else 1, d_h * d_sub, h_terms, sub))
+        d = lcm(*(dp for _, dp, _, _ in pieces))
+        out = {}
+        for sign, dp, h_terms, sub in pieces:
+            _product_into(out, sign * (d // dp), h_terms, sub, operator.add)
+        return d, [(key, c) for key, c in out.items() if c]
 
-    return minor(0, tuple(range(n)))
+    d, terms = minor(0, tuple(range(n)))
+    del minor  # it holds itself, its memo and h in a cycle: free them now, not at the next gc
+    la_of = lambda k: tuple(p for p in range(k & mask, 0, -1) for _ in range(k >> b * p & mask))
+    return SymFunc._wrap(rational({la_of(key): c for key, c in terms}, d))
 
 
 def monomial(la):
@@ -182,13 +195,7 @@ def _complete_product(mu):
 
 def hall(f, g):
     """Hall inner product, <p_la, p_mu> = delta * z_la, extended bilinearly."""
-    total = Fraction(0)
-    small, big = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
-    for la, a in small.items():
-        b = big.get(la)
-        if b:
-            total += a * b * pt.z_factor(la)
-    return total
+    return hall_deformed(f, g, 1)
 
 
 def annihilate(n, f):
@@ -252,13 +259,22 @@ def monomial_expand(f):
 
 
 def hall_deformed(f, g, alpha):
-    """The alpha-deformed pairing, <p_la, p_mu> = delta * z_la * alpha^ell(la)."""
-    total = Fraction(0)
-    for la, a in f.terms.items():
-        b = g.terms.get(la)
-        if b:
-            total += a * b * pt.z_factor(la) * alpha ** pt.length(la)
-    return total
+    """The alpha-deformed pairing, <p_la, p_mu> = delta * z_la * alpha^ell(la).
+
+    Summed in int: alpha^l = a^l b^(top - l) / b^top for alpha = a/b, top the longest length.
+    """
+    alpha = Fraction(alpha)
+    a, b = alpha.numerator, alpha.denominator
+    small, big = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
+    shared = [la for la in small if la in big]
+    top = max(map(len, shared), default=0)
+    d1, t1 = integral({la: small[la] for la in shared})
+    d2, t2 = integral({la: big[la] for la in shared})
+    total = sum(
+        x * y * pt.z_factor(la).numerator * a ** len(la) * b ** (top - len(la))
+        for (la, x), (_, y) in zip(t1, t2)
+    )
+    return Fraction(total, d1 * d2 * b**top)
 
 
 def jack(la, alpha):

@@ -66,3 +66,15 @@ def test_calogero_sutherland_check_names_its_residual(monkeypatch):
     report = ck.check_calogero_sutherland()
     assert not report["ok"]
     assert report["detail"] == f"h1: residual {_leading(SymFunc.p(1))}"
+
+
+def test_symfunc_checks_name_their_residual(monkeypatch):
+    pairing = sf.hall_deformed
+    monkeypatch.setattr(sf, "hall_deformed", lambda f, g, alpha: 2 * pairing(f, g, alpha))
+    # every Hall pairing doubles: <s_(), s_()> = 2 leaves the residual 1, and
+    # Gram-Schmidt is unchanged, so P_(1)^(1) - <P_(1), s_(1)> s_(1) = -p_1
+    assert ck.check_schur_orthonormality(2)["detail"] == "(),(): residual 1"
+    assert ck.check_jack_at_one(2)["detail"] == f"(1,): residual {_leading(-SymFunc.p(1))}"
+    assert ck.check_gr24_integrals()["detail"] == "(1, 1, 1, 1): residual 2"
+    report = ck.check_schur_monomial_triangularity(2)
+    assert report["detail"] == "(1,) coefficient of m_(1,): residual 1"

@@ -194,3 +194,37 @@ def test_malformed_quiver_json_is_rejected_with_a_code(tmp_path, capsys):
         assert err.startswith(f"error[{code}]:"), (data, err)
     path.write_text(json.dumps({"vertices": ["a", "b"], "arrows": [{**arrow, "deg": -1}]}))
     assert run(capsys, "euler", str(path), "1,0", "0,1")[:2] == (0, "1\n")
+
+
+def test_minus_led_arguments_are_values(capsys):
+    # argparse takes only -<digits> and -<decimal> as negative numbers; these
+    # must read as values, the same as after -- or with --norm=
+    for argv, spelled in (
+        (["gr-recursion", "1", "3", "--norm", "-7/3"], ["gr-recursion", "1", "3", "--norm=-7/3"]),
+        (["jack", "2", "-1/2"], ["jack", "2", "--", "-1/2"]),
+        (["hall", "-p1", "p1"], ["hall", "--", "-p1", "p1"]),
+        (["hecke", "-1", "-p1"], ["hecke", "--", "-1", "-p1"]),
+        (
+            ["--json", "hecke", "-1", "-1/2*p1^2", "--sym"],
+            ["--json", "hecke", "--sym", "--", "-1", "-1/2*p1^2"],
+        ),
+    ):
+        want = run(capsys, *spelled)
+        assert want[0] == 0 and want[1], spelled
+        assert run(capsys, *argv) == want, argv
+    assert run(capsys, "jack", "2", "-1/2")[1].strip() == "2*p1^2 - p2"
+
+
+def test_minus_led_arguments_keep_their_rejections(capsys):
+    for argv, message in (
+        (["hall", "-p1"], "the following arguments are required: g"),
+        (["jack", "2", "1/2", "-x"], "unrecognized arguments: -x"),
+        (["jack", "2", "1/2", "--bogus"], "unrecognized arguments: --bogus"),
+        (["gr-recursion", "1", "3", "--norm"], "expected one argument"),
+        (["jack", "2", "-1/0"], "zero denominator"),
+        (["hall", "-p1", "-bogus$"], "invalid value"),
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv

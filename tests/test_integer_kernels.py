@@ -1,0 +1,256 @@
+"""The integer-accumulating kernels against their Fraction-accumulating forms.
+
+The library's products, Hall pairings, Jacobi-Trudi minors, Hecke modes and
+lattice field modes put their input over one denominator (``lincomb.integral``),
+sum in int and build one Fraction per output key (``lincomb.rational``).  The
+reference implementations below are the earlier forms of the same kernels,
+which add one Fraction per term with ``add_to``; they call no integral kernel,
+so the two agree only if every rescaling is right.  The inputs carry large
+coprime denominators, so a missed lift changes the result.
+"""
+
+import random
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+from quivertex import descendent as dc
+from quivertex import grasscalc as gc
+from quivertex import latticeva as lv
+from quivertex import partitions as pt
+from quivertex import symfunc as sf
+from quivertex.lincomb import add_to, expand_translation, integral, rational
+from quivertex.symfunc import SymFunc
+
+DENOMINATORS = (1, 2, 6, 7919, 104729, 2**61 - 1)
+ALPHAS = (1, Fraction(-1), Fraction(-7, 3), Fraction(104729, 7919), Fraction(1, 2**61 - 1))
+
+
+def ref_product(x, y, key):
+    out = {}
+    for k1, a in x.terms.items():
+        for k2, b in y.terms.items():
+            add_to(out, key(k1, k2), a * b)
+    return x._like(out)
+
+
+def ref_hall_deformed(f, g, alpha):
+    total = Fraction(0)
+    for la, a in f.terms.items():
+        b = g.terms.get(la)
+        if b:
+            total += a * b * pt.z_factor(la) * alpha ** pt.length(la)
+    return total
+
+
+def ref_det_of_completes(rows):
+    n = len(rows)
+
+    @lru_cache(maxsize=None)
+    def minor(i, cols):
+        if i == n:
+            return SymFunc.one()
+        out = {}
+        for pos, j in enumerate(cols):
+            idx = rows[i][j]
+            if idx < 0:
+                continue
+            sub = minor(i + 1, cols[:pos] + cols[pos + 1 :])
+            for la, c in ref_product(sf.complete(idx), sub, pt.merge).terms.items():
+                add_to(out, la, c if pos % 2 == 0 else -c)
+        return SymFunc._wrap(out)
+
+    return minor(0, tuple(range(n)))
+
+
+def ref_translated_mode(n, weight, f):
+    pieces = {}
+    for la, c in f.terms.items():
+        for (m, kept), t in expand_translation(la, lambda k: (k, weight)).items():
+            if n + m >= 0:
+                add_to(pieces.setdefault(m, {}), kept, c * t)
+    out = {}
+    for m, piece in pieces.items():
+        product = ref_product(sf.complete(n + m), SymFunc._wrap(piece), pt.merge)
+        for la, c in product.terms.items():
+            add_to(out, la, c)
+    return SymFunc._wrap(out)
+
+
+@lru_cache(maxsize=None)
+def ref_creation_series(alpha, p):
+    out = {} if p else {(): Fraction(1)}
+    for j in range(1, p + 1):
+        for fock, c in ref_creation_series(alpha, p - j):
+            for i, a in enumerate(alpha):
+                if a:
+                    add_to(out, tuple(sorted(fock + ((i, j),))), c * a / p)
+    return tuple(out.items())
+
+
+def ref_field_mode(lattice, alpha, n, x):
+    alpha = tuple(alpha)
+    weights = [lattice.pairing(alpha, lattice.basis_vector(i)) for i in range(lattice.rank)]
+    buckets = {}
+    for (beta, fock), c in x.terms.items():
+        c = -c if lattice.sign_exponent(alpha, beta) % 2 else c
+        gamma = tuple(a + b for a, b in zip(alpha, beta))
+        shift = 1 + n + lattice.pairing(alpha, beta)
+        for (m, kept), t in expand_translation(fock, lambda f: (f[1], weights[f[0]])).items():
+            if m >= shift:
+                add_to(buckets.setdefault((gamma, m - shift), {}), kept, c * t)
+    out = {}
+    for (gamma, p), annihilated in buckets.items():
+        for fock, c in annihilated.items():
+            for created, d in ref_creation_series(alpha, p):
+                add_to(out, (gamma, tuple(sorted(fock + created))), c * d)
+    return x._like(out)
+
+
+def _coefficient(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice(DENOMINATORS))
+
+
+def _symfunc(rng, max_deg=6):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        parts = pt.partitions_of(rng.randint(0, max_deg))
+        terms[parts[rng.randrange(len(parts))]] = _coefficient(rng)
+    return SymFunc(terms)
+
+
+def _random_lattice(rng):
+    """Rank 1..3 with a random integral sign datum b and B = b + b^T."""
+    rank = rng.randint(1, 3)
+    b = [[rng.randint(-1, 1) for _ in range(rank)] for _ in range(rank)]
+    return lv.Lattice([[b[i][j] + b[j][i] for j in range(rank)] for i in range(rank)], b)
+
+
+def _vaelem(lat, rng, max_fock=4):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        alpha = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
+        fock, budget = [], rng.randint(0, max_fock)
+        while budget > 0:
+            k = rng.randint(1, budget)
+            fock.append((rng.randrange(lat.rank), k))
+            budget -= k
+        terms[(alpha, tuple(sorted(fock)))] = _coefficient(rng)
+    return lv.VAElem(lat, terms)
+
+
+def _assert_clean(x):
+    """Every stored coefficient is a nonzero Fraction, never an int."""
+    assert all(type(c) is Fraction and c for c in x.terms.values()), x.terms
+
+
+def test_integral_and_rational_round_trip():
+    terms = {(1,): Fraction(1, 7919), (2,): Fraction(-3, 104729), (): Fraction(5)}
+    d, ints = integral(terms)
+    assert d == 7919 * 104729
+    assert all(type(n) is int for _, n in ints)
+    assert rational(dict(ints), d) == terms
+    assert integral({}) == (1, [])
+    assert rational({(1,): 0, (2,): 4}, 6) == {(2,): Fraction(2, 3)}
+
+
+def test_products_match_fraction_accumulation():
+    rng = random.Random(301)
+    for _ in range(150):
+        f, g = _symfunc(rng), _symfunc(rng)
+        got = f * g
+        assert got == ref_product(f, g, pt.merge), (f, g)
+        _assert_clean(got)
+    x = dc.DescendentPoly({((1, "1"),): Fraction(1, 2**61 - 1), ((0, "2"),): Fraction(2, 7919)})
+    y = dc.DescendentPoly({((2, "1"),): Fraction(-5, 104729), (): Fraction(3)})
+    assert x * y == ref_product(x, y, lambda m1, m2: tuple(sorted(m1 + m2)))
+    _assert_clean(x * y)
+
+
+def test_products_that_cancel_store_no_key():
+    c = Fraction(1, 2**61 - 1)
+    f = SymFunc({(1,): c, (2,): Fraction(1, 104729)})
+    g = SymFunc({(1,): c, (2,): Fraction(-1, 104729)})
+    got = f * g  # the p1 p2 terms cancel
+    assert got.terms == {(1, 1): c * c, (2, 2): Fraction(-1, 104729**2)}
+    assert not (f * SymFunc()).terms
+
+
+def test_hall_pairings_match_fraction_accumulation():
+    rng = random.Random(307)
+    for _ in range(200):
+        f, g = _symfunc(rng), _symfunc(rng)
+        if rng.random() < 0.5:  # share terms, so the pairing is nonzero
+            g = g + f.scale(_coefficient(rng))
+        for alpha in ALPHAS:
+            got = sf.hall_deformed(f, g, alpha)
+            assert got == ref_hall_deformed(f, g, alpha), (f, g, alpha)
+            assert type(got) is Fraction
+        assert sf.hall(f, g) == ref_hall_deformed(f, g, 1)
+    f = SymFunc({(2,): Fraction(1, 7919), (1, 1): Fraction(1, 104729)})
+    g = SymFunc({(2,): Fraction(1, 2), (1, 1): Fraction(-104729, 7919 * 2)})
+    assert sf.hall(f, g) == 0 and type(sf.hall(f, g)) is Fraction
+
+
+def test_jacobi_trudi_minors_match_fraction_accumulation():
+    rng = random.Random(311)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        rows = tuple(tuple(rng.randint(-1, 5) for _ in range(n)) for _ in range(n))
+        got = sf._det_of_completes(rows)
+        assert got == ref_det_of_completes(rows), rows
+        _assert_clean(got)
+    for la in pt.partitions_of(6):
+        rows = tuple(tuple(la[i] - i + j for j in range(len(la))) for i in range(len(la)))
+        assert sf.schur(la) == ref_det_of_completes(rows), la
+    # equal rows: every term of the expansion cancels
+    assert not sf._det_of_completes(((2, 3), (2, 3))).terms
+
+
+def test_hecke_modes_match_fraction_accumulation():
+    rng = random.Random(313)
+    for _ in range(150):
+        f = _symfunc(rng)
+        n = rng.randint(-6, 4)
+        for weight, op in ((1, gc.hecke), (2, gc.hecke_sym)):
+            got = op(n, f)
+            assert got == ref_translated_mode(n, weight, f), (n, weight, f)
+            _assert_clean(got)
+    # H_n H_{n+1} = 0: the outer mode cancels every term
+    f = SymFunc({(2, 1): Fraction(1, 2**61 - 1), (1,): Fraction(3, 7919)})
+    assert not gc.hecke(1, gc.hecke(2, f)).terms
+
+
+def test_creation_series_is_integral():
+    for alpha in ((1,), (2, -1), (0, 3, -2)):
+        for p in range(7):
+            got = lv._creation_series(alpha, p)
+            assert all(type(c) is int and c for _, c in got)
+            scaled = {fock: Fraction(c, factorial(p)) for fock, c in got}
+            assert scaled == dict(ref_creation_series(alpha, p)), (alpha, p)
+
+
+def test_field_modes_match_fraction_accumulation():
+    rng = random.Random(317)
+    nontrivial = 0
+    for _ in range(80):
+        lat = _random_lattice(rng)
+        alpha = tuple(rng.randint(-1, 1) for _ in range(lat.rank))
+        n = rng.randint(-4, 3)
+        x = _vaelem(lat, rng)
+        got = lv.field_mode(lat, alpha, n, x)
+        assert got == ref_field_mode(lat, alpha, n, x), (lat, alpha, n, x)
+        assert got.lattice is lat
+        _assert_clean(got)
+        nontrivial += len(got.terms) > 1
+    assert nontrivial >= 20
+
+
+def test_field_mode_that_cancels_stores_no_key():
+    # e^alpha_(-2) on alpha_(-1) e^0 for B = (2): the p = 1 bucket gives
+    # alpha_(-1)^2, the p = 2 bucket -2 S_2 = -alpha_(-1)^2 - alpha_(-2).
+    lat = lv.single_box_lattice()
+    x = lv.VAElem(lat, {((0,), ((0, 1),)): Fraction(1, 7919)})
+    got = lv.field_mode(lat, (1,), -2, x)
+    assert got.terms == {((1,), ((0, 2),)): Fraction(-1, 7919)}
+    assert got == ref_field_mode(lat, (1,), -2, x)

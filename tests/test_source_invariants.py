@@ -3,7 +3,9 @@
 Operators sum into one dict (``quivertex.lincomb``), so no line may rebuild
 an element by adding to itself, which copies the partial sum on every term;
 and invariants are raised as exceptions, never asserted, since ``python -O``
-strips ``assert`` statements.
+strips ``assert`` statements.  The integer kernels sum in int over one
+denominator and build one Fraction per output key, so no loop in them makes
+a Fraction per term.
 """
 
 import ast
@@ -14,6 +16,16 @@ import quivertex
 
 SOURCES = sorted(Path(quivertex.__file__).parent.glob("*.py"))
 SELF_ACCUMULATION = re.compile(r"\b(\w+) = \1 [+-] ")
+INTEGER_KERNELS = {
+    "_product",
+    "hall_deformed",
+    "_det_of_completes",
+    "_translated_mode",
+    "field_mode",
+    "_creation_series",
+}
+PER_TERM_FRACTION = {"Fraction", "add_to", "add_all"}
+LOOPS = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def test_sources_found():
@@ -37,4 +49,26 @@ def test_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert not hits, hits
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_integer_kernels_make_no_fraction_per_term():
+    found, hits = set(), set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in INTEGER_KERNELS:
+                found.add(node.name)
+                hits |= {
+                    f"{path.name}:{call.lineno} in {node.name}: {_called_name(call)}"
+                    for loop in ast.walk(node)
+                    if isinstance(loop, LOOPS)
+                    for call in ast.walk(loop)
+                    if isinstance(call, ast.Call) and _called_name(call) in PER_TERM_FRACTION
+                }
+    assert found == INTEGER_KERNELS
     assert not hits, hits
