@@ -1,7 +1,8 @@
 """Named identity suites behind the CLI selftest and the acceptance tests.
 
-Each check runs one family of exact identities at its stated bounds and
-returns {"name", "ok", "detail"}.  The fast suite covers every module
+Each check runs one family of exact identities at its stated bounds as
+(label, residual) pairs, and ``_verdict`` turns them into the one report form
+{"name", "ok", "detail"}.  The fast suite covers every module
 invariant; the full suite adds the heavier end-to-end computations
 (wall-crossing vs Schubert classes up to N = 8, constraints up to N = 7,
 the Jack singular-vector grid, and the descendent-integral goldens).
@@ -30,20 +31,19 @@ from .symfunc import SymFunc
 F = Fraction
 
 
-def _report(name, ok, detail=""):
-    return {"name": name, "ok": bool(ok), "detail": detail}
-
-
-def _verdict(name, cases, detail):
-    """Report on (label, residual) pairs: pass with detail when every residual
-    vanishes, else fail naming the first label and its residual's leading term
-    (sorted_terms()[0] of an element, the value of a scalar)."""
+def _verdict(name, cases, detail=""):
+    """The report {"name", "ok", "detail"} on (label, residual) pairs: pass with
+    detail when every residual vanishes, else fail naming the first label and its
+    residual's leading term (sorted_terms()[0] of an element, the smallest item of
+    a coefficient map as reduce_cohomology returns, else the value itself)."""
     for label, residual in cases:
         if residual:
             if hasattr(residual, "sorted_terms"):
                 residual = "{1} * {0}".format(*residual.sorted_terms()[0])
-            return _report(name, False, f"{label}: residual {residual}")
-    return _report(name, True, detail)
+            elif isinstance(residual, dict):
+                residual = "{1} * {0}".format(*min(residual.items()))
+            return {"name": name, "ok": False, "detail": f"{label}: residual {residual}"}
+    return {"name": name, "ok": True, "detail": detail}
 
 
 def bracket_residual(op, n, m, x, sign=1):
@@ -160,74 +160,81 @@ def check_schur_monomial_triangularity(max_deg=8):
 
 
 def check_euler_bilinearity(samples=30):
-    rng = random.Random(103)
-    q = qv.builtin("p1xp1")
-    for _ in range(samples):
-        u, v, w = (
-            qv.DimVector(q, [rng.randint(-5, 5) for _ in q.vertices]) for _ in range(3)
-        )
-        uv = qv.DimVector(q, [a + b for a, b in zip(u.values, v.values)])
-        if qv.euler_form(q, uv, w) != qv.euler_form(q, u, w) + qv.euler_form(q, v, w):
-            return _report("euler_bilinearity", False, "left argument")
-        if qv.euler_form(q, w, uv) != qv.euler_form(q, w, u) + qv.euler_form(q, w, v):
-            return _report("euler_bilinearity", False, "right argument")
-    return _report("euler_bilinearity", True, f"{samples} samples on p1xp1")
+    def cases():
+        rng = random.Random(103)
+        q = qv.builtin("p1xp1")
+        euler = partial(qv.euler_form, q)
+        for _ in range(samples):
+            u, v, w = (
+                qv.DimVector(q, [rng.randint(-5, 5) for _ in q.vertices]) for _ in range(3)
+            )
+            uv = qv.DimVector(q, [a + b for a, b in zip(u.values, v.values)])
+            label = f"u={u.values} v={v.values} w={w.values}"
+            yield f"left argument {label}", euler(uv, w) - euler(u, w) - euler(v, w)
+            yield f"right argument {label}", euler(w, uv) - euler(w, u) - euler(w, v)
+
+    return _verdict("euler_bilinearity", cases(), f"{samples} samples on p1xp1")
 
 
 def check_euler_triangularity():
-    for name in ("linear(4)", "kronecker(3)"):
-        mat = qv.euler_matrix(qv.builtin(name))
-        for i in range(len(mat)):
-            if mat[i][i] != 1 or any(mat[i][j] for j in range(i)):
-                return _report("euler_triangularity", False, name)
-    return _report("euler_triangularity", True, "linear(4), kronecker(3)")
+    # unitriangular: entry (i,j), j <= i, is 1 on the diagonal and 0 below it
+    cases = (
+        (f"{name} entry ({i},{j})", x - (i == j))
+        for name in ("linear(4)", "kronecker(3)")
+        for i, row in enumerate(qv.euler_matrix(qv.builtin(name)))
+        for j, x in enumerate(row[: i + 1])
+    )
+    return _verdict("euler_triangularity", cases, "linear(4), kronecker(3)")
 
 
 def check_euler_sym_symmetry(samples=20):
-    rng = random.Random(107)
-    q = qv.builtin("beilinson_p2")
-    for _ in range(samples):
-        d1 = qv.DimVector(q, [rng.randint(-5, 5) for _ in q.vertices])
-        d2 = qv.DimVector(q, [rng.randint(-5, 5) for _ in q.vertices])
-        if qv.euler_sym(q, d1, d2) != qv.euler_sym(q, d2, d1):
-            return _report("euler_sym_symmetry", False, "")
-    return _report("euler_sym_symmetry", True, f"{samples} samples on beilinson_p2")
+    def cases():
+        rng = random.Random(107)
+        q = qv.builtin("beilinson_p2")
+        for _ in range(samples):
+            d1 = qv.DimVector(q, [rng.randint(-5, 5) for _ in q.vertices])
+            d2 = qv.DimVector(q, [rng.randint(-5, 5) for _ in q.vertices])
+            residual = qv.euler_sym(q, d1, d2) - qv.euler_sym(q, d2, d1)
+            yield f"d1={d1.values} d2={d2.values}", residual
+
+    return _verdict("euler_sym_symmetry", cases(), f"{samples} samples on beilinson_p2")
 
 
 def check_framed_quiver_euler(samples=20):
-    rng = random.Random(109)
-    base = qv.builtin("linear(2)")
-    f = qv.FramingVector(base, [2, 1])
-    qf = qv.framed_quiver(base, f)
-    if not qf.is_plain():
-        return _report("framed_quiver_euler", False, "framing arrows must be degree 0")
-    for _ in range(samples):
-        d1 = [rng.randint(-3, 3) for _ in base.vertices]
-        d2 = [rng.randint(-3, 3) for _ in base.vertices]
-        if qv.euler_form(
-            qf, qv.DimVector(qf, [0] + d1), qv.DimVector(qf, [0] + d2)
-        ) != qv.euler_form(base, qv.DimVector(base, d1), qv.DimVector(base, d2)):
-            return _report("framed_quiver_euler", False, "restriction")
-        lhs = qv.euler_form(qf, qv.DimVector(qf, [1] + d1), qv.DimVector(qf, [0] + d2))
-        rhs = qv.framed_euler(
-            base, f, qv.DimVector(base, d1), None, qv.DimVector(base, d2)
-        )
-        if lhs != rhs:
-            return _report("framed_quiver_euler", False, "framed pairing")
-    return _report("framed_quiver_euler", True, f"{samples} samples")
+    def cases():
+        rng = random.Random(109)
+        base = qv.builtin("linear(2)")
+        f = qv.FramingVector(base, [2, 1])
+        qf = qv.framed_quiver(base, f)
+        yield "framing arrows of nonzero degree", [a for a in qf.arrows if a[2]]
+        for _ in range(samples):
+            d1 = [rng.randint(-3, 3) for _ in base.vertices]
+            d2 = [rng.randint(-3, 3) for _ in base.vertices]
+            framed = qv.euler_form(qf, qv.DimVector(qf, [0] + d1), qv.DimVector(qf, [0] + d2))
+            plain = qv.euler_form(base, qv.DimVector(base, d1), qv.DimVector(base, d2))
+            yield f"restriction d1={d1} d2={d2}", framed - plain
+            lhs = qv.euler_form(qf, qv.DimVector(qf, [1] + d1), qv.DimVector(qf, [0] + d2))
+            rhs = qv.framed_euler(
+                base, f, qv.DimVector(base, d1), None, qv.DimVector(base, d2)
+            )
+            yield f"framed pairing d1={d1} d2={d2}", lhs - rhs
+
+    return _verdict("framed_quiver_euler", cases(), f"{samples} samples")
 
 
 def check_slope_scaling(samples=20):
-    rng = random.Random(113)
-    q = qv.builtin("kronecker(2)")
-    for _ in range(samples):
-        theta = qv.Stability(q, [F(rng.randint(-3, 3)), F(rng.randint(-3, 3))])
-        d = qv.DimVector(q, [rng.randint(0, 4), rng.randint(1, 4)])
-        c = rng.randint(1, 5)
-        scaled = qv.DimVector(q, [c * x for x in d.values])
-        if qv.slope(theta, d) != qv.slope(theta, scaled):
-            return _report("slope_scaling", False, "")
-    return _report("slope_scaling", True, f"{samples} samples")
+    def cases():
+        rng = random.Random(113)
+        q = qv.builtin("kronecker(2)")
+        for _ in range(samples):
+            theta = qv.Stability(q, [F(rng.randint(-3, 3)), F(rng.randint(-3, 3))])
+            d = qv.DimVector(q, [rng.randint(0, 4), rng.randint(1, 4)])
+            c = rng.randint(1, 5)
+            scaled = qv.DimVector(q, [c * x for x in d.values])
+            residual = qv.slope(theta, d) - qv.slope(theta, scaled)
+            yield f"theta={theta.values} d={d.values} c={c}", residual
+
+    return _verdict("slope_scaling", cases(), f"{samples} samples")
 
 
 # -- descendent -------------------------------------------------------------------
@@ -530,12 +537,13 @@ def check_gr24_integrals():
 
 
 def check_constraints_grid(max_N=7, max_n=6):
-    for N in range(0, max_N + 1):
-        for k in range(0, N + 1):
-            rep = gc.constraint_check(k, N, max_n)
-            if not rep["all_ok"]:
-                return _report("virasoro_constraints_grid", False, f"k={k} N={N}")
-    return _report("virasoro_constraints_grid", True, f"N <= {max_N}, n <= {max_n}")
+    cases = (
+        (f"k={k} N={N} {label}", residual)
+        for N in range(0, max_N + 1)
+        for k in range(0, N + 1)
+        for label, residual in gc.constraint_check(k, N, max_n)
+    )
+    return _verdict("virasoro_constraints_grid", cases, f"N <= {max_N}, n <= {max_n}")
 
 
 def check_wallcross_grid(max_N=8):
@@ -549,48 +557,46 @@ def check_wallcross_grid(max_N=8):
 
 
 def check_singular_vector_grid():
-    def cases():
-        for r in (1, 2, 3):
-            for s in (1, 2, 3):
-                if r * s > 6:
-                    continue
-                for b2 in (F(2), F(3), F(5, 2)):
-                    rep = gc.singular_check(gc.FockParams(b2, r, s), "beta_sq/2")
-                    for case in rep["cases"]:  # residual: None, or its text
-                        yield f"r={r} s={s} beta^2={b2} n={case['n']}", case["residual"]
-
-    return _verdict("jack_singular_vectors", cases(), "(r,s) grid, beta^2 in {2, 3, 5/2}")
+    cases = (
+        (f"r={r} s={s} beta^2={b2} {label}", residual)
+        for r, s in product((1, 2, 3), repeat=2)
+        if r * s <= 6
+        for b2 in (F(2), F(3), F(5, 2))
+        for label, residual in gc.singular_check(gc.FockParams(b2, r, s))
+    )
+    return _verdict("jack_singular_vectors", cases, "(r,s) grid, beta^2 in {2, 3, 5/2}")
 
 
 def check_geometricity_grid(max_k=3, max_N=6, max_n=3, deg_max=6):
-    for N in range(1, max_N + 1):
-        for k in range(0, min(max_k, N) + 1):
-            for n in range(1, max_n + 1):
-                rep = gc.geometricity_check(k, N, n, deg_max)
-                if not rep["all_ok"]:
-                    return _report("geometricity_grid", False, f"k={k} N={N} n={n}")
-    return _report("geometricity_grid", True, f"k <= {max_k}, N <= {max_N}, n <= {max_n}")
+    cases = (
+        (f"k={k} N={N} n={n} {label}", residual)
+        for N in range(1, max_N + 1)
+        for k in range(0, min(max_k, N) + 1)
+        for n in range(1, max_n + 1)
+        for label, residual in gc.geometricity_check(k, N, n, deg_max)
+    )
+    return _verdict("geometricity_grid", cases, f"k <= {max_k}, N <= {max_N}, n <= {max_n}")
 
 
 def check_euler_goldens():
-    b = qv.builtin("beilinson_p2")
-    if qv.euler_matrix(b) != [[1, -3, 6], [0, 1, -3], [0, 0, 1]]:
-        return _report("euler_goldens", False, "beilinson matrix")
-    a1 = qv.builtin("linear(1)")
-    for n1, k1, n2, k2 in [(3, 1, 2, 2), (4, 2, 1, 1), (2, 0, 5, 3)]:
-        f1 = qv.FramingVector(a1, [n1])
-        got = qv.framed_euler(
-            a1, f1, qv.DimVector(a1, [k1]), None, qv.DimVector(a1, [k2])
-        )
-        if got != k2 * (k1 - n1):
-            return _report("euler_goldens", False, "grassmannian pairing")
-        kq = qv.builtin(f"kronecker({n1})")
-        lifted = qv.euler_form(
-            kq, qv.DimVector(kq, [1, k1]), qv.DimVector(kq, [0, k2])
-        )
-        if lifted != got:
-            return _report("euler_goldens", False, "kronecker cross-check")
-    return _report("euler_goldens", True, "beilinson matrix and framed pairing")
+    def cases():
+        want = [[1, -3, 6], [0, 1, -3], [0, 0, 1]]
+        got = qv.euler_matrix(qv.builtin("beilinson_p2"))
+        for i, j in product(range(3), repeat=2):
+            yield f"beilinson matrix entry ({i},{j})", got[i][j] - want[i][j]
+        a1 = qv.builtin("linear(1)")
+        for n1, k1, n2, k2 in [(3, 1, 2, 2), (4, 2, 1, 1), (2, 0, 5, 3)]:
+            f1 = qv.FramingVector(a1, [n1])
+            pairing = qv.framed_euler(
+                a1, f1, qv.DimVector(a1, [k1]), None, qv.DimVector(a1, [k2])
+            )
+            label = f"n={n1} k1={k1} k2={k2}"
+            yield f"grassmannian pairing {label}", pairing - k2 * (k1 - n1)
+            kq = qv.builtin(f"kronecker({n1})")
+            lifted = qv.euler_form(kq, qv.DimVector(kq, [1, k1]), qv.DimVector(kq, [0, k2]))
+            yield f"kronecker cross-check {label}", lifted - pairing
+
+    return _verdict("euler_goldens", cases(), "beilinson matrix and framed pairing")
 
 
 FAST_CHECKS = [

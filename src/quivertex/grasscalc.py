@@ -188,32 +188,20 @@ def gr_virasoro_dual(n, N, k, f):
 
 
 def constraint_check(k, N, n_max):
-    """Evaluate the explicit differential Virasoro constraints on s_{(N-k)^k}.
+    """The explicit differential Virasoro constraints on s = s_{(N-k)^k}, as
+    (label, residual) pairs.
 
-    For 1 <= n <= n_max applies
-      sum_j (n+j) p_j d/dp_{n+j} + sum_{a+b=n} ab d/dp_a d/dp_b + (2k-N) n d/dp_n
-    and reports exact vanishing, plus the L_0 degree identity.
+    L_0 leaves the part of s off degree k(N-k); for 1 <= n <= n_max, L_n applies
+      sum_j (n+j) p_j d/dp_{n+j} + sum_{a+b=n} ab d/dp_a d/dp_b + (2k-N) n d/dp_n.
+    Every residual vanishes when the constraints hold.
     """
     if not 0 <= k <= N:
         raise ValueError("need 0 <= k <= N")
-    from .serialize import symfunc_to_text
-
     s = sf.schur(pt.rectangle(N - k, k))
-    d = k * (N - k)
-    l0_ok = all(pt.size(la) == d for la in s.terms)
-    cases = []
+    pairs = [("L_0", s - s.homogeneous_part(k * (N - k)))]
     for n in range(1, n_max + 1):
-        acc = _lowering_part(n, Fraction(2 * k - N), s)
-        cases.append(
-            {"n": n, "ok": not acc, "residual": None if not acc else symfunc_to_text(acc)}
-        )
-    return {
-        "k": k,
-        "N": N,
-        "l0_ok": l0_ok,
-        "cases": cases,
-        "all_ok": l0_ok and all(c["ok"] for c in cases),
-    }
+        pairs.append((f"L_{n}", _lowering_part(n, Fraction(2 * k - N), s)))
+    return pairs
 
 
 # -- Schubert reduction and integrals -----------------------------------------
@@ -300,33 +288,13 @@ def geometricity_check(k, N, n, deg_max):
 
     Generators are e_j for j > k and h_j for j > N-k, up to degree deg_max;
     an image lies in the ideal exactly when its Schubert reduction is empty.
+    Returns (generator, Schubert reduction of its image) pairs.
     """
     if n < 1:
         raise ValueError("needs n >= 1")
-    from .serialize import symfunc_to_text
-
-    cases = []
-    gens = [("e", j, sf.elementary(j)) for j in range(k + 1, deg_max + 1)]
-    gens += [("h", j, sf.complete(j)) for j in range(N - k + 1, deg_max + 1)]
-    for kind, j, g in gens:
-        image = r_n_symfunc(n, g)
-        residual = reduce_cohomology(k, N, image)
-        cases.append(
-            {
-                "generator": f"{kind}{j}",
-                "ok": not residual,
-                "residual": None
-                if not residual
-                else {str(list(la)): str(c) for la, c in residual.items()},
-            }
-        )
-    return {
-        "k": k,
-        "N": N,
-        "n": n,
-        "cases": cases,
-        "all_ok": all(c["ok"] for c in cases),
-    }
+    gens = [(f"e{j}", sf.elementary(j)) for j in range(k + 1, deg_max + 1)]
+    gens += [(f"h{j}", sf.complete(j)) for j in range(N - k + 1, deg_max + 1)]
+    return [(name, reduce_cohomology(k, N, r_n_symfunc(n, g))) for name, g in gens]
 
 
 # -- Virasoro Fock representations and Jack singular vectors -------------------
@@ -413,28 +381,7 @@ def singular_vector(params, variant="beta_sq/2"):
 
 
 def singular_check(params, variant="beta_sq/2"):
-    """Verify fock_virasoro L_n annihilates the Jack candidate for 1 <= n <= rs."""
-    from .serialize import symfunc_to_text
-
-    degree = params.r * params.s
+    """(L_n, fock_virasoro L_n of the Jack candidate) for 1 <= n <= rs; every
+    residual vanishes when the candidate is singular."""
     w = singular_vector(params, variant)
-    cases = []
-    for n in range(1, degree + 1):
-        residual = fock_virasoro(params, n, w)
-        cases.append(
-            {
-                "n": n,
-                "ok": not residual,
-                "residual": None if not residual else symfunc_to_text(residual),
-            }
-        )
-    return {
-        "beta_sq": str(params.beta_sq),
-        "r": params.r,
-        "s": params.s,
-        "variant": variant,
-        "jack_parameter": str(jack_parameter(params, variant)),
-        "degree": degree,
-        "cases": cases,
-        "all_ok": all(c["ok"] for c in cases),
-    }
+    return [(f"L_{n}", fock_virasoro(params, n, w)) for n in range(1, params.r * params.s + 1)]

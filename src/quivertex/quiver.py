@@ -60,9 +60,6 @@ class DgQuiver:
         except KeyError:
             raise QuiverError("unknown_vertex", f"unknown vertex {v!r}") from None
 
-    def is_plain(self):
-        return all(d == 0 for _, _, d in self.arrows)
-
     def is_quasi_smooth(self):
         return all(d in (0, -1) for _, _, d in self.arrows)
 

@@ -1,12 +1,13 @@
 """A failing check names its first non-zero residual, and the residual
 functions the acceptance criteria call see the same faults."""
 
+import re
 from fractions import Fraction
 
 from quivertex import checks as ck
 from quivertex import grasscalc as gc
+from quivertex import quiver as qv
 from quivertex import symfunc as sf
-from quivertex.serialize import symfunc_to_text
 from quivertex.symfunc import SymFunc
 
 
@@ -54,9 +55,9 @@ def test_grid_checks_name_their_residual(monkeypatch):
     assert ck.check_recursion_uniqueness(2)["detail"] == "k=0 N=0 la=(): residual 1"
     report = ck.check_singular_vector_grid()
     assert not report["ok"]
-    # the residual L_1 w = w, as singular_check renders it
+    # the residual L_1 w = w, named by its leading term
     w = gc.singular_vector(gc.FockParams(Fraction(2), 1, 1))
-    assert report["detail"] == f"r=1 s=1 beta^2=2 n=1: residual {symfunc_to_text(w)}"
+    assert report["detail"] == f"r=1 s=1 beta^2=2 L_1: residual {_leading(w)}"
 
 
 def test_calogero_sutherland_check_names_its_residual(monkeypatch):
@@ -78,3 +79,25 @@ def test_symfunc_checks_name_their_residual(monkeypatch):
     assert ck.check_gr24_integrals()["detail"] == "(1, 1, 1, 1): residual 2"
     report = ck.check_schur_monomial_triangularity(2)
     assert report["detail"] == "(1,) coefficient of m_(1,): residual 1"
+
+
+def test_euler_bilinearity_names_its_residual(monkeypatch):
+    euler_form = qv.euler_form
+    monkeypatch.setattr(qv, "euler_form", lambda q, d1, d2: euler_form(q, d1, d2) + 1)
+    # (E + 1)(u + v, w) - (E + 1)(u, w) - (E + 1)(v, w) = -1
+    report = ck.check_euler_bilinearity()
+    assert not report["ok"]
+    vector = r"\(-?\d+(, -?\d+)*\)"
+    label = rf"left argument u={vector} v={vector} w={vector}"
+    assert re.fullmatch(rf"{label}: residual -1", report["detail"]), report["detail"]
+
+
+def test_constraints_grid_names_its_residual(monkeypatch):
+    lowering = gc._lowering_part
+    monkeypatch.setattr(
+        gc, "_lowering_part", lambda n, lin, f, quad_coeff=1: lowering(n, lin, f, quad_coeff) + f
+    )
+    # on Gr(0,0), s = 1 and L_1 1 = 0, so the broken operator leaves the residual 1
+    report = ck.check_constraints_grid(2)
+    assert not report["ok"]
+    assert report["detail"] == "k=0 N=0 L_1: residual 1 * ()"

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quivertex import quiver as qv
 from quivertex import serialize as sz
@@ -228,3 +232,99 @@ def test_minus_led_arguments_keep_their_rejections(capsys):
             main(argv)
         assert e.value.code == 2, argv
         assert message in capsys.readouterr().err, argv
+
+
+def test_quiver_without_vertices_is_malformed_input(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [], "arrows": []}))
+    code, out, err = run(capsys, "virasoro-bracket", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error[no_vertices]:"), err
+
+
+def test_deeply_nested_quiver_json_is_malformed_input(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000)
+    for argv in (["euler", str(path), "1", "1"], ["virasoro-bracket", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "nested too deeply" in err, err
+
+
+# -- exit-code contract: random argv exits 0 (ok) or 2 (malformed input) ------------------
+
+# Quiver files by placeholder token; "@missing" names a file that is never written.
+QUIVER_FILES = {
+    "@beilinson_p2": json.dumps(sz.quiver_to_json(qv.builtin("beilinson_p2"))),
+    "@linear_2": json.dumps(sz.quiver_to_json(qv.builtin("linear(2)"))),
+    "@empty": json.dumps({"vertices": [], "arrows": []}),
+    "@nested": "[" * 200000,
+    "@bad_json": '{"vertices": ["a"',
+    "@not_a_quiver": "[1, 2]",
+    "@bad_arrow": '{"vertices": ["a"], "arrows": [1]}',
+    "@cyclic": json.dumps(
+        {"vertices": ["a"], "arrows": [{"src": "a", "tgt": "a", "deg": -1}]}
+    ),
+    "@not_quasi_smooth": json.dumps(
+        {"vertices": ["a", "b"], "arrows": [{"src": "a", "tgt": "b", "deg": -2}]}
+    ),
+}
+HOSTILE = ["1/0", "p0", "--p1", "2,,1", "", "-", "x", "-1/2", "@missing", "@bad_json"]
+QUIVERS = list(QUIVER_FILES) + ["@missing"]
+PARTITIONS = ["-", "1", "2,1", "2,2", "3,1,1", "1,2", "0,1"]
+SYMFUNCS = ["0", "1", "p1", "-p1", "p2^2", "1/2*p1*p2", "p1 - p3"]
+RATIONALS = ["0", "1", "2", "-1", "1/2", "-3/2", "5/2"]
+SMALL = [str(i) for i in range(-1, 7)]  # k and N: N <= 6
+DIMVECTORS = ["1,0,0", "0,1", "1,1,1", "-1,2,0", "1,0,0,0"]
+# each command: its slots, every slot a list of tokens, None for an omitted option;
+# singular keeps r*s <= 6, virasoro-bracket keeps n <= 2 and weight <= 4
+GRAMMAR = {
+    "schur": [PARTITIONS, [None, "--basis=m", "--basis=schur", "--basis=q"]],
+    "hall": [SYMFUNCS, SYMFUNCS],
+    "jack": [PARTITIONS, RATIONALS],
+    "euler": [QUIVERS, DIMVECTORS, DIMVECTORS, [None, "--sym"]],
+    "virasoro-bracket": [QUIVERS, ["--max-n=1", "--max-n=2", "--max-n=-2"], ["--max-deg=4"]],
+    "gr-class": [SMALL, SMALL, [None, "--via=wallcross", "--via=schur"]],
+    "gr-integral": [SMALL, SMALL, SYMFUNCS],
+    "gr-constraints": [SMALL, SMALL, [None, "--max-n=2", "--max-n=-1"]],
+    "gr-recursion": [SMALL, SMALL, ["--norm=1", "--norm=-7/3", None]],
+    "hecke": [["-2", "-1", "0", "3"], SYMFUNCS, [None, "--sym"]],
+    "cs": [SYMFUNCS],
+    "singular": [["0", "1", "2", "3"], ["1", "2"], RATIONALS],
+    "selftest": [["--suite=bogus", "--help"]],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = ["--json"] if draw(st.booleans()) else []
+    argv.append(command)
+    for slot in GRAMMAR[command]:
+        hostile = draw(st.integers(0, 5)) == 0  # about one slot in six
+        token = draw(st.sampled_from(slot + HOSTILE if hostile else slot))
+        if token is not None:
+            argv.append(token)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def quiver_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("quivers")
+    for token, text in QUIVER_FILES.items():
+        (folder / f"{token[1:]}.json").write_text(text)
+    return {token: str(folder / f"{token[1:]}.json") for token in QUIVERS}
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_argv())
+@example(argv=["virasoro-bracket", "@empty"])
+@example(argv=["euler", "@nested", "1", "1"])
+def test_exit_code_is_0_or_2(quiver_files, argv):
+    argv = [quiver_files.get(token, token) for token in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 2), argv

@@ -272,9 +272,8 @@ def test_virasoro_on_rectangles():
 
 
 def test_constraint_check():
-    assert gc.constraint_check(1, 2, 4)["all_ok"]
-    assert gc.constraint_check(2, 4, 4)["all_ok"]
-    assert gc.constraint_check(3, 7, 6)["all_ok"]
+    for k, N, n_max in [(1, 2, 4), (2, 4, 4), (3, 7, 6)]:
+        assert not any(residual for _, residual in gc.constraint_check(k, N, n_max))
 
 
 def test_framed_descendent_operator_matches_dual_virasoro():
@@ -402,10 +401,9 @@ def test_r_n_symfunc_newton_form():
 
 
 def test_geometricity():
-    assert gc.geometricity_check(2, 4, 1, 6)["all_ok"]
-    assert gc.geometricity_check(1, 3, 2, 6)["all_ok"]
-    rep = gc.geometricity_check(2, 4, 1, 6)
-    names = [c["generator"] for c in rep["cases"]]
+    assert not any(residual for _, residual in gc.geometricity_check(2, 4, 1, 6))
+    assert not any(residual for _, residual in gc.geometricity_check(1, 3, 2, 6))
+    names = [label for label, _ in gc.geometricity_check(2, 4, 1, 6)]
     assert "e2" not in names and "e3" in names  # only actual generators checked
 
 
@@ -455,15 +453,15 @@ def test_singular_check_grid():
             if r * s > 6:
                 continue
             for b2 in (F(2), F(3), F(5, 2)):
-                rep = gc.singular_check(FockParams(b2, r, s), "beta_sq/2")
-                assert rep["all_ok"], (r, s, b2)
+                pairs = gc.singular_check(FockParams(b2, r, s), "beta_sq/2")
+                assert not any(residual for _, residual in pairs), (r, s, b2)
 
 
 def test_singular_check_fixes_convention():
     # exactly one Jack-parameter variant survives at (r,s) = (2,1), beta^2 = 3
     params = FockParams(F(3), 2, 1)
-    assert gc.singular_check(params, "beta_sq/2")["all_ok"]
-    assert not gc.singular_check(params, "2/beta_sq")["all_ok"]
+    assert not any(residual for _, residual in gc.singular_check(params, "beta_sq/2"))
+    assert any(residual for _, residual in gc.singular_check(params, "2/beta_sq"))
     with pytest.raises(ValueError):
         gc.singular_check(params, "sqrt")
 

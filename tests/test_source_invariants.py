@@ -5,7 +5,9 @@ an element by adding to itself, which copies the partial sum on every term;
 and invariants are raised as exceptions, never asserted, since ``python -O``
 strips ``assert`` statements.  The integer kernels sum in int over one
 denominator and build one Fraction per output key, so no loop in them makes
-a Fraction per term.
+a Fraction per term.  A check's outcome has one form: ``checks._verdict``
+alone builds the report dict, and the Grassmannian checks return residuals,
+never text.
 """
 
 import ast
@@ -71,4 +73,38 @@ def test_integer_kernels_make_no_fraction_per_term():
                     if isinstance(call, ast.Call) and _called_name(call) in PER_TERM_FRACTION
                 }
     assert found == INTEGER_KERNELS
+    assert not hits, hits
+
+
+def _report_builders(node, module, function=None):
+    """module.function, innermost, of each dict display with an "ok" key."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Dict) and any(
+            isinstance(key, ast.Constant) and key.value == "ok" for key in child.keys
+        ):
+            yield f"{module}.{function}"
+        inner = child.name if isinstance(child, ast.FunctionDef) else function
+        yield from _report_builders(child, module, inner)
+
+
+def test_only_verdict_builds_a_report():
+    builders = {
+        scope
+        for path in SOURCES
+        for scope in _report_builders(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert builders == {"checks._verdict"}
+
+
+def test_grasscalc_imports_nothing_from_serialize():
+    path = SOURCES[0].parent / "grasscalc.py"
+    hits = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(
+            "serialize" in f"{getattr(node, 'module', None) or ''}.{alias.name}".split(".")
+            for alias in node.names
+        )
+    ]
     assert not hits, hits
