@@ -7,7 +7,7 @@ Jack singular vectors.  Everything is exact over Q.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from . import latticeva as lv
 from . import partitions as pt
@@ -151,12 +151,27 @@ def _lowering_part(n, linear_coeff, f, quad_coeff=1):
 
 def _raising_part(n, linear_coeff, f):
     """sum_j p_{n+j} p_{-j} + sum_{a+b=n} p_a p_b + linear_coeff p_n, n >= 1."""
-    out = dict(r_n_symfunc(n, f).terms)  # the first sum is R_n
-    for la, c in f.terms.items():
-        for a in range(1, n):
-            add_to(out, pt.merge(la, (a, n - a)), c)
-        add_to(out, pt.merge(la, (n,)), c * linear_coeff)
-    return SymFunc._wrap(out)
+    d, terms = integral(f.terms)
+    out = {}
+    for la, c in terms:
+        for mu, x in _raising_monomial(n, linear_coeff, la).items():
+            out[mu] = out.get(mu, 0) + c * x
+    return SymFunc._wrap(rational(out, d))
+
+
+def _raising_monomial(n, linear_coeff, la):
+    """{mu: coefficient of p_mu} of _raising_part on the single monomial p_la;
+    the coefficients are ints when linear_coeff is.  The three sums reach
+    lengths len(la), len(la) + 2 and len(la) + 1, so their keys never meet."""
+    out = {}
+    for j, m, rest in _lowered(la):  # the first sum is R_n
+        mu = pt.merge(rest, (j + n,))
+        out[mu] = out.get(mu, 0) + m
+    for a in range(1, n):
+        mu = pt.merge(la, (a, n - a))
+        out[mu] = out.get(mu, 0) + 1
+    out[pt.merge(la, (n,))] = linear_coeff
+    return out
 
 
 def _l0(k, N, f):
@@ -184,7 +199,7 @@ def gr_virasoro_dual(n, N, k, f):
         raise ValueError("gr_virasoro_dual is defined for n >= 0")
     if n == 0:
         return _l0(k, N, f)
-    return _raising_part(n, Fraction(2 * k - N), f)
+    return _raising_part(n, 2 * k - N, f)
 
 
 def constraint_check(k, N, n_max):
@@ -235,25 +250,29 @@ def integrals_by_recursion(k, N, normalization):
         pt.partitions_of(d),
         key=lambda la: (-pt.length(la), -pt.multiplicity(la, 1)),
     )
-    table = {}
+    # every value is an int over the common denominator den, widened when a pivot needs it
+    den = normalization.denominator
+    table = {pt.rectangle(1, d): normalization.numerator}
     for la in order:
-        if la == pt.rectangle(1, d):
-            table[la] = normalization
+        if la in table:
             continue
         m = pt.multiplicity(la, 1)
         ascending = sorted(la)
         t = ascending[m]  # smallest part > 1
         tilde = tuple(sorted([1] * (m + 1) + ascending[m + 1 :], reverse=True))
-        g = gr_virasoro_dual(t - 1, N, k, SymFunc.p_monomial(tilde))
-        lead = g.coefficient(la)
+        g = _raising_monomial(t - 1, 2 * k - N, tilde)  # gr_virasoro_dual(t - 1) on p_tilde
+        lead = g.get(la, 0)
         if lead != m + 1:
             raise ValueError(f"recursion pivot for {la} is {lead}, expected {m + 1}")
-        total = Fraction(0)
-        for mu, c in g.terms.items():
-            if mu != la:
-                total += c * table[mu]
-        table[la] = -total / lead
-    return table
+        total = sum(c * table[mu] for mu, c in g.items() if mu != la)
+        if total % lead:
+            widen = lead // gcd(total, lead)
+            den *= widen
+            table = {mu: widen * x for mu, x in table.items()}
+            total *= widen
+        table[la] = -total // lead
+    values, zero = rational(table, den), Fraction(0)
+    return {la: values.get(la, zero) for la in order}
 
 
 # -- Calogero-Sutherland and geometricity -------------------------------------

@@ -10,7 +10,7 @@ and e, h, m, s and Jack polynomials are conversions.
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from . import partitions as pt
@@ -107,7 +107,7 @@ def complete(j):
     return _frozen({la: 1 / pt.z_factor(la) for la in pt.partitions_of(j)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # keyed by the caller's partition, so bounded
 def schur(la):
     """s_la by the Jacobi-Trudi determinant det(h_{la_i - i + j})."""
     la = pt.check_partition(la)
@@ -164,21 +164,30 @@ def _monomial_basis(d):
 
     m and h are Hall-dual; <p_la, h_mu> vanishes unless mu >= la in dominance
     order, which the descending lexicographic order of partitions_of(d) refines,
-    so each m_mu with mu != la is known when m_la is solved for.
+    so each m_mu with mu != la is known when m_la is solved for.  The pairings
+    are ints, and each m_mu is kept as (denominator, int terms) reduced by gcd.
     """
     parts = pt.partitions_of(d)  # descending lexicographic
     pairing = {la: {} for la in parts}  # pairing[la][mu] = <p_la, h_mu>
     for mu in parts:
-        for la, c in _complete_product(mu).terms.items():
-            pairing[la][mu] = c * pt.z_factor(la)
+        dh, terms = integral(_complete_product(mu).terms)
+        for la, n in terms:
+            pairing[la][mu] = n * pt.z_factor(la).numerator // dh
+    solved = {}  # mu -> (denominator, int terms) of m_mu
     out = {}
     for la in parts:
         row = pairing[la]
-        terms = {la: Fraction(1)}
-        for mu, c in row.items():
-            if mu != la:
-                add_all(terms, out[mu].terms, -c)
-        out[la] = _frozen({nu: c / row[la] for nu, c in terms.items()})
+        below = [(c, solved[mu]) for mu, c in row.items() if mu != la]
+        d_sum = lcm(*(den for _, (den, _) in below))
+        acc = {la: d_sum}  # d_sum * (p_la - sum_mu <p_la, h_mu> m_mu)
+        for c, (d_mu, m_terms) in below:
+            s = c * (d_sum // d_mu)
+            for nu, n in m_terms:
+                acc[nu] = acc.get(nu, 0) - s * n
+        den = d_sum * row[la]
+        g = gcd(den, *acc.values())
+        solved[la] = den // g, [(nu, n // g) for nu, n in acc.items() if n]
+        out[la] = _frozen(rational(acc, den))
     return out
 
 
@@ -294,20 +303,35 @@ def jack(la, alpha):
 
 @lru_cache(maxsize=256)  # keyed by the caller's alpha, so bounded
 def _jack_basis(d, alpha):
+    """All P_la for |la| = d by fraction-free Gram-Schmidt on int p-coordinates.
+
+    With alpha = a/b, the pairing times b^d weighs p_rho by the int
+    z_rho a^l b^(d - l), l = len(rho).  A projection f <- <v, v> f - <f, v> v
+    keeps f an int vector; then f and lead, the coefficient of m_la in f, are
+    divided by their gcd.  P_la = f / lead.
+    """
+    a, b = alpha.numerator, alpha.denominator
     parts = sorted(pt.partitions_of(d))  # ascending lexicographic
-    done = []  # (partition, P, <P, P>_alpha)
+    weight = [pt.z_factor(rho).numerator * a ** len(rho) * b ** (d - len(rho)) for rho in parts]
+    done = []  # (v, weighted v, <v, v>) for each earlier P, v an int multiple of it
     out = {}
     for la in parts:
-        f = SymFunc._wrap(dict(monomial(la).terms))
-        for mu, g, norm in done:
-            c = hall_deformed(f, g, alpha)
+        lead, terms = integral(monomial(la).terms)
+        terms = dict(terms)
+        f = [terms.get(rho, 0) for rho in parts]  # lead * m_la
+        for v, wv, norm in done:
+            c = sum(map(operator.mul, f, wv))
             if c:
-                add_all(f.terms, g.terms, -c / norm)
-        norm = hall_deformed(f, f, alpha)
+                f = [norm * x - c * y for x, y in zip(f, v)]
+                g = gcd(lead * norm, *f)
+                lead = lead * norm // g
+                f = [x // g for x in f]
+        wf = list(map(operator.mul, f, weight))
+        norm = sum(map(operator.mul, f, wf))
         if norm == 0:
             raise ValueError(
                 f"Gram matrix singular at alpha={alpha} (norm of P_{la} vanishes)"
             )
-        done.append((la, f, norm))
-        out[la] = _frozen(f.terms)
+        done.append((f, wf, norm))
+        out[la] = _frozen(rational(dict(zip(parts, f)), lead))
     return out

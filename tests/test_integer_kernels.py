@@ -1,12 +1,13 @@
 """The integer-accumulating kernels against their Fraction-accumulating forms.
 
-The library's products, Hall pairings, Jacobi-Trudi minors, Hecke modes and
-lattice field modes put their input over one denominator (``lincomb.integral``),
-sum in int and build one Fraction per output key (``lincomb.rational``).  The
-reference implementations below are the earlier forms of the same kernels,
-which add one Fraction per term with ``add_to``; they call no integral kernel,
-so the two agree only if every rescaling is right.  The inputs carry large
-coprime denominators, so a missed lift changes the result.
+The library's products, Hall pairings, Jacobi-Trudi minors, Hecke modes,
+lattice field modes, the monomial and Jack bases and the Virasoro recursion
+put their input over one denominator (``lincomb.integral``), sum in int and
+build one Fraction per output key (``lincomb.rational``).  The reference
+implementations below are the earlier forms of the same kernels, which add
+one Fraction per term with ``add_to``/``add_all``; they call no integral
+kernel, so the two agree only if every rescaling is right.  The inputs carry
+large coprime denominators, so a missed lift changes the result.
 """
 
 import random
@@ -19,11 +20,14 @@ from quivertex import grasscalc as gc
 from quivertex import latticeva as lv
 from quivertex import partitions as pt
 from quivertex import symfunc as sf
-from quivertex.lincomb import add_to, expand_translation, integral, rational
+from quivertex.lincomb import add_all, add_to, expand_translation, integral, rational
 from quivertex.symfunc import SymFunc
 
 DENOMINATORS = (1, 2, 6, 7919, 104729, 2**61 - 1)
 ALPHAS = (1, Fraction(-1), Fraction(-7, 3), Fraction(104729, 7919), Fraction(1, 2**61 - 1))
+JACK_ALPHAS = tuple(map(Fraction, (2, "1/2", 3, "2/3", 1, "104729/7919")))
+SINGULAR_ALPHAS = tuple(map(Fraction, (-1, -2, "-1/2", "-1/3", "-2/3", "-3/2", "-3/7")))
+NORMS = (Fraction(1), Fraction(-7, 3), Fraction(0), Fraction(104729, 7919))
 
 
 def ref_product(x, y, key):
@@ -105,6 +109,88 @@ def ref_field_mode(lattice, alpha, n, x):
             for created, d in ref_creation_series(alpha, p):
                 add_to(out, (gamma, tuple(sorted(fock + created))), c * d)
     return x._like(out)
+
+
+@lru_cache(maxsize=None)
+def ref_monomial_basis(d):
+    parts = pt.partitions_of(d)
+    pairing = {la: {} for la in parts}
+    for mu in parts:
+        h = SymFunc.one()
+        for part in mu:
+            h = ref_product(h, sf.complete(part), pt.merge)
+        for la, c in h.terms.items():
+            pairing[la][mu] = c * pt.z_factor(la)
+    out = {}
+    for la in parts:
+        row = pairing[la]
+        terms = {la: Fraction(1)}
+        for mu, c in row.items():
+            if mu != la:
+                add_all(terms, out[mu].terms, -c)
+        out[la] = SymFunc._wrap({nu: c / row[la] for nu, c in terms.items()})
+    return out
+
+
+def ref_jack_basis(d, alpha):
+    parts = sorted(pt.partitions_of(d))
+    done = []
+    out = {}
+    for la in parts:
+        f = SymFunc._wrap(dict(ref_monomial_basis(d)[la].terms))
+        for mu, g, norm in done:
+            c = ref_hall_deformed(f, g, alpha)
+            if c:
+                add_all(f.terms, g.terms, -c / norm)
+        norm = ref_hall_deformed(f, f, alpha)
+        if norm == 0:
+            raise ValueError(
+                f"Gram matrix singular at alpha={alpha} (norm of P_{la} vanishes)"
+            )
+        done.append((la, f, norm))
+        out[la] = f
+    return out
+
+
+def ref_dual_virasoro(n, linear_coeff, f):
+    """sum_j p_{n+j} p_{-j} + sum_{a+b=n} p_a p_b + linear_coeff p_n, by annihilating
+    and then multiplying."""
+    out = {}
+    for j in range(1, f.degree() + 1):
+        add_all(out, ref_product(SymFunc.p(n + j), sf.annihilate(j, f), pt.merge).terms)
+    for a in range(1, n):
+        add_all(out, ref_product(SymFunc.p_monomial(pt.merge((a,), (n - a,))), f, pt.merge).terms)
+    add_all(out, ref_product(SymFunc.p(n), f, pt.merge).terms, linear_coeff)
+    return SymFunc._wrap(out)
+
+
+def ref_integrals_by_recursion(k, N, normalization):
+    d = k * (N - k)
+    if d == 0:
+        return {(): normalization}
+    order = sorted(
+        pt.partitions_of(d),
+        key=lambda la: (-pt.length(la), -pt.multiplicity(la, 1)),
+    )
+    table = {}
+    for la in order:
+        if la == pt.rectangle(1, d):
+            table[la] = normalization
+            continue
+        m = pt.multiplicity(la, 1)
+        ascending = sorted(la)
+        t = ascending[m]
+        tilde = tuple(sorted([1] * (m + 1) + ascending[m + 1 :], reverse=True))
+        g = ref_dual_virasoro(t - 1, Fraction(2 * k - N), SymFunc.p_monomial(tilde))
+        lead = g.coefficient(la)
+        if lead != m + 1:
+            raise ValueError(f"recursion pivot for {la} is {lead}, expected {m + 1}")
+        total = Fraction(0)
+        for mu, c in g.terms.items():
+            if mu != la:
+                total += c * table[mu]
+        table[la] = -total / lead
+    return table
 
 
 def _coefficient(rng):
@@ -254,3 +340,49 @@ def test_field_mode_that_cancels_stores_no_key():
     got = lv.field_mode(lat, (1,), -2, x)
     assert got.terms == {((1,), ((0, 2),)): Fraction(-1, 7919)}
     assert got == ref_field_mode(lat, (1,), -2, x)
+
+
+def _outcome(basis, d, alpha):
+    """The basis as {la: terms}, or the text of the ValueError it raises."""
+    try:
+        return {la: dict(P.terms) for la, P in basis(d, alpha).items()}
+    except ValueError as e:
+        return str(e)
+
+
+def test_monomial_basis_matches_fraction_accumulation():
+    for d in range(11):
+        got = sf._monomial_basis(d)
+        assert list(got) == list(ref_monomial_basis(d)), d
+        for la, m in got.items():
+            assert m == ref_monomial_basis(d)[la], la
+            _assert_clean(m)
+
+
+def test_jack_basis_matches_fraction_accumulation():
+    for alpha in JACK_ALPHAS:
+        for d in range(1, 9):
+            assert _outcome(sf._jack_basis, d, alpha) == _outcome(ref_jack_basis, d, alpha)
+            for P in sf._jack_basis(d, alpha).values():
+                _assert_clean(P)
+
+
+def test_jack_basis_raises_where_fraction_accumulation_does():
+    raised = 0
+    for alpha in SINGULAR_ALPHAS:
+        for d in range(1, 7):
+            got = _outcome(sf._jack_basis, d, alpha)
+            assert got == _outcome(ref_jack_basis, d, alpha), (d, alpha)
+            raised += isinstance(got, str)
+    assert 10 <= raised < len(SINGULAR_ALPHAS) * 6
+
+
+def test_recursion_matches_fraction_accumulation():
+    for N in range(9):
+        for k in range(N + 1):
+            if k * (N - k) <= 16:
+                for norm in NORMS:
+                    got = gc.integrals_by_recursion(k, N, norm)
+                    want = ref_integrals_by_recursion(k, N, norm)
+                    assert list(got.items()) == list(want.items()), (k, N, norm)
+                    assert all(type(c) is Fraction for c in got.values())

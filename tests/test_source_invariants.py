@@ -25,6 +25,9 @@ INTEGER_KERNELS = {
     "_translated_mode",
     "field_mode",
     "_creation_series",
+    "_monomial_basis",
+    "_jack_basis",
+    "integrals_by_recursion",
 }
 PER_TERM_FRACTION = {"Fraction", "add_to", "add_all"}
 LOOPS = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

@@ -258,3 +258,9 @@ def test_cached_values_are_read_only():
     # the two writes of the original report no longer corrupt later values
     assert sf.schur((2, 1)) == p(1, 1, 1).scale(F(1, 3)) - p(3).scale(F(1, 3))
     assert sf.schur((2,)) == p(1, 1).scale(F(1, 2)) + p(2).scale(F(1, 2))
+
+
+def test_caches_keyed_by_partitions_are_bounded():
+    # schur and jack take any caller's partition or alpha, so their caches stop growing
+    for cached in (sf.schur, sf._jack_basis):
+        assert cached.cache_info().maxsize is not None, cached
