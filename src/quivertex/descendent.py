@@ -6,11 +6,12 @@ is realized by substitution at evaluation time, never as a separate type.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, perm
 
 from . import quiver as qv
-from .lincomb import LinComb, add_all, add_to, coerce
+from .lincomb import LinComb, add_to, coerce, integral, rational
 from .symfunc import SymFunc
 
 
@@ -83,11 +84,53 @@ class DescendentPoly(LinComb):
         return f"DescendentPoly({descendent_to_text(self)})"
 
 
-def _require_quasi_smooth(quiver):
+@lru_cache(maxsize=256)
+def _t_terms(quiver, n, framing=None):
+    """T_n, or T_n^{f->*} under a framing, as (monomial, int) pairs; () for n < 0.
+    Plain T_n checks the quiver at every n, so l_op raises at n = -1 too."""
+    if framing is not None:
+        if n < 0:
+            return ()
+        out = dict(_t_terms(quiver, n))
+        for v in quiver.vertices:
+            out[((n, v),)] = out.get(((n, v),), 0) - factorial(n) * framing[v]
+        return tuple((mono, c) for mono, c in out.items() if c)
     if not quiver.is_quasi_smooth():
         raise qv.QuiverError(
             "not_quasi_smooth", "descendent operators need arrow degrees in {0,-1}"
         )
+    if n < 0:
+        return ()
+    chi = qv.euler_matrix(quiver)
+    out = {}
+    for a in range(n + 1):
+        fac = factorial(a) * factorial(n - a)
+        for (i, v), (j, w) in product(enumerate(quiver.vertices), repeat=2):
+            key = tuple(sorted(((a, v), (n - a, w))))
+            out[key] = out.get(key, 0) + fac * chi[i][j]
+    return tuple((mono, c) for mono, c in out.items() if c)
+
+
+def _virasoro(out, n, terms, t):
+    """out += R_n f + T f in int, for int terms [(monomial, c)] of f and t of T."""
+    for mono, c in terms:
+        for i, (k, v) in enumerate(mono):
+            if k + n >= 0 and (rise := perm(k + n, n + 1)):  # the rising factorial
+                key = tuple(sorted(mono[:i] + mono[i + 1 :] + ((k + n, v),)))
+                out[key] = out.get(key, 0) + c * rise
+        for tm, x in t:
+            key = tuple(sorted(mono + tm))
+            out[key] = out.get(key, 0) + c * x
+
+
+def _operator(n, f, quiver=None, framing=None):
+    """R_n f, plus T_n f (T_n^{f->*} f under a framing) when a quiver is given."""
+    if n < -1:
+        raise ValueError("R_n is defined for n >= -1")
+    d, terms = integral(f.terms)
+    out = {}
+    _virasoro(out, n, terms, () if quiver is None else _t_terms(quiver, n, framing))
+    return DescendentPoly._wrap(rational(out, d))
 
 
 def r_op(quiver, n, f):
@@ -95,54 +138,27 @@ def r_op(quiver, n, f):
 
     The coefficient is the empty product 1 at n = -1, and ch_{-1} = 0.
     """
-    if n < -1:
-        raise ValueError("R_n is defined for n >= -1")
-    out = {}
-    for mono, c in f.terms.items():
-        for i, (k, v) in enumerate(mono):
-            if k + n < 0:
-                continue
-            coeff = 1
-            for step in range(n + 1):
-                coeff *= k + step
-            if coeff:
-                add_to(out, tuple(sorted(mono[:i] + mono[i + 1 :] + ((k + n, v),))), c * coeff)
-    return DescendentPoly._wrap(out)
+    return _operator(n, f)
 
 
 def t_element(quiver, n):
     """T_n = sum_{a+b=n} a! b! sum_{v,w} chi(v,w) ch_a(v) ch_b(w); zero for n = -1."""
-    _require_quasi_smooth(quiver)
-    if n < 0:
-        return DescendentPoly.zero()
-    chi = qv.euler_matrix(quiver)
-    out = {}
-    for a in range(n + 1):
-        fac = factorial(a) * factorial(n - a)
-        for (i, v), (j, w) in product(enumerate(quiver.vertices), repeat=2):
-            if chi[i][j]:
-                add_to(out, tuple(sorted(((a, v), (n - a, w)))), Fraction(fac * chi[i][j]))
-    return DescendentPoly._wrap(out)
+    return DescendentPoly._wrap({mono: Fraction(c) for mono, c in _t_terms(quiver, n)})
 
 
 def framed_t_element(quiver, framing, n):
     """T_n^{f->*} = T_n - n! sum_v f_v ch_n(v)."""
-    if n < 0:
-        return DescendentPoly.zero()
-    out = dict(t_element(quiver, n).terms)
-    for v in quiver.vertices:
-        add_to(out, ((n, v),), Fraction(-factorial(n) * framing[v]))
-    return DescendentPoly._wrap(out)
+    return DescendentPoly._wrap({mono: Fraction(c) for mono, c in _t_terms(quiver, n, framing)})
 
 
 def l_op(quiver, n, f):
     """Virasoro operator L_n = R_n + multiplication by T_n."""
-    return r_op(quiver, n, f) + t_element(quiver, n) * f
+    return _operator(n, f, quiver)
 
 
 def l_op_framed(quiver, framing, n, f):
     """Framed Virasoro operator L_n^{f->*} = R_n + multiplication by T_n^{f->*}."""
-    return r_op(quiver, n, f) + framed_t_element(quiver, framing, n) * f
+    return _operator(n, f, quiver, framing)
 
 
 def l_wt0(quiver, f):
@@ -151,15 +167,18 @@ def l_wt0(quiver, f):
     The sum is finite: (R_{-1})^{n+1} kills f once n+1 exceeds its total
     ch-index.  The image lies in ker(R_{-1}).
     """
+    top = max(f.ch_weight(), 0)  # power vanishes once n + 1 > top, so top!/(n+1)! is an int
+    d, power = integral(f.terms)  # (R_{-1})^{n+1} f over d, starting at n = -1
     out = {}
-    power = f  # (R_{-1})^{n+1} applied to f, starting at n = -1
     n = -1
     while power:
-        sign = -1 if n % 2 else 1
-        add_all(out, l_op(quiver, n, power).terms, Fraction(sign, factorial(n + 1)))
-        power = r_op(quiver, -1, power)
+        weight = (-1 if n % 2 else 1) * (factorial(top) // factorial(n + 1))
+        _virasoro(out, n, [(mono, weight * c) for mono, c in power], _t_terms(quiver, n))
+        shifted = {}
+        _virasoro(shifted, -1, power, ())
+        power = [(mono, c) for mono, c in shifted.items() if c]
         n += 1
-    return DescendentPoly._wrap(out)
+    return DescendentPoly._wrap(rational(out, d * factorial(top)))
 
 
 def to_symfunc(f, ch0_value):

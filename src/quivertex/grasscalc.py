@@ -7,6 +7,7 @@ Jack singular vectors.  Everything is exact over Q.
 """
 
 from fractions import Fraction
+from itertools import groupby
 from math import factorial, gcd, lcm
 
 from . import latticeva as lv
@@ -130,7 +131,12 @@ def _va_to_gr(x, N, k):
 
 def _lowered(la):
     """(q, m, rest) with p_{-q} p_la = m p_rest, for each distinct part q of la."""
-    return [(q, pt.multiplicity(la, q) * q, pt.remove_one(la, q)) for q in set(la)]
+    out, i = [], 0
+    for q, group in groupby(la):  # i is the first index of part q
+        r = len(tuple(group))
+        out.append((q, r * q, la[:i] + la[i + 1 :]))
+        i += r
+    return out
 
 
 def _lowering_part(n, linear_coeff, f, quad_coeff=1):

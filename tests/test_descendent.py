@@ -152,3 +152,42 @@ def test_framed_t_to_symfunc():
             expected = expected + SymFunc.p(n).scale(2 * k - 4)
             assert got == expected, (n, k)
 
+
+def test_modes_below_minus_one_raise_value_error():
+    framing = qv.FramingVector(BEILINSON, [1, 0, 0])
+    f = ch(2, "1")
+    for call in (
+        lambda: dc.r_op(BEILINSON, -2, f),
+        lambda: dc.l_op(BEILINSON, -2, f),
+        lambda: dc.l_op_framed(BEILINSON, framing, -2, f),
+    ):
+        with pytest.raises(ValueError, match="n >= -1"):
+            call()
+
+
+def test_l_op_needs_a_quasi_smooth_quiver():
+    # a degree -2 arrow leaves the quasi-smooth range; l_op checks before touching f
+    q = qv.DgQuiver(["1", "2"], [("1", "2", -2)])
+    for n in range(-1, 4):
+        for f in (DescendentPoly.zero(), DescendentPoly.ch(1, "2")):
+            with pytest.raises(qv.QuiverError) as e:
+                dc.l_op(q, n, f)
+            assert e.value.code == "not_quasi_smooth"
+    # the mode check comes first
+    with pytest.raises(ValueError, match="n >= -1") as e:
+        dc.l_op(q, -2, ch(1))
+    assert not isinstance(e.value, qv.QuiverError)
+
+
+def test_t_cache_is_bounded_and_not_shared():
+    assert dc._t_terms.cache_info().maxsize is not None
+    framing = qv.FramingVector(BEILINSON, [2, 0, 1])
+    f = ch(1, "1") * ch(2, "3")
+    before = dc.l_op(BEILINSON, 2, f)
+    framed_before = dc.l_op_framed(BEILINSON, framing, 2, f)
+    t = dc.t_element(BEILINSON, 2)
+    t.terms.clear()
+    dc.framed_t_element(BEILINSON, framing, 2).terms[((2, "1"),)] = F(5)
+    assert dc.l_op(BEILINSON, 2, f) == before
+    assert dc.l_op_framed(BEILINSON, framing, 2, f) == framed_before
+    assert dc.t_element(BEILINSON, 2) and dc.t_element(BEILINSON, 2) != t

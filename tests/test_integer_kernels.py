@@ -1,13 +1,14 @@
 """The integer-accumulating kernels against their Fraction-accumulating forms.
 
 The library's products, Hall pairings, Jacobi-Trudi minors, Hecke modes,
-lattice field modes, the monomial and Jack bases and the Virasoro recursion
-put their input over one denominator (``lincomb.integral``), sum in int and
-build one Fraction per output key (``lincomb.rational``).  The reference
-implementations below are the earlier forms of the same kernels, which add
-one Fraction per term with ``add_to``/``add_all``; they call no integral
-kernel, so the two agree only if every rescaling is right.  The inputs carry
-large coprime denominators, so a missed lift changes the result.
+lattice field modes, the monomial and Jack bases, the Virasoro recursion and
+the descendent Virasoro operators put their input over one denominator
+(``lincomb.integral``), sum in int and build one Fraction per output key
+(``lincomb.rational``).  The reference implementations below are the earlier
+forms of the same kernels, which add one Fraction per term with
+``add_to``/``add_all``; they call no integral kernel, so the two agree only
+if every rescaling is right.  The inputs carry large coprime denominators,
+so a missed lift changes the result.
 """
 
 import random
@@ -19,6 +20,7 @@ from quivertex import descendent as dc
 from quivertex import grasscalc as gc
 from quivertex import latticeva as lv
 from quivertex import partitions as pt
+from quivertex import quiver as qv
 from quivertex import symfunc as sf
 from quivertex.lincomb import add_all, add_to, expand_translation, integral, rational
 from quivertex.symfunc import SymFunc
@@ -28,6 +30,7 @@ ALPHAS = (1, Fraction(-1), Fraction(-7, 3), Fraction(104729, 7919), Fraction(1, 
 JACK_ALPHAS = tuple(map(Fraction, (2, "1/2", 3, "2/3", 1, "104729/7919")))
 SINGULAR_ALPHAS = tuple(map(Fraction, (-1, -2, "-1/2", "-1/3", "-2/3", "-3/2", "-3/7")))
 NORMS = (Fraction(1), Fraction(-7, 3), Fraction(0), Fraction(104729, 7919))
+DESCENDENT_QUIVERS = ("beilinson_p2", "p1xp1", "kronecker(3)", "linear(2)", "linear(1)")
 
 
 def ref_product(x, y, key):
@@ -193,6 +196,71 @@ def ref_integrals_by_recursion(k, N, normalization):
     return table
 
 
+def ref_r_op(n, f):
+    out = {}
+    for mono, c in f.terms.items():
+        for i, (k, v) in enumerate(mono):
+            if k + n < 0:
+                continue
+            coeff = 1
+            for step in range(n + 1):
+                coeff *= k + step
+            if coeff:
+                add_to(out, tuple(sorted(mono[:i] + mono[i + 1 :] + ((k + n, v),))), c * coeff)
+    return dc.DescendentPoly._wrap(out)
+
+
+def ref_t_element(quiver, n):
+    if n < 0:
+        return dc.DescendentPoly.zero()
+    chi = qv.euler_matrix(quiver)
+    out = {}
+    for a in range(n + 1):
+        fac = factorial(a) * factorial(n - a)
+        for i, v in enumerate(quiver.vertices):
+            for j, w in enumerate(quiver.vertices):
+                if chi[i][j]:
+                    add_to(out, tuple(sorted(((a, v), (n - a, w)))), Fraction(fac * chi[i][j]))
+    return dc.DescendentPoly._wrap(out)
+
+
+def ref_framed_t_element(quiver, framing, n):
+    if n < 0:
+        return dc.DescendentPoly.zero()
+    out = dict(ref_t_element(quiver, n).terms)
+    for v in quiver.vertices:
+        add_to(out, ((n, v),), Fraction(-factorial(n) * framing[v]))
+    return dc.DescendentPoly._wrap(out)
+
+
+def _ref_descendent_product(x, y):
+    return ref_product(x, y, lambda m1, m2: tuple(sorted(m1 + m2)))
+
+
+def ref_l_op(quiver, n, f):
+    out = dict(ref_r_op(n, f).terms)
+    add_all(out, _ref_descendent_product(ref_t_element(quiver, n), f).terms)
+    return dc.DescendentPoly._wrap(out)
+
+
+def ref_l_op_framed(quiver, framing, n, f):
+    out = dict(ref_r_op(n, f).terms)
+    add_all(out, _ref_descendent_product(ref_framed_t_element(quiver, framing, n), f).terms)
+    return dc.DescendentPoly._wrap(out)
+
+
+def ref_l_wt0(quiver, f):
+    out = {}
+    power = f
+    n = -1
+    while power:
+        sign = -1 if n % 2 else 1
+        add_all(out, ref_l_op(quiver, n, power).terms, Fraction(sign, factorial(n + 1)))
+        power = ref_r_op(-1, power)
+        n += 1
+    return dc.DescendentPoly._wrap(out)
+
+
 def _coefficient(rng):
     return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice(DENOMINATORS))
 
@@ -223,6 +291,16 @@ def _vaelem(lat, rng, max_fock=4):
             budget -= k
         terms[(alpha, tuple(sorted(fock)))] = _coefficient(rng)
     return lv.VAElem(lat, terms)
+
+
+def _descendent(rng, quiver, max_k=5):
+    """Up to 4 terms of up to 3 factors ch_k(v), k <= max_k; zero one time in eight."""
+    terms = {}
+    for _ in range(0 if rng.random() < 0.125 else rng.randint(1, 4)):
+        factors = rng.randint(0, 3)
+        mono = tuple((rng.randint(0, max_k), rng.choice(quiver.vertices)) for _ in range(factors))
+        terms[mono] = _coefficient(rng)
+    return dc.DescendentPoly(terms)
 
 
 def _assert_clean(x):
@@ -386,3 +464,52 @@ def test_recursion_matches_fraction_accumulation():
                     want = ref_integrals_by_recursion(k, N, norm)
                     assert list(got.items()) == list(want.items()), (k, N, norm)
                     assert all(type(c) is Fraction for c in got.values())
+
+
+def test_descendent_operators_match_fraction_accumulation():
+    rng = random.Random(331)
+    nonzero = 0
+    for name in DESCENDENT_QUIVERS:
+        q = qv.builtin(name)
+        for _ in range(8):
+            f = _descendent(rng, q)
+            entries = [rng.randint(1, 3)] + [rng.randint(0, 3) for _ in q.vertices[1:]]
+            framing = qv.FramingVector(q, entries)
+            for n in range(-1, 6):
+                for got, want in (
+                    (dc.r_op(q, n, f), ref_r_op(n, f)),
+                    (dc.l_op(q, n, f), ref_l_op(q, n, f)),
+                    (dc.l_op_framed(q, framing, n, f), ref_l_op_framed(q, framing, n, f)),
+                    (dc.t_element(q, n), ref_t_element(q, n)),
+                    (dc.framed_t_element(q, framing, n), ref_framed_t_element(q, framing, n)),
+                ):
+                    assert got == want, (name, n, f)
+                    _assert_clean(got)
+                    nonzero += bool(got)
+            got = dc.l_wt0(q, f)
+            assert got == ref_l_wt0(q, f), (name, f)
+            _assert_clean(got)
+    assert nonzero >= 1000, nonzero
+
+
+def test_descendent_operators_on_coprime_denominators_and_zero():
+    q = qv.builtin("beilinson_p2")
+    framing = qv.FramingVector(q, [2, 0, 1])
+    f = dc.DescendentPoly(
+        {
+            ((3, "1"), (1, "2")): Fraction(1, 7919),
+            ((2, "3"),): Fraction(-5, 2**61 - 1),
+            ((0, "2"), (4, "1")): Fraction(3, 7919 * (2**61 - 1)),
+        }
+    )
+    for n in range(-1, 6):
+        for got, want in (
+            (dc.l_op(q, n, f), ref_l_op(q, n, f)),
+            (dc.l_op_framed(q, framing, n, f), ref_l_op_framed(q, framing, n, f)),
+        ):
+            assert got == want, n
+            _assert_clean(got)
+        for op in (dc.r_op, dc.l_op):
+            assert not op(q, n, dc.DescendentPoly.zero()).terms
+    assert dc.l_wt0(q, f) == ref_l_wt0(q, f)
+    assert not dc.l_wt0(q, dc.DescendentPoly.zero()).terms

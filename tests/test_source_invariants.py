@@ -28,9 +28,11 @@ INTEGER_KERNELS = {
     "_monomial_basis",
     "_jack_basis",
     "integrals_by_recursion",
+    "_virasoro",
+    "l_wt0",
 }
 PER_TERM_FRACTION = {"Fraction", "add_to", "add_all"}
-LOOPS = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def test_sources_found():
