@@ -431,7 +431,7 @@ def dual_virasoro_hecke_commutator(n, m, f):
 def lowering_hecke_sym_commutator(n, m, f):
     """Prop 7.10, [L_n, H^sym_m] = (m+1) H^sym_{m-n} - 2 p_{-n} H^sym_m for the
     lowering operator L_n with no linear term, n >= 1."""
-    low = lambda g: gc._lowering_part(n, F(0), g)
+    low = lambda g: gc._lowering_part(n, 0, g)
     lhs = low(gc.hecke_sym(m, f)) - gc.hecke_sym(m, low(f))
     rhs = gc.hecke_sym(m - n, f).scale(m + 1) - sf.annihilate(n, gc.hecke_sym(m, f)).scale(2)
     return lhs - rhs
@@ -481,7 +481,7 @@ def check_rectangle_constraints(max_side=4, max_n=3):
         for m, k in product(range(1, max_side + 1), repeat=2):
             s = sf.schur(pt.rectangle(m, k))
             for n in range(1, max_n + 1):
-                lhs = gc._lowering_part(n, F(0), s)
+                lhs = gc._lowering_part(n, 0, s)
                 yield f"m={m} k={k} n={n}", lhs - sf.annihilate(n, s).scale(m - k)
 
     return _verdict("rectangle_lowering_identity", cases(), f"m,k <= {max_side}, n <= {max_n}")

@@ -71,7 +71,7 @@ def _translated_mode(n, weight, f):
                 piece[kept] = piece.get(kept, 0) + c * t
     # a piece that cancelled to zero needs no h_{n+m}, which is costly to build and cache
     pieces = {m: piece for m, piece in pieces.items() if any(piece.values())}
-    h = {m: integral(sf.complete(n + m).terms) for m in pieces}
+    h = {m: sf._complete_int(n + m) for m in pieces}
     d_h = lcm(*(dm for dm, _ in h.values()))
     out = {}
     for m, (dm, h_terms) in h.items():
@@ -106,8 +106,9 @@ def gr_class_wallcross(k, N):
     x = lv.VAElem.group_element(lattice, (N, 0))
     q = (0, 1)
     for _ in range(k):
-        x = lv.borcherds_bracket(lattice, q, x).scale(WALLCROSS_STEP_SIGN)
-    x = x.scale(Fraction(1, factorial(k)))
+        x = lv.borcherds_bracket(lattice, q, x)
+    # the bracket is linear, so the k step signs and 1/k! are applied once
+    x = x.scale(Fraction(WALLCROSS_STEP_SIGN**k, factorial(k)))
     return _va_to_gr(x, N, k)
 
 
@@ -141,18 +142,30 @@ def _lowered(la):
 
 def _lowering_part(n, linear_coeff, f, quad_coeff=1):
     """sum_j p_j p_{-n-j} + quad_coeff sum_{a+b=n} p_{-a} p_{-b} + linear_coeff p_{-n},
-    n >= 1."""
+    n >= 1, summed in int over d_f times the common denominator of the two coefficients."""
+    linear, quad = Fraction(linear_coeff), Fraction(quad_coeff)
+    d_c = lcm(linear.denominator, quad.denominator)
+    linear = linear.numerator * (d_c // linear.denominator)
+    quad = quad.numerator * (d_c // quad.denominator)
+    d, terms = integral(f.terms)
     out = {}
-    for la, c in f.terms.items():
-        for q, m, rest in _lowered(la):
-            if q > n:
-                add_to(out, pt.merge(rest, (q - n,)), c * m)
-            elif q == n:
-                add_to(out, rest, c * m * linear_coeff)
-            elif n - q in rest:
-                m2 = pt.multiplicity(rest, n - q) * (n - q)
-                add_to(out, pt.remove_one(rest, n - q), c * m * m2 * quad_coeff)
-    return SymFunc._wrap(out)
+    for la, c in terms:
+        lowered = _lowered(la)
+        mult = {q: m for q, m, _ in lowered}  # q times the multiplicity of q in la
+        for q, m, rest in lowered:
+            p = n - q
+            if p < 0:
+                key, x = pt.merge(rest, (-p,)), d_c
+            elif p == 0:
+                key, x = rest, linear
+            else:
+                m2 = mult.get(p, 0) - (q if p == q else 0)  # p times the multiplicity of p in rest
+                if not m2:
+                    continue
+                i = rest.index(p)
+                key, x = rest[:i] + rest[i + 1 :], m2 * quad
+            out[key] = out.get(key, 0) + c * m * x
+    return SymFunc._wrap(rational(out, d * d_c))
 
 
 def _raising_part(n, linear_coeff, f):
@@ -196,7 +209,7 @@ def gr_virasoro(n, x):
         raise ValueError("gr_virasoro is defined for n >= 0")
     if n == 0:
         return GrElem(x.N, x.k, _l0(x.k, x.N, x.f))
-    return GrElem(x.N, x.k, _lowering_part(n, Fraction(2 * x.k - x.N), x.f))
+    return GrElem(x.N, x.k, _lowering_part(n, 2 * x.k - x.N, x.f))
 
 
 def gr_virasoro_dual(n, N, k, f):
@@ -221,7 +234,7 @@ def constraint_check(k, N, n_max):
     s = sf.schur(pt.rectangle(N - k, k))
     pairs = [("L_0", s - s.homogeneous_part(k * (N - k)))]
     for n in range(1, n_max + 1):
-        pairs.append((f"L_{n}", _lowering_part(n, Fraction(2 * k - N), s)))
+        pairs.append((f"L_{n}", _lowering_part(n, 2 * k - N, s)))
     return pairs
 
 

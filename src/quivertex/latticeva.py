@@ -225,16 +225,22 @@ def field_mode(lattice, alpha, n, x):
     """
     alpha = tuple(int(c) for c in alpha)
     weights = [lattice.pairing(alpha, lattice.basis_vector(i)) for i in range(lattice.rank)]
+    weight = lambda f: (f[1], weights[f[0]])
     d, terms = integral(x.terms)
-    buckets = {}  # (gamma, p) -> {fock: int coefficient over d}
+    by_beta = {}  # beta -> [(fock, int coefficient over d)]
     for (beta, fock), c in terms:
-        c = -c if lattice.sign_exponent(alpha, beta) % 2 else c
+        by_beta.setdefault(beta, []).append((fock, c))
+    buckets = {}  # (gamma, p) -> {fock: int coefficient over d}
+    for beta, focks in by_beta.items():
+        sign = -1 if lattice.sign_exponent(alpha, beta) % 2 else 1
         gamma = tuple(a + b for a, b in zip(alpha, beta))
         shift = 1 + n + lattice.pairing(alpha, beta)
-        for (m, kept), t in expand_translation(fock, lambda f: (f[1], weights[f[0]])).items():
-            if m >= shift:
-                bucket = buckets.setdefault((gamma, m - shift), {})
-                bucket[kept] = bucket.get(kept, 0) + c * t
+        for fock, c in focks:
+            c *= sign
+            for (m, kept), t in expand_translation(fock, weight).items():
+                if m >= shift:
+                    bucket = buckets.setdefault((gamma, m - shift), {})
+                    bucket[kept] = bucket.get(kept, 0) + c * t
     # a bucket that cancelled to zero needs no creation series S_p, nor a lift to p!
     buckets = {target: bucket for target, bucket in buckets.items() if any(bucket.values())}
     top = factorial(max((p for _, p in buckets), default=0))

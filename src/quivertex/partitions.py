@@ -47,6 +47,11 @@ def conjugate(la):
 
 def z_factor(la):
     """prod_i i^{m_i} m_i!  -- the Hall norm of a power-sum basis element."""
+    return Fraction(z_int(la))
+
+
+def z_int(la):
+    """z_factor(la) as an int."""
     z = 1
     i = None
     m = 0
@@ -56,7 +61,7 @@ def z_factor(la):
         else:
             i, m = p, 1
         z *= p * m
-    return Fraction(z)
+    return z
 
 
 @lru_cache(maxsize=None)

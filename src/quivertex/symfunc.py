@@ -10,7 +10,7 @@ and e, h, m, s and Jack polynomials are conversions.
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from types import MappingProxyType
 
 from . import partitions as pt
@@ -104,7 +104,18 @@ def elementary(j):
 @lru_cache(maxsize=None)
 def complete(j):
     """h_j = sum_{la |- j} p_la / z_la in the p-basis."""
-    return _frozen({la: 1 / pt.z_factor(la) for la in pt.partitions_of(j)})
+    d, terms = _complete_int(j)
+    return _frozen(rational(dict(terms), d))
+
+
+@lru_cache(maxsize=None)
+def _complete_int(j):
+    """(j!, ((la, j!/z_la), ...)): h_j over the denominator j!, which every z_la
+    divides (j!/z_la is the size of the class of cycle type la); h_{<0} = 0."""
+    if j < 0:
+        return 1, ()
+    d = factorial(j)
+    return d, tuple((la, d // pt.z_int(la)) for la in pt.partitions_of(j))
 
 
 @lru_cache(maxsize=1024)  # keyed by the caller's partition, so bounded
@@ -122,13 +133,19 @@ def _det_of_completes(rows):
     Minors are memoized on (row offset, surviving columns) as (d, int terms)
     over their own denominator d; entries with a negative index are h_{<0} = 0.
     Inside, la is keyed by the int |la| + sum_{p in la} B^p, B = 2^b above every
-    degree, so that a product of p-monomials adds keys and |la| = key mod B.
+    degree, so that a product of p-monomials adds keys and |la| = key mod B; the
+    keys are decoded by lookup in a table of the partitions of each degree present.
     """
     n = len(rows)
-    b = (sum(max(*row, 0) for row in rows) + 1).bit_length()
+    top = sum(max(*row, 0) for row in rows)
+    b = (top + 1).bit_length()
     mask = (1 << b) - 1
-    code = lambda la: sum(la) + sum(1 << b * p for p in la)
-    h = {i: integral({code(la): c for la, c in complete(i).terms.items()}) for r in rows for i in r}
+    weight = [p + (1 << b * p) for p in range(top + 1)]
+    code = lambda la: sum(map(weight.__getitem__, la))
+    h = {}
+    for i in {i for r in rows for i in r}:
+        d_h, terms = _complete_int(i)
+        h[i] = d_h, [(code(la), c) for la, c in terms]
 
     @lru_cache(maxsize=None)
     def minor(i, cols):
@@ -148,8 +165,10 @@ def _det_of_completes(rows):
 
     d, terms = minor(0, tuple(range(n)))
     del minor  # it holds itself, its memo and h in a cycle: free them now, not at the next gc
-    la_of = lambda k: tuple(p for p in range(k & mask, 0, -1) for _ in range(k >> b * p & mask))
-    return SymFunc._wrap(rational({la_of(key): c for key, c in terms}, d))
+    la_of = {}
+    for deg in {key & mask for key, _ in terms}:
+        la_of.update((code(la), la) for la in pt.partitions_of(deg))
+    return SymFunc._wrap(rational({la_of[key]: c for key, c in terms}, d))
 
 
 def monomial(la):
@@ -169,10 +188,9 @@ def _monomial_basis(d):
     """
     parts = pt.partitions_of(d)  # descending lexicographic
     pairing = {la: {} for la in parts}  # pairing[la][mu] = <p_la, h_mu>
-    for mu in parts:
-        dh, terms = integral(_complete_product(mu).terms)
+    for mu, (dh, terms) in _complete_products_int(d).items():
         for la, n in terms:
-            pairing[la][mu] = n * pt.z_factor(la).numerator // dh
+            pairing[la][mu] = n * pt.z_int(la) // dh
     solved = {}  # mu -> (denominator, int terms) of m_mu
     out = {}
     for la in parts:
@@ -191,12 +209,20 @@ def _monomial_basis(d):
     return out
 
 
-def _complete_product(mu):
-    """h_mu = prod_i h_{mu_i}."""
-    h = SymFunc.one()
-    for part in mu:
-        h = h * complete(part)
-    return h
+def _complete_products_int(d):
+    """{mu: (prod_i mu_i!, int terms of h_mu)} for every mu |- d, in the order of
+    partitions_of(d).  Each h_mu is one int product h_{mu_1} h_{mu[1:]}, the
+    second factor read from a table, local to this call, of the tails of mu."""
+    table = {(): (1, (((), 1),))}
+    for mu in pt.partitions_of(d):
+        for i in range(len(mu) - 1, -1, -1):
+            if mu[i:] not in table:
+                d_first, first = _complete_int(mu[i])
+                d_rest, rest = table[mu[i + 1 :]]
+                out = {}
+                _product_into(out, 1, first, rest, pt.merge)
+                table[mu[i:]] = d_first * d_rest, tuple(out.items())
+    return {mu: table[mu] for mu in pt.partitions_of(d)}
 
 
 # -- Hall pairing and friends ------------------------------------------------
@@ -257,8 +283,8 @@ def monomial_expand(f):
     """
     out = {}
     for d in sorted({pt.size(la) for la in f.terms}):
-        for la in pt.partitions_of(d):
-            c = hall(f, _complete_product(la))
+        for la, (dh, terms) in _complete_products_int(d).items():
+            c = hall(f, SymFunc._wrap(rational(dict(terms), dh)))
             if c:
                 out[la] = c
     return out
@@ -280,7 +306,7 @@ def hall_deformed(f, g, alpha):
     d1, t1 = integral({la: small[la] for la in shared})
     d2, t2 = integral({la: big[la] for la in shared})
     total = sum(
-        x * y * pt.z_factor(la).numerator * a ** len(la) * b ** (top - len(la))
+        x * y * pt.z_int(la) * a ** len(la) * b ** (top - len(la))
         for (la, x), (_, y) in zip(t1, t2)
     )
     return Fraction(total, d1 * d2 * b**top)
@@ -312,7 +338,7 @@ def _jack_basis(d, alpha):
     """
     a, b = alpha.numerator, alpha.denominator
     parts = sorted(pt.partitions_of(d))  # ascending lexicographic
-    weight = [pt.z_factor(rho).numerator * a ** len(rho) * b ** (d - len(rho)) for rho in parts]
+    weight = [pt.z_int(rho) * a ** len(rho) * b ** (d - len(rho)) for rho in parts]
     done = []  # (v, weighted v, <v, v>) for each earlier P, v an int multiple of it
     out = {}
     for la in parts:

@@ -1,8 +1,9 @@
 """The integer-accumulating kernels against their Fraction-accumulating forms.
 
-The library's products, Hall pairings, Jacobi-Trudi minors, Hecke modes,
-lattice field modes, the monomial and Jack bases, the Virasoro recursion and
-the descendent Virasoro operators put their input over one denominator
+The library's products, Hall pairings, complete symmetric functions h_j and
+h_mu, Jacobi-Trudi minors, Hecke modes, lattice field modes, the monomial and
+Jack bases, the Grassmannian lowering operator, the Virasoro recursion and the
+descendent Virasoro operators put their input over one denominator
 (``lincomb.integral``), sum in int and build one Fraction per output key
 (``lincomb.rational``).  The reference implementations below are the earlier
 forms of the same kernels, which add one Fraction per term with
@@ -14,7 +15,7 @@ so a missed lift changes the result.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from quivertex import descendent as dc
 from quivertex import grasscalc as gc
@@ -48,6 +49,27 @@ def ref_hall_deformed(f, g, alpha):
         if b:
             total += a * b * pt.z_factor(la) * alpha ** pt.length(la)
     return total
+
+
+def ref_complete(j):
+    """h_j = sum_{la |- j} p_la / z_la, one Fraction per term."""
+    return SymFunc._wrap({la: 1 / pt.z_factor(la) for la in pt.partitions_of(j)})
+
+
+def ref_lowering_part(n, linear_coeff, f, quad_coeff=1):
+    out = {}
+    for la, c in f.terms.items():
+        for q in set(la):
+            m = pt.multiplicity(la, q) * q
+            rest = pt.remove_one(la, q)
+            if q > n:
+                add_to(out, pt.merge(rest, (q - n,)), c * m)
+            elif q == n:
+                add_to(out, rest, c * m * linear_coeff)
+            elif n - q in rest:
+                m2 = pt.multiplicity(rest, n - q) * (n - q)
+                add_to(out, pt.remove_one(rest, n - q), c * m * m2 * quad_coeff)
+    return SymFunc._wrap(out)
 
 
 def ref_det_of_completes(rows):
@@ -513,3 +535,49 @@ def test_descendent_operators_on_coprime_denominators_and_zero():
             assert not op(q, n, dc.DescendentPoly.zero()).terms
     assert dc.l_wt0(q, f) == ref_l_wt0(q, f)
     assert not dc.l_wt0(q, dc.DescendentPoly.zero()).terms
+
+
+def test_complete_int_is_h_over_factorial():
+    for j in range(-2, 13):
+        d, terms = sf._complete_int(j)
+        assert d == (factorial(j) if j >= 0 else 1), j
+        assert all(type(n) is int and n > 0 for _, n in terms), j
+        assert [la for la, _ in terms] == list(pt.partitions_of(j)), j
+        assert SymFunc._wrap(rational(dict(terms), d)) == ref_complete(j), j
+        assert sf.complete(j) == ref_complete(j), j
+
+
+def test_z_int_is_z_factor():
+    for n in range(11):
+        for la in pt.partitions_of(n):
+            z = pt.z_int(la)
+            want = prod(i ** la.count(i) * factorial(la.count(i)) for i in set(la))
+            assert type(z) is int and z == want == pt.z_factor(la), la
+
+
+def test_complete_products_match_fraction_products():
+    for d in range(10):
+        got = sf._complete_products_int(d)
+        assert list(got) == list(pt.partitions_of(d)), d
+        for mu, (dh, terms) in got.items():
+            want = SymFunc.one()
+            for part in mu:
+                want = ref_product(want, ref_complete(part), pt.merge)
+            assert dh == prod(map(factorial, mu)), mu
+            assert all(type(n) is int for _, n in terms), mu
+            assert SymFunc._wrap(rational(dict(terms), dh)) == want, mu
+
+
+def test_lowering_part_matches_fraction_accumulation():
+    rng = random.Random(337)
+    for trial in range(300):
+        f = _symfunc(rng, 8)
+        n = rng.randint(1, 6)
+        linear = rng.randint(-4, 4) if trial % 2 else _coefficient(rng)
+        quad = _coefficient(rng)
+        got = gc._lowering_part(n, linear, f, quad_coeff=quad)
+        assert got == ref_lowering_part(n, linear, f, quad_coeff=quad), (n, linear, quad, f)
+        _assert_clean(got)
+        got = gc._lowering_part(n, linear, f)
+        assert got == ref_lowering_part(n, linear, f), (n, linear, f)
+        _assert_clean(got)

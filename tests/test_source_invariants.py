@@ -5,9 +5,11 @@ an element by adding to itself, which copies the partial sum on every term;
 and invariants are raised as exceptions, never asserted, since ``python -O``
 strips ``assert`` statements.  The integer kernels sum in int over one
 denominator and build one Fraction per output key, so no loop in them makes
-a Fraction per term.  A check's outcome has one form: ``checks._verdict``
-alone builds the report dict, and the Grassmannian checks return residuals,
-never text.
+a Fraction per term.  Every memo is an ``lru_cache``, which a cold start can
+clear, or local to one call: no module-level name holds a dict, set or list
+display, except the list of fast checks.  A check's outcome has one form:
+``checks._verdict`` alone builds the report dict, and the Grassmannian checks
+return residuals, never text.
 """
 
 import ast
@@ -21,8 +23,11 @@ SELF_ACCUMULATION = re.compile(r"\b(\w+) = \1 [+-] ")
 INTEGER_KERNELS = {
     "_product",
     "hall_deformed",
+    "_complete_int",
+    "_complete_products_int",
     "_det_of_completes",
     "_translated_mode",
+    "_lowering_part",
     "field_mode",
     "_creation_series",
     "_monomial_basis",
@@ -79,6 +84,21 @@ def test_integer_kernels_make_no_fraction_per_term():
                 }
     assert found == INTEGER_KERNELS
     assert not hits, hits
+
+
+MUTABLE_DISPLAYS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+
+
+def test_no_module_level_mutable_display():
+    bound = {
+        f"{path.stem}.{ast.unparse(target)}"
+        for path in SOURCES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, MUTABLE_DISPLAYS)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    }
+    assert bound == {"checks.FAST_CHECKS"}, bound
 
 
 def _report_builders(node, module, function=None):

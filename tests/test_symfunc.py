@@ -1,10 +1,14 @@
 import copy
+import importlib
 import pickle
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import quivertex
+from quivertex import grasscalc as gc
 from quivertex import partitions as pt
 from quivertex import symfunc as sf
 from quivertex.symfunc import SymFunc
@@ -264,3 +268,36 @@ def test_caches_keyed_by_partitions_are_bounded():
     # schur and jack take any caller's partition or alpha, so their caches stop growing
     for cached in (sf.schur, sf._jack_basis):
         assert cached.cache_info().maxsize is not None, cached
+
+
+def _package_caches():
+    """Every module-level function of the package that has a cache_clear."""
+    names = [m.name for m in pkgutil.iter_modules(quivertex.__path__)]
+    modules = [importlib.import_module(f"quivertex.{name}") for name in names]
+    return [
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if callable(getattr(obj, "cache_clear", None)) and obj.__module__ == module.__name__
+    ]
+
+
+def test_values_survive_clearing_every_cache():
+    # a cold start clears these caches; no other memo may carry a value across it
+    f = _random_symfunc(random.Random(29), 6)
+    requests = {
+        "schur": lambda: sf.schur((4, 2, 1)),
+        "monomial_expand": lambda: sf.monomial_expand(f),
+        "jack": lambda: sf.jack((3, 2, 1), F(2, 3)),
+        "hecke_sym": lambda: gc.hecke_sym(2, f),
+    }
+    for get in requests.values():
+        get()
+    warm = {name: get() for name, get in requests.items()}
+    caches = _package_caches()
+    assert {c.__name__ for c in caches} >= {"schur", "complete", "_complete_int", "partitions_of"}
+    for cache in caches:
+        cache.cache_clear()
+    assert all(c.cache_info().currsize == 0 for c in caches)
+    for name, get in requests.items():
+        assert get() == warm[name], name
