@@ -126,6 +126,8 @@ def cmd_euler(args):
 
 
 def cmd_virasoro_bracket(args):
+    if args.max_n < -1 or args.max_deg < 0:
+        raise ValueError("virasoro-bracket needs --max-n >= -1 and --max-deg >= 0")
     quiver = _load_quiver(args.quiver)
     if not quiver.is_quasi_smooth():
         raise ValueError("virasoro-bracket needs a quasi-smooth quiver")
@@ -160,6 +162,8 @@ def cmd_gr_integral(args):
 
 
 def cmd_gr_constraints(args):
+    if args.max_n < 0:
+        raise ValueError("gr-constraints needs --max-n >= 0")
     s_rect = f"s_{pt.rectangle(args.N - args.k, args.k)}"
     pairs = gc.constraint_check(args.k, args.N, args.max_n)
     return _emit_reports(args, [ck._verdict(label, [(s_rect, r)]) for label, r in pairs])

@@ -8,7 +8,7 @@ is realized by substitution at evaluation time, never as a separate type.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, perm
+from math import factorial, perm, prod
 
 from . import quiver as qv
 from .lincomb import LinComb, add_to, coerce, integral, rational
@@ -53,27 +53,11 @@ class DescendentPoly(LinComb):
         """Largest total ch-index of any monomial; -1 for zero."""
         return max((sum(k for k, _ in m) for m in self.terms), default=-1)
 
-    def cohomological_degree(self):
-        """Largest cohomological degree 2 * sum(k) of any monomial; -1 for zero."""
-        w = self.ch_weight()
-        return 2 * w if w >= 0 else -1
-
     def substitute_ch0(self, dims):
         """Evaluate in the quotient ch_0(v) = dims[v]; other symbols survive."""
-        out = {}
-        for m, c in self.terms.items():
-            coeff = c
-            rest = []
-            for k, v in m:
-                if k == 0:
-                    coeff *= dims[v]
-                    if not coeff:
-                        break
-                else:
-                    rest.append((k, v))
-            if coeff:
-                add_to(out, tuple(rest), coerce(coeff))
-        return DescendentPoly._wrap(out)
+        return self._map(
+            lambda m: [(tuple((k, v) for k, v in m if k), prod(dims[v] for k, v in m if not k))]
+        )
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))

@@ -147,45 +147,35 @@ def _lowering_part(n, linear_coeff, f, quad_coeff=1):
     d_c = lcm(linear.denominator, quad.denominator)
     linear = linear.numerator * (d_c // linear.denominator)
     quad = quad.numerator * (d_c // quad.denominator)
-    d, terms = integral(f.terms)
-    out = {}
-    for la, c in terms:
+
+    def image(la):
         lowered = _lowered(la)
         mult = {q: m for q, m, _ in lowered}  # q times the multiplicity of q in la
+        out = []
         for q, m, rest in lowered:
             p = n - q
             if p < 0:
-                key, x = pt.merge(rest, (-p,)), d_c
+                out.append((pt.merge(rest, (-p,)), m * d_c))
             elif p == 0:
-                key, x = rest, linear
-            else:
-                m2 = mult.get(p, 0) - (q if p == q else 0)  # p times the multiplicity of p in rest
-                if not m2:
-                    continue
+                out.append((rest, m * linear))
+            elif m2 := mult.get(p, 0) - (q if p == q else 0):  # p times its multiplicity in rest
                 i = rest.index(p)
-                key, x = rest[:i] + rest[i + 1 :], m2 * quad
-            out[key] = out.get(key, 0) + c * m * x
-    return SymFunc._wrap(rational(out, d * d_c))
+                out.append((rest[:i] + rest[i + 1 :], m * m2 * quad))
+        return out
+
+    return f._map(image, d_c)
 
 
 def _raising_part(n, linear_coeff, f):
     """sum_j p_{n+j} p_{-j} + sum_{a+b=n} p_a p_b + linear_coeff p_n, n >= 1."""
-    d, terms = integral(f.terms)
-    out = {}
-    for la, c in terms:
-        for mu, x in _raising_monomial(n, linear_coeff, la).items():
-            out[mu] = out.get(mu, 0) + c * x
-    return SymFunc._wrap(rational(out, d))
+    return f._map(lambda la: _raising_monomial(n, linear_coeff, la).items())
 
 
 def _raising_monomial(n, linear_coeff, la):
     """{mu: coefficient of p_mu} of _raising_part on the single monomial p_la;
     the coefficients are ints when linear_coeff is.  The three sums reach
     lengths len(la), len(la) + 2 and len(la) + 1, so their keys never meet."""
-    out = {}
-    for j, m, rest in _lowered(la):  # the first sum is R_n
-        mu = pt.merge(rest, (j + n,))
-        out[mu] = out.get(mu, 0) + m
+    out = dict(_r_n_image(n, la))
     for a in range(1, n):
         mu = pt.merge(la, (a, n - a))
         out[mu] = out.get(mu, 0) + 1
@@ -193,14 +183,15 @@ def _raising_monomial(n, linear_coeff, la):
     return out
 
 
+def _r_n_image(n, la):
+    """[(mu, x)] with R_n p_la = sum x p_mu: one distinct part j of la raised to j + n,
+    weighted by j times its multiplicity; distinct parts reach distinct mu."""
+    return [(pt.merge(rest, (j + n,)), m) for j, m, rest in _lowered(la)]
+
+
 def _l0(k, N, f):
     """sum_j p_j p_{-j} + k(k-N) id: multiplies each term by (degree + k(k-N))."""
-    out = {}
-    for la, c in f.terms.items():
-        w = pt.size(la) + k * (k - N)
-        if w:
-            out[la] = c * w
-    return SymFunc._wrap(out)
+    return f._map(lambda la: [(la, pt.size(la) + k * (k - N))])
 
 
 def gr_virasoro(n, x):
@@ -299,14 +290,15 @@ def integrals_by_recursion(k, N, normalization):
 
 def calogero_sutherland(f):
     """The cubic operator (1/2)(sum p_a p_b p_{-a-b} + p_{a+b} p_{-a} p_{-b})."""
-    out = {}
-    for la, c in f.terms.items():
+
+    def image(la):
+        out = []
         for q, m, rest in _lowered(la):
-            for a in range(1, q):
-                add_to(out, pt.merge(rest, (a, q - a)), c * m / 2)
-            for a, m2, rest2 in _lowered(rest):
-                add_to(out, pt.merge(rest2, (q + a,)), c * m * m2 / 2)
-    return SymFunc._wrap(out)
+            out += [(pt.merge(rest, (a, q - a)), m) for a in range(1, q)]
+            out += [(pt.merge(rest2, (q + a,)), m * m2) for a, m2, rest2 in _lowered(rest)]
+        return out
+
+    return f._map(image, 2)
 
 
 def r_n_symfunc(n, f):
@@ -314,11 +306,7 @@ def r_n_symfunc(n, f):
     the dictionary p_j = j! ch_j), for n >= 1."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    out = {}
-    for la, c in f.terms.items():
-        for j, m, rest in _lowered(la):
-            add_to(out, pt.merge(rest, (j + n,)), c * m)
-    return SymFunc._wrap(out)
+    return f._map(lambda la: _r_n_image(n, la))
 
 
 def geometricity_check(k, N, n, deg_max):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .lincomb import LinComb, _product_into, add_all, add_to, expand_translation, integral, rational
+from .lincomb import LinComb, _product_into, add_all, expand_translation, integral, rational
 
 
 class Lattice:
@@ -37,6 +37,13 @@ class Lattice:
                     raise ValueError("B must be symmetric")
                 if self.b[i][j] + self.b[j][i] != self.B[i][j]:
                     raise ValueError("sign datum must satisfy b + b^T = B")
+
+    def vector(self, v):
+        """v as a tuple of ints; ValueError unless it has one entry per basis vector."""
+        v = tuple(int(c) for c in v)
+        if len(v) != self.rank:
+            raise ValueError(f"lattice vector {v} needs {self.rank} entries")
+        return v
 
     def pairing(self, u, v):
         """B(u, v) for integer vectors."""
@@ -88,9 +95,7 @@ class VAElem(LinComb):
 
     def _check_key(self, key):
         alpha, fock = key
-        a = tuple(int(x) for x in alpha)
-        if len(a) != self.lattice.rank:
-            raise ValueError("lattice vector has wrong length")
+        a = self.lattice.vector(alpha)
         f = tuple(sorted((int(i), int(k)) for i, k in fock))
         for i, k in f:
             if not (0 <= i < self.lattice.rank):
@@ -126,10 +131,6 @@ class VAElem(LinComb):
         """Largest total mode sum among terms; -1 for zero."""
         return max((sum(k for _, k in fock) for _, fock in self.terms), default=-1)
 
-    def components(self):
-        """Lattice points alpha carrying nonzero terms."""
-        return sorted({alpha for alpha, _ in self.terms})
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 
@@ -144,13 +145,10 @@ def create(lattice, v, k, x):
     """Left multiplication by v_{-k}, extended over the lattice basis."""
     if k < 1:
         raise ValueError("creation mode must be >= 1")
-    v = tuple(int(c) for c in v)
-    out = {}
-    for (alpha, fock), c in x.terms.items():
-        for i, vi in enumerate(v):
-            if vi:
-                add_to(out, (alpha, tuple(sorted(fock + ((i, k),)))), c * vi)
-    return x._like(out)
+    created = [((i, k), vi) for i, vi in enumerate(lattice.vector(v)) if vi]
+    return x._map(
+        lambda key: [((key[0], tuple(sorted(key[1] + (f,)))), vi) for f, vi in created]
+    )
 
 
 def annihilate_mode(lattice, v, k, x):
@@ -158,21 +156,20 @@ def annihilate_mode(lattice, v, k, x):
     contract against matching creation factors via [v_(k), w_(-l)] = k d_{kl} B(v,w)."""
     if k < 0:
         raise ValueError("annihilation mode must be >= 0")
-    v = tuple(int(c) for c in v)
-    out = {}
-    for (alpha, fock), c in x.terms.items():
-        if k == 0:
-            coeff = lattice.pairing(v, alpha)
-            if coeff:
-                add_to(out, (alpha, fock), c * coeff)
-            continue
-        for j, (i, mode) in enumerate(fock):
-            if mode != k:
-                continue
-            coeff = k * lattice.pairing(v, lattice.basis_vector(i))
-            if coeff:
-                add_to(out, (alpha, fock[:j] + fock[j + 1 :]), c * coeff)
-    return x._like(out)
+    v = lattice.vector(v)
+    if k == 0:
+        return x._map(lambda key: [(key, lattice.pairing(v, key[0]))])
+    weights = [k * lattice.pairing(v, lattice.basis_vector(i)) for i in range(lattice.rank)]
+
+    def image(key):
+        alpha, fock = key
+        return [
+            ((alpha, fock[:j] + fock[j + 1 :]), weights[i])
+            for j, (i, mode) in enumerate(fock)
+            if mode == k
+        ]
+
+    return x._map(image)
 
 
 def translate(lattice, x):
@@ -193,25 +190,29 @@ def virasoro(lattice, n, x):
     if n < -1:
         raise ValueError("only L_n with n >= -1 is defined")
     B = lattice.B
-    out = {}
-    for (alpha, fock), c in x.terms.items():
+
+    def image(key):
+        alpha, fock = key
+        out = []
         if n == -1:
-            for i, a in enumerate(alpha):
-                if a:
-                    add_to(out, (alpha, tuple(sorted(fock + ((i, 1),)))), c * a)
-        elif n == 0:
-            add_to(out, (alpha, fock), c * Fraction(lattice.pairing(alpha, alpha), 2))
+            out += [((alpha, tuple(sorted(fock + ((i, 1),)))), a) for i, a in enumerate(alpha) if a]
+        elif n == 0:  # B(alpha, alpha)/2 = b(alpha, alpha), as b + b^T = B
+            out.append((key, lattice.sign_exponent(alpha, alpha)))
         for j, (i, k) in enumerate(fock):
             rest = fock[:j] + fock[j + 1 :]
             if k > n:
-                add_to(out, (alpha, tuple(sorted(rest + ((i, k - n),)))), c * k)
+                out.append(((alpha, tuple(sorted(rest + ((i, k - n),)))), k))
             elif k == n:
-                add_to(out, (alpha, rest), c * n * sum(b * a for b, a in zip(B[i], alpha)))
+                out.append(((alpha, rest), n * sum(b * a for b, a in zip(B[i], alpha))))
             else:
-                for l, (i2, k2) in enumerate(rest[j:], j):
-                    if k2 == n - k:
-                        add_to(out, (alpha, rest[:l] + rest[l + 1 :]), c * k * k2 * B[i][i2])
-    return x._like(out)
+                out += [
+                    ((alpha, rest[:l] + rest[l + 1 :]), k * k2 * B[i][i2])
+                    for l, (i2, k2) in enumerate(rest[j:], j)
+                    if k2 == n - k
+                ]
+        return out
+
+    return x._map(image)
 
 
 def field_mode(lattice, alpha, n, x):
@@ -223,7 +224,7 @@ def field_mode(lattice, alpha, n, x):
     int per target (gamma, p) and multiplied once by the integer series p! S_p,
     lifted by P!/p! to the common denominator d P! (d that of x, P the largest p).
     """
-    alpha = tuple(int(c) for c in alpha)
+    alpha = lattice.vector(alpha)
     weights = [lattice.pairing(alpha, lattice.basis_vector(i)) for i in range(lattice.rank)]
     weight = lambda f: (f[1], weights[f[0]])
     d, terms = integral(x.terms)

@@ -9,7 +9,8 @@ validation for the public constructor); an algebra also defines
 ``__mul__`` through ``_product`` with the product of two basis keys, and
 its empty key ``()`` is the unit, so the constant c is ``{(): c}``.
 The hot kernels put their input over one denominator with ``integral``, sum
-in int, and build one Fraction per output key with ``rational``.
+in int, and build one Fraction per output key with ``rational``; an operator
+that acts one key at a time is ``_map`` with the image of a single key.
 """
 
 from fractions import Fraction
@@ -133,6 +134,17 @@ class LinComb:
     def scale(self, c):
         c = coerce(c)
         return self._like({k: c * x for k, x in self.terms.items()} if c else {})
+
+    def _map(self, image, den=1):
+        """The linear map sending key to sum x key' / den over the (key', int x) pairs
+        of image(key), summed in int over den times the denominator of self."""
+        d, terms = integral(self.terms)
+        out = {}
+        get = out.get
+        for key, c in terms:
+            for k, x in image(key):
+                out[k] = get(k, 0) + c * x
+        return self._like(rational(out, d * den))
 
     def _product(self, other, key):
         """The bilinear product in which basis keys k1, k2 multiply to key(k1, k2)."""

@@ -14,7 +14,7 @@ from math import factorial, gcd, lcm
 from types import MappingProxyType
 
 from . import partitions as pt
-from .lincomb import LinComb, _product_into, add_all, add_to, integral, rational
+from .lincomb import LinComb, _product_into, integral, rational
 
 
 class SymFunc(LinComb):
@@ -72,9 +72,6 @@ class SymFunc(LinComb):
 
     def homogeneous_part(self, d):
         return SymFunc._wrap({la: c for la, c in self.terms.items() if pt.size(la) == d})
-
-    def constant_term(self):
-        return self.terms.get((), Fraction(0))
 
     def sorted_terms(self):
         """Terms in canonical order: degree, then lexicographic on the tuple."""
@@ -237,12 +234,7 @@ def annihilate(n, f):
     """p_{-n} = n * d/dp_n, the Hall adjoint of multiplication by p_n."""
     if n < 1:
         raise ValueError("annihilation index must be >= 1")
-    out = {}
-    for la, c in f.terms.items():
-        m = pt.multiplicity(la, n)
-        if m:
-            add_to(out, pt.remove_one(la, n), c * m * n)
-    return SymFunc._wrap(out)
+    return f._map(lambda la: [(pt.remove_one(la, n), n * la.count(n))] if n in la else ())
 
 
 def involution(f):
@@ -251,16 +243,24 @@ def involution(f):
 
 
 def skew_by(g, f):
-    """g^perp(f): the Hall adjoint of multiplication by g, applied to f."""
-    out = {}
-    for la, c in g.terms.items():
-        piece = f
-        for part in la:
-            piece = annihilate(part, piece)
-            if not piece:
-                break
-        add_all(out, piece.terms, c)
-    return SymFunc._wrap(out)
+    """g^perp(f), the Hall adjoint of multiplication by g: p_la^perp p_mu is p_{mu - la}
+    times prod_q q^s m!/(m-s)!, s and m the multiplicities of q in la and mu, or 0."""
+    d, g_terms = integral(g.terms)
+
+    def image(mu):
+        out = []
+        for la, w in g_terms:
+            rest = list(mu)
+            for q in la:
+                if q not in rest:
+                    break
+                w *= q * rest.count(q)
+                rest.remove(q)
+            else:
+                out.append((tuple(rest), w))
+        return out
+
+    return f._map(image, d)
 
 
 def schur_expand(f):

@@ -242,6 +242,25 @@ def test_quiver_without_vertices_is_malformed_input(tmp_path, capsys):
     assert err.startswith("error[no_vertices]:"), err
 
 
+def test_check_bounds_that_run_no_check_are_malformed_input(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(sz.quiver_to_json(qv.builtin("linear(2)"))))
+    for argv in (
+        ["virasoro-bracket", str(path), "--max-n", "-2"],
+        ["virasoro-bracket", str(path), "--max-deg", "-3"],
+        ["gr-constraints", "2", "4", "--max-n", "-5"],
+        ["gr-constraints", "2", "4", "--max-n", "-1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "needs --max-n" in err, err
+    # the smallest bounds still run a check
+    code, out, _ = run(capsys, "virasoro-bracket", str(path), "--max-n", "-1", "--max-deg", "0")
+    assert code == 0 and out.startswith("PASS [L_-1, L_-1]"), out
+    code, out, _ = run(capsys, "gr-constraints", "2", "4", "--max-n", "0")
+    assert (code, out) == (0, "PASS L_0\nPASS overall\n")
+
+
 def test_deeply_nested_quiver_json_is_malformed_input(tmp_path, capsys):
     path = tmp_path / "nested.json"
     path.write_text("[" * 200000)

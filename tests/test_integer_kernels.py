@@ -2,13 +2,15 @@
 
 The library's products, Hall pairings, complete symmetric functions h_j and
 h_mu, Jacobi-Trudi minors, Hecke modes, lattice field modes, the monomial and
-Jack bases, the Grassmannian lowering operator, the Virasoro recursion and the
-descendent Virasoro operators put their input over one denominator
-(``lincomb.integral``), sum in int and build one Fraction per output key
-(``lincomb.rational``).  The reference implementations below are the earlier
-forms of the same kernels, which add one Fraction per term with
-``add_to``/``add_all``; they call no integral kernel, so the two agree only
-if every rescaling is right.  The inputs carry large coprime denominators,
+Jack bases, the Virasoro recursion, the descendent Virasoro operators and
+every operator that acts one key at a time through ``LinComb._map`` (p_{-n}
+and skewing, the Grassmannian L_n, R_n and Calogero-Sutherland operators, the
+lattice creation, annihilation and Virasoro modes, and the ch_0 substitution)
+put their input over one denominator (``lincomb.integral``), sum in int and
+build one Fraction per output key (``lincomb.rational``).  The reference
+implementations below are the earlier forms of the same kernels, which add
+one Fraction per term with ``add_to``/``add_all``; they call no integral
+kernel, so the two agree only if every rescaling is right.  The inputs carry large coprime denominators,
 so a missed lift changes the result.
 """
 
@@ -70,6 +72,130 @@ def ref_lowering_part(n, linear_coeff, f, quad_coeff=1):
                 m2 = pt.multiplicity(rest, n - q) * (n - q)
                 add_to(out, pt.remove_one(rest, n - q), c * m * m2 * quad_coeff)
     return SymFunc._wrap(out)
+
+
+def ref_annihilate(n, f):
+    out = {}
+    for la, c in f.terms.items():
+        m = pt.multiplicity(la, n)
+        if m:
+            add_to(out, pt.remove_one(la, n), c * m * n)
+    return SymFunc._wrap(out)
+
+
+def ref_skew_by(g, f):
+    out = {}
+    for la, c in g.terms.items():
+        piece = f
+        for part in la:
+            piece = ref_annihilate(part, piece)
+        add_all(out, piece.terms, c)
+    return SymFunc._wrap(out)
+
+
+def ref_lowered(la):
+    return [(q, pt.multiplicity(la, q) * q, pt.remove_one(la, q)) for q in sorted(set(la))]
+
+
+def ref_calogero_sutherland(f):
+    out = {}
+    for la, c in f.terms.items():
+        for q, m, rest in ref_lowered(la):
+            for a in range(1, q):
+                add_to(out, pt.merge(rest, (a, q - a)), c * m / 2)
+            for a, m2, rest2 in ref_lowered(rest):
+                add_to(out, pt.merge(rest2, (q + a,)), c * m * m2 / 2)
+    return SymFunc._wrap(out)
+
+
+def ref_r_n_symfunc(n, f):
+    out = {}
+    for la, c in f.terms.items():
+        for j, m, rest in ref_lowered(la):
+            add_to(out, pt.merge(rest, (j + n,)), c * m)
+    return SymFunc._wrap(out)
+
+
+def ref_l0(k, N, f):
+    out = {}
+    for la, c in f.terms.items():
+        w = pt.size(la) + k * (k - N)
+        if w:
+            out[la] = c * w
+    return SymFunc._wrap(out)
+
+
+def ref_raising_part(n, linear_coeff, f):
+    out = dict(ref_r_n_symfunc(n, f).terms)
+    for la, c in f.terms.items():
+        for a in range(1, n):
+            add_to(out, pt.merge(la, (a, n - a)), c)
+        add_to(out, pt.merge(la, (n,)), c * linear_coeff)
+    return SymFunc._wrap(out)
+
+
+def ref_create(lattice, v, k, x):
+    out = {}
+    for (alpha, fock), c in x.terms.items():
+        for i, vi in enumerate(v):
+            if vi:
+                add_to(out, (alpha, tuple(sorted(fock + ((i, k),)))), c * vi)
+    return x._like(out)
+
+
+def ref_annihilate_mode(lattice, v, k, x):
+    out = {}
+    for (alpha, fock), c in x.terms.items():
+        if k == 0:
+            coeff = lattice.pairing(v, alpha)
+            if coeff:
+                add_to(out, (alpha, fock), c * coeff)
+            continue
+        for j, (i, mode) in enumerate(fock):
+            if mode != k:
+                continue
+            coeff = k * lattice.pairing(v, lattice.basis_vector(i))
+            if coeff:
+                add_to(out, (alpha, fock[:j] + fock[j + 1 :]), c * coeff)
+    return x._like(out)
+
+
+def ref_lattice_virasoro(lattice, n, x):
+    B = lattice.B
+    out = {}
+    for (alpha, fock), c in x.terms.items():
+        if n == -1:
+            for i, a in enumerate(alpha):
+                if a:
+                    add_to(out, (alpha, tuple(sorted(fock + ((i, 1),)))), c * a)
+        elif n == 0:
+            add_to(out, (alpha, fock), c * Fraction(lattice.pairing(alpha, alpha), 2))
+        for j, (i, k) in enumerate(fock):
+            rest = fock[:j] + fock[j + 1 :]
+            if k > n:
+                add_to(out, (alpha, tuple(sorted(rest + ((i, k - n),)))), c * k)
+            elif k == n:
+                add_to(out, (alpha, rest), c * n * sum(b * a for b, a in zip(B[i], alpha)))
+            else:
+                for l, (i2, k2) in enumerate(rest[j:], j):
+                    if k2 == n - k:
+                        add_to(out, (alpha, rest[:l] + rest[l + 1 :]), c * k * k2 * B[i][i2])
+    return x._like(out)
+
+
+def ref_substitute_ch0(f, dims):
+    out = {}
+    for m, c in f.terms.items():
+        coeff = c
+        rest = []
+        for k, v in m:
+            if k == 0:
+                coeff *= dims[v]
+            else:
+                rest.append((k, v))
+        if coeff:
+            add_to(out, tuple(rest), coeff)
+    return dc.DescendentPoly._wrap(out)
 
 
 def ref_det_of_completes(rows):
@@ -581,3 +707,81 @@ def test_lowering_part_matches_fraction_accumulation():
         got = gc._lowering_part(n, linear, f)
         assert got == ref_lowering_part(n, linear, f), (n, linear, f)
         _assert_clean(got)
+
+
+# -- the per-key operators of LinComb._map -------------------------------------
+
+
+def test_symfunc_operators_match_fraction_accumulation():
+    rng = random.Random(347)
+    nonzero = 0
+    for _ in range(200):
+        f, g = _symfunc(rng, 8), _symfunc(rng, 4)
+        n = rng.randint(1, 5)
+        k, N = rng.randint(0, 4), rng.randint(0, 6)
+        linear = rng.randint(-4, 4)
+        for got, want in (
+            (sf.annihilate(n, f), ref_annihilate(n, f)),
+            (sf.skew_by(g, f), ref_skew_by(g, f)),
+            (gc.calogero_sutherland(f), ref_calogero_sutherland(f)),
+            (gc.r_n_symfunc(n, f), ref_r_n_symfunc(n, f)),
+            (gc.gr_virasoro(0, gc.GrElem(N, k, f)).f, ref_l0(k, N, f)),
+            (gc.gr_virasoro_dual(0, N, k, f), ref_l0(k, N, f)),
+            (gc.gr_virasoro_dual(n, N, k, f), ref_raising_part(n, 2 * k - N, f)),
+            (gc._raising_part(n, linear, f), ref_raising_part(n, linear, f)),
+        ):
+            assert got == want, (n, k, N, f, g)
+            _assert_clean(got)
+            nonzero += bool(got)
+    assert nonzero >= 1000, nonzero
+
+
+def test_symfunc_operators_that_cancel_store_no_key():
+    c = Fraction(1, 2**61 - 1)
+    # p_1^perp p_2 p_1 = p_2 and p_2^perp p_2^2 = 4 p_2 cancel; p_2^perp p_2 p_1 = 2 p_1 stays
+    g = SymFunc({(1,): Fraction(1, 7919), (2,): Fraction(-1, 4 * 7919)})
+    f = SymFunc({(2, 1): c, (2, 2): c})
+    assert sf.skew_by(g, f).terms == {(1,): -c / (2 * 7919)} == ref_skew_by(g, f).terms
+    assert not gc.gr_virasoro(0, gc.GrElem(4, 2, SymFunc({(2, 2): c}))).f.terms  # 4 + 2(2-4) = 0
+    assert not sf.skew_by(SymFunc(), f).terms and not sf.skew_by(f, SymFunc()).terms
+
+
+def test_lattice_operators_match_fraction_accumulation():
+    rng = random.Random(349)
+    degenerate = lv.Lattice(B=[[2, 2], [2, 2]], b=[[1, 2], [0, 1]])
+    nonzero = 0
+    for trial in range(120):
+        lat = degenerate if trial % 3 == 0 else _random_lattice(rng)
+        x = _vaelem(lat, rng)
+        v = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
+        k = rng.randint(0, 4)
+        pairs = [(lv.annihilate_mode(lat, v, k, x), ref_annihilate_mode(lat, v, k, x))]
+        if k:
+            pairs.append((lv.create(lat, v, k, x), ref_create(lat, v, k, x)))
+        pairs += [(lv.virasoro(lat, n, x), ref_lattice_virasoro(lat, n, x)) for n in range(-1, 5)]
+        for got, want in pairs:
+            assert got == want, (lat, v, k, x)
+            assert got.lattice is lat
+            _assert_clean(got)
+            nonzero += bool(got)
+    assert nonzero >= 300, nonzero
+    # L_0 on e^alpha is B(alpha, alpha)/2 = 3 times e^alpha
+    lat = lv.Lattice(B=[[2, 1], [1, 2]], b=[[1, 1], [0, 1]])
+    x = lv.VAElem(lat, {((1, 1), ()): Fraction(1, 7919)})
+    assert lv.virasoro(lat, 0, x).terms == {((1, 1), ()): Fraction(3, 7919)}
+
+
+def test_substitute_ch0_matches_fraction_accumulation():
+    rng = random.Random(353)
+    for name in DESCENDENT_QUIVERS:
+        q = qv.builtin(name)
+        for _ in range(30):
+            f = _descendent(rng, q, max_k=3)
+            dims = {v: rng.randint(-2, 3) for v in q.vertices}
+            got = f.substitute_ch0(dims)
+            assert got == ref_substitute_ch0(f, dims), (name, dims, f)
+            _assert_clean(got)
+    # 3 ch_2(1) from ch_0(1) ch_2(1) at ch_0(1) = 3 meets -3 ch_2(1) and cancels
+    c = Fraction(1, 7919)
+    f = dc.DescendentPoly({((0, "1"), (2, "1")): c, ((2, "1"),): -3 * c})
+    assert not f.substitute_ch0({"1": 3}).terms

@@ -29,6 +29,23 @@ def test_lattice_validation():
         Lattice(B=[[2]], b=[[0]])  # b + b^T != B
 
 
+def test_lattice_vectors_of_the_wrong_length_are_rejected():
+    x = lv.create(GR, (0, 1), 1, VAElem.group_element(GR, (2, 1)))
+    for op, v, k in (
+        (lv.create, (1, 1, 1), 1),  # would create a factor with basis index 2
+        (lv.annihilate_mode, (1, 2, 3), 0),  # would drop the third entry
+        (lv.annihilate_mode, (1,), 0),
+        (lv.annihilate_mode, (1,), 1),
+        (lv.field_mode, (1,), 0),
+        (lv.field_mode, (0, 1, 0), 0),
+    ):
+        with pytest.raises(ValueError, match="needs 2 entries"):
+            op(GR, v, k, x)
+    with pytest.raises(ValueError, match="needs 2 entries"):
+        VAElem.group_element(GR, (1,))
+    assert GR.vector([1, -2]) == (1, -2)
+
+
 def test_grassmannian_lattice_matches_symmetrized_framed_pairing():
     for n1, k1, n2, k2 in [(1, 0, 0, 1), (4, 2, 4, 2), (3, 1, 2, 2)]:
         got = GR.pairing((n1, k1), (n2, k2))

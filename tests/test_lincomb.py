@@ -68,3 +68,27 @@ def test_constants_equal_and_hash_like_scalars(make, c):
         assert len({z, value}) == 1
     assert hash(make.one().scale(c) - make.one().scale(c)) == hash(0)
 
+
+
+def test_map_sums_int_images_over_one_denominator():
+    f = SymFunc({(1,): Fraction(1, 7919), (2,): Fraction(-3, 104729), (): Fraction(5)})
+    # key -> 3 key + 2 key', with key' = () for every key: the images of () and p_1 meet on ()
+    image = lambda la: [(la, 3), ((), 2)]
+    got = f._map(image, den=7)
+    total = 2 * sum(f.terms.values()) / 7 + Fraction(15, 7)
+    assert got.terms == {
+        (1,): Fraction(3, 7 * 7919),
+        (2,): Fraction(-9, 7 * 104729),
+        (): total,
+    }
+    assert all(type(c) is Fraction for c in got.terms.values())
+    # a cancellation stores no key: p_1 - p_2 both map onto p_3 with weight 1
+    g = SymFunc({(1,): Fraction(1, 7919), (2,): Fraction(-1, 7919)})
+    assert g._map(lambda la: [((3,), 1)]).terms == {}
+    assert not SymFunc()._map(image, den=7).terms
+    # a VAElem result keeps its lattice
+    lat = Lattice(B=[[2, 2], [2, 2]], b=[[1, 2], [0, 1]])
+    x = VAElem(lat, {((1, 0), ((0, 1),)): Fraction(1, 3)})
+    y = x._map(lambda key: [(key, 2), (((0, 1), ()), 1)], den=2)
+    assert y.lattice is lat and type(y) is VAElem
+    assert y.terms == {((1, 0), ((0, 1),)): Fraction(1, 3), ((0, 1), ()): Fraction(1, 6)}

@@ -21,6 +21,7 @@ import quivertex
 SOURCES = sorted(Path(quivertex.__file__).parent.glob("*.py"))
 SELF_ACCUMULATION = re.compile(r"\b(\w+) = \1 [+-] ")
 INTEGER_KERNELS = {
+    "_map",
     "_product",
     "hall_deformed",
     "_complete_int",
@@ -28,6 +29,16 @@ INTEGER_KERNELS = {
     "_det_of_completes",
     "_translated_mode",
     "_lowering_part",
+    "_raising_part",
+    "_l0",
+    "calogero_sutherland",
+    "r_n_symfunc",
+    "annihilate",
+    "skew_by",
+    "create",
+    "annihilate_mode",
+    "virasoro",
+    "substitute_ch0",
     "field_mode",
     "_creation_series",
     "_monomial_basis",
