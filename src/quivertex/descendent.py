@@ -11,7 +11,7 @@ from itertools import product
 from math import factorial, perm, prod
 
 from . import quiver as qv
-from .lincomb import LinComb, add_to, coerce, integral, rational
+from .lincomb import LinComb, add_to, coerce
 from .symfunc import SymFunc
 
 
@@ -51,10 +51,12 @@ class DescendentPoly(LinComb):
 
     def ch_weight(self):
         """Largest total ch-index of any monomial; -1 for zero."""
-        return max((sum(k for k, _ in m) for m in self.terms), default=-1)
+        return max((sum(k for k, _ in m) for m in self.nums), default=-1)
 
     def substitute_ch0(self, dims):
         """Evaluate in the quotient ch_0(v) = dims[v]; other symbols survive."""
+        if missing := sorted({v for m in self.nums for k, v in m if not k and v not in dims}):
+            raise ValueError(f"substitute_ch0 has no ch_0 value for vertex {', '.join(missing)}")
         return self._map(
             lambda m: [(tuple((k, v) for k, v in m if k), prod(dims[v] for k, v in m if not k))]
         )
@@ -111,10 +113,9 @@ def _operator(n, f, quiver=None, framing=None):
     """R_n f, plus T_n f (T_n^{f->*} f under a framing) when a quiver is given."""
     if n < -1:
         raise ValueError("R_n is defined for n >= -1")
-    d, terms = integral(f.terms)
     out = {}
-    _virasoro(out, n, terms, () if quiver is None else _t_terms(quiver, n, framing))
-    return DescendentPoly._wrap(rational(out, d))
+    _virasoro(out, n, f.nums.items(), () if quiver is None else _t_terms(quiver, n, framing))
+    return DescendentPoly._ints(out, f.den)
 
 
 def r_op(quiver, n, f):
@@ -127,12 +128,12 @@ def r_op(quiver, n, f):
 
 def t_element(quiver, n):
     """T_n = sum_{a+b=n} a! b! sum_{v,w} chi(v,w) ch_a(v) ch_b(w); zero for n = -1."""
-    return DescendentPoly._wrap({mono: Fraction(c) for mono, c in _t_terms(quiver, n)})
+    return DescendentPoly._ints(dict(_t_terms(quiver, n)))
 
 
 def framed_t_element(quiver, framing, n):
     """T_n^{f->*} = T_n - n! sum_v f_v ch_n(v)."""
-    return DescendentPoly._wrap({mono: Fraction(c) for mono, c in _t_terms(quiver, n, framing)})
+    return DescendentPoly._ints(dict(_t_terms(quiver, n, framing)))
 
 
 def l_op(quiver, n, f):
@@ -152,7 +153,7 @@ def l_wt0(quiver, f):
     ch-index.  The image lies in ker(R_{-1}).
     """
     top = max(f.ch_weight(), 0)  # power vanishes once n + 1 > top, so top!/(n+1)! is an int
-    d, power = integral(f.terms)  # (R_{-1})^{n+1} f over d, starting at n = -1
+    d, power = f.den, f.nums.items()  # (R_{-1})^{n+1} f over d, starting at n = -1
     out = {}
     n = -1
     while power:
@@ -162,7 +163,7 @@ def l_wt0(quiver, f):
         _virasoro(shifted, -1, power, ())
         power = [(mono, c) for mono, c in shifted.items() if c]
         n += 1
-    return DescendentPoly._wrap(rational(out, d * factorial(top)))
+    return DescendentPoly._ints(out, d * factorial(top))
 
 
 def to_symfunc(f, ch0_value):

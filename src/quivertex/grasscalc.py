@@ -13,7 +13,7 @@ from math import factorial, gcd, lcm
 from . import latticeva as lv
 from . import partitions as pt
 from . import symfunc as sf
-from .lincomb import _product_into, add_to, expand_translation, integral, rational
+from .lincomb import _product_into, expand_translation, rational
 from .symfunc import SymFunc
 
 
@@ -62,7 +62,7 @@ def hecke_sym(n, f):
 
 def _translated_mode(n, weight, f):
     """sum_m h_{n+m} [z^{-m}] f(p_k - weight z^{-k}), summed in int over d_f lcm_m d_h(n+m)."""
-    d, terms = integral(f.terms)
+    d, terms = f.den, f.nums.items()
     pieces = {}  # m -> {la: int coefficient over d}
     for la, c in terms:
         for (m, kept), t in expand_translation(la, lambda k: (k, weight)).items():
@@ -76,7 +76,7 @@ def _translated_mode(n, weight, f):
     out = {}
     for m, (dm, h_terms) in h.items():
         _product_into(out, d_h // dm, h_terms, pieces[m].items(), pt.merge)
-    return SymFunc._wrap(rational(out, d * d_h))
+    return SymFunc._ints(out, d * d_h)
 
 
 # -- the Grassmannian class ---------------------------------------------------
@@ -114,8 +114,8 @@ def gr_class_wallcross(k, N):
 
 def _va_to_gr(x, N, k):
     """Read a VAElem supported on e^{(N,k)} with q-direction modes as a GrElem."""
-    terms = {}
-    for (alpha, fock), c in x.terms.items():
+    nums = {}
+    for (alpha, fock), c in x.nums.items():
         if alpha != (N, k):
             raise ValueError(f"unexpected lattice component {alpha}")
         parts = []
@@ -123,8 +123,9 @@ def _va_to_gr(x, N, k):
             if i != 1:
                 raise ValueError("Fock monomial leaves the q-direction")
             parts.append(mode)
-        add_to(terms, tuple(sorted(parts, reverse=True)), c)
-    return GrElem(N, k, SymFunc._wrap(terms))
+        la = tuple(sorted(parts, reverse=True))
+        nums[la] = nums.get(la, 0) + c
+    return GrElem(N, k, SymFunc._ints(nums, x.den))
 
 
 # -- Virasoro operators on the Grassmannian state space -----------------------
@@ -167,18 +168,21 @@ def _lowering_part(n, linear_coeff, f, quad_coeff=1):
 
 
 def _raising_part(n, linear_coeff, f):
-    """sum_j p_{n+j} p_{-j} + sum_{a+b=n} p_a p_b + linear_coeff p_n, n >= 1."""
-    return f._map(lambda la: _raising_monomial(n, linear_coeff, la).items())
+    """sum_j p_{n+j} p_{-j} + sum_{a+b=n} p_a p_b + linear_coeff p_n, n >= 1,
+    summed in int over d_f times the denominator of linear_coeff."""
+    linear = Fraction(linear_coeff)
+    d_c = linear.denominator
+    return f._map(lambda la: _raising_monomial(n, linear.numerator, la, d_c).items(), d_c)
 
 
-def _raising_monomial(n, linear_coeff, la):
-    """{mu: coefficient of p_mu} of _raising_part on the single monomial p_la;
-    the coefficients are ints when linear_coeff is.  The three sums reach
+def _raising_monomial(n, linear_coeff, la, scale=1):
+    """{mu: coefficient of p_mu} of _raising_part on p_la, the two sums free of
+    linear_coeff times scale; ints when linear_coeff is.  The three sums reach
     lengths len(la), len(la) + 2 and len(la) + 1, so their keys never meet."""
-    out = dict(_r_n_image(n, la))
+    out = {mu: scale * m for mu, m in _r_n_image(n, la)}
     for a in range(1, n):
         mu = pt.merge(la, (a, n - a))
-        out[mu] = out.get(mu, 0) + 1
+        out[mu] = out.get(mu, 0) + scale
     out[pt.merge(la, (n,))] = linear_coeff
     return out
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .lincomb import LinComb, _product_into, add_all, expand_translation, integral, rational
+from .lincomb import LinComb, _product_into, add_all, expand_translation
 
 
 class Lattice:
@@ -47,11 +47,17 @@ class Lattice:
 
     def pairing(self, u, v):
         """B(u, v) for integer vectors."""
-        return sum(u[i] * self.B[i][j] * v[j] for i in range(self.rank) for j in range(self.rank))
+        return self._form(self.B, u, v)
 
     def sign_exponent(self, u, v):
         """b(u, v) for integer vectors."""
-        return sum(u[i] * self.b[i][j] * v[j] for i in range(self.rank) for j in range(self.rank))
+        return self._form(self.b, u, v)
+
+    def _form(self, M, u, v):
+        """u^T M v; ValueError unless u and v have one entry per basis vector."""
+        if len(u) != self.rank or len(v) != self.rank:
+            raise ValueError(f"lattice vectors {tuple(u)}, {tuple(v)} need {self.rank} entries")
+        return sum(u[i] * M[i][j] * v[j] for i in range(self.rank) for j in range(self.rank))
 
     def basis_vector(self, i):
         return tuple(1 if j == i else 0 for j in range(self.rank))
@@ -104,8 +110,8 @@ class VAElem(LinComb):
                 raise ValueError("creation modes must be >= 1")
         return a, f
 
-    def _like(self, terms):
-        out = self._wrap(terms)
+    def _like_ints(self, nums, d=1):
+        out = self._ints(nums, d)
         out.lattice = self.lattice
         return out
 
@@ -121,15 +127,16 @@ class VAElem(LinComb):
         return (
             isinstance(other, VAElem)
             and self.lattice == other.lattice
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.lattice, frozenset(self.terms.items())))
+        return hash((self.lattice, self.den, frozenset(self.nums.items())))
 
     def fock_degree(self):
         """Largest total mode sum among terms; -1 for zero."""
-        return max((sum(k for _, k in fock) for _, fock in self.terms), default=-1)
+        return max((sum(k for _, k in fock) for _, fock in self.nums), default=-1)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -227,7 +234,7 @@ def field_mode(lattice, alpha, n, x):
     alpha = lattice.vector(alpha)
     weights = [lattice.pairing(alpha, lattice.basis_vector(i)) for i in range(lattice.rank)]
     weight = lambda f: (f[1], weights[f[0]])
-    d, terms = integral(x.terms)
+    d, terms = x.den, x.nums.items()
     by_beta = {}  # beta -> [(fock, int coefficient over d)]
     for (beta, fock), c in terms:
         by_beta.setdefault(beta, []).append((fock, c))
@@ -250,7 +257,7 @@ def field_mode(lattice, alpha, n, x):
         key = lambda fock, created: (gamma, tuple(sorted(fock + created)))
         series = _creation_series(alpha, p)
         _product_into(out, top // factorial(p), annihilated.items(), series, key)
-    return x._like(rational(out, d * top))
+    return x._like_ints(out, d * top)
 
 
 @lru_cache(maxsize=1024)
@@ -287,7 +294,7 @@ def is_primary(lattice, x):
     if not x:
         raise ValueError("primary test undefined for the zero element")
     by_component = {}
-    for (alpha, fock), _ in x.terms.items():
+    for alpha, fock in x.nums:
         by_component.setdefault(alpha, set()).add(sum(k for _, k in fock))
     for alpha, degrees in by_component.items():
         if len(degrees) > 1:

@@ -1,21 +1,25 @@
 """Sparse rational linear combinations: the arithmetic shared by SymFunc,
 DescendentPoly and VAElem.
 
-An element stores ``terms``, a plain dict from hashable keys to nonzero
-Fractions.  Operators build a result by summing into one fresh dict with
-``add_to``/``add_all`` and wrap it once with ``_like``, so no step copies
-or re-validates the partial sum.  A subclass supplies ``_check_key`` (key
-validation for the public constructor); an algebra also defines
-``__mul__`` through ``_product`` with the product of two basis keys, and
-its empty key ``()`` is the unit, so the constant c is ``{(): c}``.
-The hot kernels put their input over one denominator with ``integral``, sum
-in int, and build one Fraction per output key with ``rational``; an operator
-that acts one key at a time is ``_map`` with the image of a single key.
+An element stores ``den``, a positive int, and ``nums``, a dict from
+hashable keys to nonzero int numerators: the coefficient of key is
+nums[key] / den, and gcd(den, *nums) = 1.  The form is canonical, so ``==``
+and ``hash`` compare it directly.  ``terms`` is a read-only view of the
+same coefficients as Fractions, built on each read and never stored.
+Operators sum int numerators into one fresh dict and wrap it once with
+``_ints`` (``_like_ints`` keeps the ambient data), which drops zeros and divides
+out the gcd; ``_wrap`` is the one adapter from a dict of Fractions.  A
+subclass supplies ``_check_key`` (key validation for the public
+constructor); an algebra also defines ``__mul__`` through ``_product`` with
+the product of two basis keys, and its empty key ``()`` is the unit, so the
+constant c is ``{(): c}``.  An operator that acts one key at a time is
+``_map`` with the int image of a single key.
 """
 
 from fractions import Fraction
+from collections.abc import Mapping
 from itertools import groupby
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 
 def coerce(c):
@@ -94,80 +98,131 @@ def expand_translation(factors, weight):
     return out
 
 
+class _Terms(Mapping):
+    """Read-only {key: Fraction} view of an element; each value is built on read."""
+
+    __slots__ = ("_den", "_nums")
+
+    def __init__(self, den, nums):
+        self._den, self._nums = den, nums
+
+    def __getitem__(self, key):
+        return Fraction(self._nums[key], self._den)
+
+    def __len__(self):
+        return len(self._nums)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __contains__(self, key):
+        return key in self._nums
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 class LinComb:
     """Base of the sparse element types; see the module docstring."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = coerce(c)
-                if c:
-                    add_to(self.terms, self._check_key(key), c)
+        out = {}
+        for key, c in (terms or {}).items():
+            c = coerce(c)
+            if c:
+                add_to(out, self._check_key(key), c)
+        # over the lcm of reduced, nonzero Fractions the numerators share no factor with it
+        self.den, ints = integral(out)
+        self.nums = dict(ints)
+
+    @classmethod
+    def _ints(cls, nums, d=1):
+        """An element holding nums / d, for int numerators and d > 0: zeros are
+        dropped and the gcd of d and the numerators divided out."""
+        nums = {key: n for key, n in nums.items() if n}
+        g = d
+        for n in nums.values():
+            if g == 1:
+                break
+            g = gcd(g, n)
+        if g != 1:  # g = d when nums is empty, so zero is 0 / 1
+            nums = {key: n // g for key, n in nums.items()}
+        out = object.__new__(cls)
+        out.den, out.nums = d // g, nums
+        return out
 
     @classmethod
     def _wrap(cls, terms):
-        """An element holding terms as given: valid keys, nonzero Fractions."""
-        out = object.__new__(cls)
-        out.terms = terms
-        return out
+        """An element holding a dict of rational coefficients."""
+        d, ints = integral(terms)
+        return cls._ints(dict(ints), d)
 
     def _like(self, terms):
-        """An element of the same type and ambient data as self holding terms."""
-        return self._wrap(terms)
+        """An element of the same type and ambient data as self holding a dict of rationals."""
+        d, ints = integral(terms)
+        return self._like_ints(dict(ints), d)
+
+    def _like_ints(self, nums, d=1):
+        """An element of the same type and ambient data as self holding nums / d."""
+        return self._ints(nums, d)
+
+    @property
+    def terms(self):
+        return _Terms(self.den, self.nums)
+
+    def _add(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
+        g = gcd(self.den, other.den)
+        a, b = other.den // g, sign * (self.den // g)
+        out = {key: n * a for key, n in self.nums.items()} if a != 1 else dict(self.nums)
+        get = out.get
+        for key, n in other.nums.items():
+            out[key] = get(key, 0) + b * n
+        return self._like_ints(out, self.den * a)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        add_all(out, other.terms)
-        return self._like(out)
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        add_all(out, other.terms, -1)
-        return self._like(out)
+        return self._add(other, -1)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
+        return self._like_ints({k: -n for k, n in self.nums.items()}, self.den)
 
     def scale(self, c):
         c = coerce(c)
-        return self._like({k: c * x for k, x in self.terms.items()} if c else {})
+        a = c.numerator
+        return self._like_ints({k: a * n for k, n in self.nums.items()}, c.denominator * self.den)
 
     def _map(self, image, den=1):
         """The linear map sending key to sum x key' / den over the (key', int x) pairs
         of image(key), summed in int over den times the denominator of self."""
-        d, terms = integral(self.terms)
         out = {}
         get = out.get
-        for key, c in terms:
+        for key, c in self.nums.items():
             for k, x in image(key):
                 out[k] = get(k, 0) + c * x
-        return self._like(rational(out, d * den))
+        return self._like_ints(out, self.den * den)
 
     def _product(self, other, key):
         """The bilinear product in which basis keys k1, k2 multiply to key(k1, k2)."""
-        d1, t1 = integral(self.terms)
-        d2, t2 = integral(other.terms)
         out = {}
-        _product_into(out, 1, t1, t2, key)
-        return self._like(rational(out, d1 * d2))
+        _product_into(out, 1, self.nums.items(), other.nums.items(), key)
+        return self._like_ints(out, self.den * other.den)
 
     def __eq__(self, other):
         if type(other) is type(self):
-            return self.terms == other.terms
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
-            return self.terms == ({(): other} if other else {})
+            return self.nums.keys() <= {()} and Fraction(self.nums.get((), 0), self.den) == other
         return NotImplemented
 
     def __hash__(self):
-        # A constant hashes like the scalar it equals, as __eq__ requires.
-        if not self.terms:
-            return hash(0)
-        if len(self.terms) == 1 and () in self.terms:
-            return hash(self.terms[()])
-        return hash(frozenset(self.terms.items()))
+        if self.nums.keys() <= {()}:  # a constant hashes like its scalar, as __eq__ requires
+            return hash(Fraction(self.nums.get((), 0), self.den))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)

@@ -11,10 +11,9 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from types import MappingProxyType
 
 from . import partitions as pt
-from .lincomb import LinComb, _product_into, integral, rational
+from .lincomb import LinComb, _product_into
 
 
 class SymFunc(LinComb):
@@ -52,26 +51,22 @@ class SymFunc(LinComb):
             return self.scale(other)
         return self._product(other, pt.merge)
 
-    def __reduce__(self):
-        # a cached value holds a read-only view, which pickle and deepcopy cannot copy
-        return (SymFunc._wrap, (dict(self.terms),))
-
     __rmul__ = __mul__
 
     # -- structure queries -------------------------------------------------
 
     def coefficient(self, la):
-        return self.terms.get(pt.check_partition(la), Fraction(0))
+        return Fraction(self.nums.get(pt.check_partition(la), 0), self.den)
 
     def degree(self):
         """Max degree among stored terms; -1 for the zero function."""
-        return max((pt.size(la) for la in self.terms), default=-1)
+        return max((pt.size(la) for la in self.nums), default=-1)
 
     def is_homogeneous(self):
-        return len({pt.size(la) for la in self.terms}) <= 1
+        return len({pt.size(la) for la in self.nums}) <= 1
 
     def homogeneous_part(self, d):
-        return SymFunc._wrap({la: c for la, c in self.terms.items() if pt.size(la) == d})
+        return SymFunc._ints({la: n for la, n in self.nums.items() if pt.size(la) == d}, self.den)
 
     def sorted_terms(self):
         """Terms in canonical order: degree, then lexicographic on the tuple."""
@@ -86,23 +81,17 @@ class SymFunc(LinComb):
 # -- generators of the classical bases --------------------------------------
 
 
-def _frozen(terms):
-    """A SymFunc over a read-only view of terms: a cache hands the same value
-    to every caller, so writing to its .terms must raise TypeError."""
-    return SymFunc._wrap(MappingProxyType(terms))
-
-
 @lru_cache(maxsize=None)
 def elementary(j):
     """e_j = omega(h_j) in the p-basis."""
-    return _frozen(involution(complete(j)).terms)
+    return involution(complete(j))
 
 
 @lru_cache(maxsize=None)
 def complete(j):
     """h_j = sum_{la |- j} p_la / z_la in the p-basis."""
     d, terms = _complete_int(j)
-    return _frozen(rational(dict(terms), d))
+    return SymFunc._ints(dict(terms), d)
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +110,7 @@ def schur(la):
     la = pt.check_partition(la)
     n = len(la)
     rows = tuple(tuple(la[i] - i + j for j in range(n)) for i in range(n))
-    return _frozen(_det_of_completes(rows).terms)
+    return _det_of_completes(rows)
 
 
 def _det_of_completes(rows):
@@ -165,7 +154,7 @@ def _det_of_completes(rows):
     la_of = {}
     for deg in {key & mask for key, _ in terms}:
         la_of.update((code(la), la) for la in pt.partitions_of(deg))
-    return SymFunc._wrap(rational({la_of[key]: c for key, c in terms}, d))
+    return SymFunc._ints({la_of[key]: c for key, c in terms}, d)
 
 
 def monomial(la):
@@ -181,28 +170,24 @@ def _monomial_basis(d):
     m and h are Hall-dual; <p_la, h_mu> vanishes unless mu >= la in dominance
     order, which the descending lexicographic order of partitions_of(d) refines,
     so each m_mu with mu != la is known when m_la is solved for.  The pairings
-    are ints, and each m_mu is kept as (denominator, int terms) reduced by gcd.
+    are ints, and each m_mu is read back in int from its canonical form.
     """
     parts = pt.partitions_of(d)  # descending lexicographic
     pairing = {la: {} for la in parts}  # pairing[la][mu] = <p_la, h_mu>
     for mu, (dh, terms) in _complete_products_int(d).items():
         for la, n in terms:
             pairing[la][mu] = n * pt.z_int(la) // dh
-    solved = {}  # mu -> (denominator, int terms) of m_mu
     out = {}
     for la in parts:
         row = pairing[la]
-        below = [(c, solved[mu]) for mu, c in row.items() if mu != la]
-        d_sum = lcm(*(den for _, (den, _) in below))
+        below = [(c, out[mu]) for mu, c in row.items() if mu != la]
+        d_sum = lcm(*(m.den for _, m in below))
         acc = {la: d_sum}  # d_sum * (p_la - sum_mu <p_la, h_mu> m_mu)
-        for c, (d_mu, m_terms) in below:
-            s = c * (d_sum // d_mu)
-            for nu, n in m_terms:
+        for c, m in below:
+            s = c * (d_sum // m.den)
+            for nu, n in m.nums.items():
                 acc[nu] = acc.get(nu, 0) - s * n
-        den = d_sum * row[la]
-        g = gcd(den, *acc.values())
-        solved[la] = den // g, [(nu, n // g) for nu, n in acc.items() if n]
-        out[la] = _frozen(rational(acc, den))
+        out[la] = SymFunc._ints(acc, d_sum * row[la])
     return out
 
 
@@ -239,13 +224,13 @@ def annihilate(n, f):
 
 def involution(f):
     """The algebra involution sending p_j to (-1)^(j-1) p_j (s_la to s_la^t)."""
-    return SymFunc._wrap({la: c * pt.sign_of_conjugation(la) for la, c in f.terms.items()})
+    return SymFunc._ints({la: n * pt.sign_of_conjugation(la) for la, n in f.nums.items()}, f.den)
 
 
 def skew_by(g, f):
     """g^perp(f), the Hall adjoint of multiplication by g: p_la^perp p_mu is p_{mu - la}
     times prod_q q^s m!/(m-s)!, s and m the multiplicities of q in la and mu, or 0."""
-    d, g_terms = integral(g.terms)
+    g_terms = g.nums.items()
 
     def image(mu):
         out = []
@@ -260,13 +245,13 @@ def skew_by(g, f):
                 out.append((tuple(rest), w))
         return out
 
-    return f._map(image, d)
+    return f._map(image, g.den)
 
 
 def schur_expand(f):
     """Coefficients {la: <f, s_la>} of the Schur expansion of f."""
     out = {}
-    degrees = {pt.size(la) for la in f.terms}
+    degrees = {pt.size(la) for la in f.nums}
     for d in sorted(degrees):
         fd = f.homogeneous_part(d)
         for la in pt.partitions_of(d):
@@ -282,9 +267,9 @@ def monomial_expand(f):
     The m and h bases are Hall-dual, so c_la = <f, h_la>.
     """
     out = {}
-    for d in sorted({pt.size(la) for la in f.terms}):
+    for d in sorted({pt.size(la) for la in f.nums}):
         for la, (dh, terms) in _complete_products_int(d).items():
-            c = hall(f, SymFunc._wrap(rational(dict(terms), dh)))
+            c = hall(f, SymFunc._ints(dict(terms), dh))
             if c:
                 out[la] = c
     return out
@@ -300,16 +285,11 @@ def hall_deformed(f, g, alpha):
     """
     alpha = Fraction(alpha)
     a, b = alpha.numerator, alpha.denominator
-    small, big = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
-    shared = [la for la in small if la in big]
-    top = max(map(len, shared), default=0)
-    d1, t1 = integral({la: small[la] for la in shared})
-    d2, t2 = integral({la: big[la] for la in shared})
-    total = sum(
-        x * y * pt.z_int(la) * a ** len(la) * b ** (top - len(la))
-        for (la, x), (_, y) in zip(t1, t2)
-    )
-    return Fraction(total, d1 * d2 * b**top)
+    small, big = (f.nums, g.nums) if len(f.nums) <= len(g.nums) else (g.nums, f.nums)
+    shared = [(la, x, big[la]) for la, x in small.items() if la in big]
+    top = max((len(la) for la, _, _ in shared), default=0)
+    total = sum(x * y * pt.z_int(la) * a ** len(la) * b ** (top - len(la)) for la, x, y in shared)
+    return Fraction(total, f.den * g.den * b**top)
 
 
 def jack(la, alpha):
@@ -342,14 +322,13 @@ def _jack_basis(d, alpha):
     done = []  # (v, weighted v, <v, v>) for each earlier P, v an int multiple of it
     out = {}
     for la in parts:
-        lead, terms = integral(monomial(la).terms)
-        terms = dict(terms)
-        f = [terms.get(rho, 0) for rho in parts]  # lead * m_la
+        m = monomial(la)
+        lead, f = m.den, [m.nums.get(rho, 0) for rho in parts]  # f = lead * m_la
         for v, wv, norm in done:
             c = sum(map(operator.mul, f, wv))
             if c:
                 f = [norm * x - c * y for x, y in zip(f, v)]
-                g = gcd(lead * norm, *f)
+                g = gcd(lead * norm, *f) * (-1 if norm < 0 else 1)  # keeps lead > 0
                 lead = lead * norm // g
                 f = [x // g for x in f]
         wf = list(map(operator.mul, f, weight))
@@ -359,5 +338,5 @@ def _jack_basis(d, alpha):
                 f"Gram matrix singular at alpha={alpha} (norm of P_{la} vanishes)"
             )
         done.append((f, wf, norm))
-        out[la] = _frozen(rational(dict(zip(parts, f)), lead))
+        out[la] = SymFunc._ints(dict(zip(parts, f)), lead)
     return out

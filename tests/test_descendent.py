@@ -133,6 +133,16 @@ def test_substitute_ch0():
     assert g == ch(1).scale(4) + ch(2).scale(3)
 
 
+def test_substitute_ch0_names_a_missing_vertex():
+    with pytest.raises(ValueError, match="vertex x"):
+        DescendentPoly.ch(0, "x").substitute_ch0({})
+    f = ch(0, "2") * ch(1, "1") + ch(0, "3")
+    with pytest.raises(ValueError, match="vertex 2, 3"):
+        f.substitute_ch0({"1": 5})
+    # a vertex that carries no ch_0 factor needs no value
+    assert (ch(1, "2") * ch(0, "1")).substitute_ch0({"1": 5}) == ch(1, "2").scale(5)
+
+
 def test_to_symfunc():
     assert dc.to_symfunc(ch(2), 0) == SymFunc({(2,): F(1, 2)})
     assert dc.to_symfunc(ch(0) * ch(1), 3) == SymFunc({(1,): 3})
@@ -186,8 +196,10 @@ def test_t_cache_is_bounded_and_not_shared():
     before = dc.l_op(BEILINSON, 2, f)
     framed_before = dc.l_op_framed(BEILINSON, framing, 2, f)
     t = dc.t_element(BEILINSON, 2)
-    t.terms.clear()
-    dc.framed_t_element(BEILINSON, framing, 2).terms[((2, "1"),)] = F(5)
+    with pytest.raises(AttributeError):
+        t.terms.clear()
+    with pytest.raises(TypeError):
+        dc.framed_t_element(BEILINSON, framing, 2).terms[((2, "1"),)] = F(5)
     assert dc.l_op(BEILINSON, 2, f) == before
     assert dc.l_op_framed(BEILINSON, framing, 2, f) == framed_before
-    assert dc.t_element(BEILINSON, 2) and dc.t_element(BEILINSON, 2) != t
+    assert t and dc.t_element(BEILINSON, 2) == t

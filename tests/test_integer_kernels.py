@@ -292,7 +292,9 @@ def ref_jack_basis(d, alpha):
         for mu, g, norm in done:
             c = ref_hall_deformed(f, g, alpha)
             if c:
-                add_all(f.terms, g.terms, -c / norm)
+                terms = dict(f.terms)
+                add_all(terms, g.terms, -c / norm)
+                f = SymFunc._wrap(terms)
         norm = ref_hall_deformed(f, f, alpha)
         if norm == 0:
             raise ValueError(

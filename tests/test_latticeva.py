@@ -46,6 +46,15 @@ def test_lattice_vectors_of_the_wrong_length_are_rejected():
     assert GR.vector([1, -2]) == (1, -2)
 
 
+def test_forms_reject_vectors_of_the_wrong_length():
+    for form in (GR.pairing, GR.sign_exponent):
+        for u, v in (((1, 2, 3), (1, 1)), ((1,), (1, 1)), ((1, 1), ()), ((1, 1), (1, 1, 0))):
+            with pytest.raises(ValueError, match="need 2 entries"):
+                form(u, v)
+    assert GR.pairing((1, 2), (1, 1)) == -1 - 2 + 4
+    assert GR.sign_exponent((1, 2), (1, 1)) == -2 + 2
+
+
 def test_grassmannian_lattice_matches_symmetrized_framed_pairing():
     for n1, k1, n2, k2 in [(1, 0, 0, 1), (4, 2, 4, 2), (3, 1, 2, 2)]:
         got = GR.pairing((n1, k1), (n2, k2))

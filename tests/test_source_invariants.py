@@ -4,10 +4,11 @@ Operators sum into one dict (``quivertex.lincomb``), so no line may rebuild
 an element by adding to itself, which copies the partial sum on every term;
 and invariants are raised as exceptions, never asserted, since ``python -O``
 strips ``assert`` statements.  The integer kernels sum in int over one
-denominator and build one Fraction per output key, so no loop in them makes
-a Fraction per term.  Every memo is an ``lru_cache``, which a cold start can
-clear, or local to one call: no module-level name holds a dict, set or list
-display, except the list of fast checks.  A check's outcome has one form:
+denominator and store int numerators, so no loop in them makes a Fraction
+per term and none reads ``.terms``, whose values are Fractions built on read.
+Every memo is an ``lru_cache``, which a cold start can clear, or local to one
+call: no module-level name holds a dict, set or list display, except the list
+of fast checks.  A check's outcome has one form:
 ``checks._verdict`` alone builds the report dict, and the Grassmannian checks
 return residuals, never text.
 """
@@ -21,6 +22,10 @@ import quivertex
 SOURCES = sorted(Path(quivertex.__file__).parent.glob("*.py"))
 SELF_ACCUMULATION = re.compile(r"\b(\w+) = \1 [+-] ")
 INTEGER_KERNELS = {
+    "_ints",
+    "_add",
+    "__neg__",
+    "scale",
     "_map",
     "_product",
     "hall_deformed",
@@ -94,6 +99,18 @@ def test_integer_kernels_make_no_fraction_per_term():
                     if isinstance(call, ast.Call) and _called_name(call) in PER_TERM_FRACTION
                 }
     assert found == INTEGER_KERNELS
+    assert not hits, hits
+
+
+def test_integer_kernels_read_no_fraction_terms():
+    hits = [
+        f"{path.name}:{attr.lineno} in {node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in INTEGER_KERNELS
+        for attr in ast.walk(node)
+        if isinstance(attr, ast.Attribute) and attr.attr == "terms"
+    ]
     assert not hits, hits
 
 
