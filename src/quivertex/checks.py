@@ -503,7 +503,7 @@ def check_calogero_sutherland(max_deg=6):
     return _verdict("calogero_sutherland", cases(), f"|la| <= {max_deg}")
 
 
-def check_recursion_uniqueness(max_N=6):
+def check_recursion_uniqueness(max_N=8):
     def cases():
         for N in range(0, max_N + 1):
             for k in range(0, N + 1):

@@ -6,6 +6,7 @@ Calogero-Sutherland operator, and Virasoro Fock representations with their
 Jack singular vectors.  Everything is exact over Q.
 """
 
+import operator
 from fractions import Fraction
 from itertools import groupby
 from math import factorial, gcd, lcm
@@ -61,8 +62,11 @@ def hecke_sym(n, f):
 
 
 def _translated_mode(n, weight, f):
-    """sum_m h_{n+m} [z^{-m}] f(p_k - weight z^{-k}), summed in int over d_f lcm_m d_h(n+m)."""
+    """sum_m h_{n+m} [z^{-m}] f(p_k - weight z^{-k}), summed in int over d_f lcm_m d_h(n+m);
+    inside, partitions are keyed by their codes (partitions.code_weights), so a
+    product of p-monomials adds keys, and the keys are decoded once, at the end."""
     d, terms = f.den, f.nums.items()
+    weights = pt.code_weights(n + f.degree())
     pieces = {}  # m -> {la: int coefficient over d}
     for la, c in terms:
         for (m, kept), t in expand_translation(la, lambda k: (k, weight)).items():
@@ -71,12 +75,13 @@ def _translated_mode(n, weight, f):
                 piece[kept] = piece.get(kept, 0) + c * t
     # a piece that cancelled to zero needs no h_{n+m}, which is costly to build and cache
     pieces = {m: piece for m, piece in pieces.items() if any(piece.values())}
-    h = {m: sf._complete_int(n + m) for m in pieces}
+    h = {m: sf._coded_complete(n + m, weights) for m in pieces}
     d_h = lcm(*(dm for dm, _ in h.values()))
     out = {}
     for m, (dm, h_terms) in h.items():
-        _product_into(out, d_h // dm, h_terms, pieces[m].items(), pt.merge)
-    return SymFunc._ints(out, d * d_h)
+        _product_into(out, d_h // dm, h_terms, pt.encode(pieces[m].items(), weights), operator.add)
+    la_of = pt.code_table(weights, pt.code_sizes(out, weights))
+    return SymFunc._ints({la_of[key]: c for key, c in out.items()}, d * d_h)
 
 
 # -- the Grassmannian class ---------------------------------------------------
@@ -172,19 +177,14 @@ def _raising_part(n, linear_coeff, f):
     summed in int over d_f times the denominator of linear_coeff."""
     linear = Fraction(linear_coeff)
     d_c = linear.denominator
-    return f._map(lambda la: _raising_monomial(n, linear.numerator, la, d_c).items(), d_c)
 
+    def image(la):
+        out = [(mu, d_c * m) for mu, m in _r_n_image(n, la)]
+        out += [(pt.merge(la, (a, n - a)), d_c) for a in range(1, n)]
+        out.append((pt.merge(la, (n,)), linear.numerator))
+        return out
 
-def _raising_monomial(n, linear_coeff, la, scale=1):
-    """{mu: coefficient of p_mu} of _raising_part on p_la, the two sums free of
-    linear_coeff times scale; ints when linear_coeff is.  The three sums reach
-    lengths len(la), len(la) + 2 and len(la) + 1, so their keys never meet."""
-    out = {mu: scale * m for mu, m in _r_n_image(n, la)}
-    for a in range(1, n):
-        mu = pt.merge(la, (a, n - a))
-        out[mu] = out.get(mu, 0) + scale
-    out[pt.merge(la, (n,))] = linear_coeff
-    return out
+    return f._map(image, d_c)
 
 
 def _r_n_image(n, la):
@@ -264,29 +264,42 @@ def integrals_by_recursion(k, N, normalization):
         pt.partitions_of(d),
         key=lambda la: (-pt.length(la), -pt.multiplicity(la, 1)),
     )
+    # inside, partitions are keyed by their codes (partitions.code_weights): raising
+    # a part j to j + n adds w[j + n] - w[j], and a union adds codes
+    w = pt.code_weights(d)
+    coded = pt.encode(zip(order, order), w)
+    linear = 2 * k - N
     # every value is an int over the common denominator den, widened when a pivot needs it
     den = normalization.denominator
-    table = {pt.rectangle(1, d): normalization.numerator}
-    for la in order:
-        if la in table:
+    table = {d * w[1]: normalization.numerator}
+    for key, la in coded:
+        if key in table:
             continue
-        m = pt.multiplicity(la, 1)
-        ascending = sorted(la)
-        t = ascending[m]  # smallest part > 1
-        tilde = tuple(sorted([1] * (m + 1) + ascending[m + 1 :], reverse=True))
-        g = _raising_monomial(t - 1, 2 * k - N, tilde)  # gr_virasoro_dual(t - 1) on p_tilde
-        lead = g.get(la, 0)
+        m = la.count(1)
+        t = la[-m - 1]  # smallest part > 1
+        n = t - 1
+        # gr_virasoro_dual(n) on p_tilde, tilde = la with one part t lowered to 1
+        tilde = key - w[t] + w[1]
+        mult = {j: la.count(j) for j in set(la)}
+        mult[t] -= 1
+        mult[1] = m + 1
+        g = {tilde - w[j] + w[j + n]: j * r for j, r in mult.items() if r}
+        for a in range(1, n):
+            mu = tilde + w[a] + w[n - a]
+            g[mu] = g.get(mu, 0) + 1
+        g[tilde + w[n]] = linear
+        lead = g.get(key, 0)
         if lead != m + 1:
             raise ValueError(f"recursion pivot for {la} is {lead}, expected {m + 1}")
-        total = sum(c * table[mu] for mu, c in g.items() if mu != la)
+        total = sum(c * table[mu] for mu, c in g.items() if mu != key)
         if total % lead:
             widen = lead // gcd(total, lead)
             den *= widen
             table = {mu: widen * x for mu, x in table.items()}
             total *= widen
-        table[la] = -total // lead
+        table[key] = -total // lead
     values, zero = rational(table, den), Fraction(0)
-    return {la: values.get(la, zero) for la in order}
+    return {la: values.get(key, zero) for key, la in coded}
 
 
 # -- Calogero-Sutherland and geometricity -------------------------------------

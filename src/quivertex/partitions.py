@@ -1,7 +1,8 @@
 """Integer partitions, stored as weakly decreasing tuples of positive ints.
 
 The empty tuple () is the unique partition of 0.  All other modules use
-these tuples directly as dictionary keys.
+these tuples directly as dictionary keys; inside, the kernels that multiply
+p-monomials in bulk key them by an int code (``code_weights``) instead.
 """
 
 from fractions import Fraction
@@ -111,3 +112,33 @@ def remove_one(la, part):
 def sign_of_conjugation(la):
     """(-1)^(|la| - ell(la)), the sign picked up by the p-basis involution."""
     return -1 if (size(la) - length(la)) % 2 else 1
+
+
+def code_weights(top):
+    """[w_0, ..., w_top] with w_p = p + B^p, B = 2^b and b = (top + 1).bit_length().
+
+    The code of a partition la with |la| <= top is sum(w_p for p in la): its low
+    b bits hold |la| and digit p in base B the multiplicity of p, so while sizes
+    add up to at most top, the code of a union is the sum of the codes.  A list
+    is indexed faster than a tuple, so each caller builds its own.
+    """
+    b = (top + 1).bit_length()
+    return [p + (1 << b * p) for p in range(top + 1)]
+
+
+def encode(pairs, weights):
+    """[(code of la, x)] for each (la, x) of pairs, under the weights of code_weights;
+    one call per batch, not per partition."""
+    w = weights.__getitem__
+    return [(sum(map(w, la)), x) for la, x in pairs]
+
+
+def code_sizes(codes, weights):
+    """{|la|} over the given codes, each read as code mod B."""
+    mask = (1 << len(weights).bit_length()) - 1
+    return {c & mask for c in codes}
+
+
+def code_table(weights, degrees):
+    """{code: la} for every partition of each of the degrees."""
+    return dict(encode(((la, la) for d in degrees for la in partitions_of(d)), weights))

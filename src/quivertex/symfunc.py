@@ -118,20 +118,12 @@ def _det_of_completes(rows):
 
     Minors are memoized on (row offset, surviving columns) as (d, int terms)
     over their own denominator d; entries with a negative index are h_{<0} = 0.
-    Inside, la is keyed by the int |la| + sum_{p in la} B^p, B = 2^b above every
-    degree, so that a product of p-monomials adds keys and |la| = key mod B; the
-    keys are decoded by lookup in a table of the partitions of each degree present.
+    Inside, la is keyed by its code (partitions.code_weights), so that a product
+    of p-monomials adds keys; the keys are decoded once, at the end.
     """
     n = len(rows)
-    top = sum(max(*row, 0) for row in rows)
-    b = (top + 1).bit_length()
-    mask = (1 << b) - 1
-    weight = [p + (1 << b * p) for p in range(top + 1)]
-    code = lambda la: sum(map(weight.__getitem__, la))
-    h = {}
-    for i in {i for r in rows for i in r}:
-        d_h, terms = _complete_int(i)
-        h[i] = d_h, [(code(la), c) for la, c in terms]
+    weights = pt.code_weights(sum(max(*row, 0) for row in rows))
+    h = {i: _coded_complete(i, weights) for i in {i for r in rows for i in r}}
 
     @lru_cache(maxsize=None)
     def minor(i, cols):
@@ -151,10 +143,14 @@ def _det_of_completes(rows):
 
     d, terms = minor(0, tuple(range(n)))
     del minor  # it holds itself, its memo and h in a cycle: free them now, not at the next gc
-    la_of = {}
-    for deg in {key & mask for key, _ in terms}:
-        la_of.update((code(la), la) for la in pt.partitions_of(deg))
+    la_of = pt.code_table(weights, pt.code_sizes((key for key, _ in terms), weights))
     return SymFunc._ints({la_of[key]: c for key, c in terms}, d)
+
+
+def _coded_complete(j, weights):
+    """_complete_int(j) with each partition replaced by its code under weights."""
+    d, terms = _complete_int(j)
+    return d, pt.encode(terms, weights)
 
 
 def monomial(la):
@@ -194,17 +190,25 @@ def _monomial_basis(d):
 def _complete_products_int(d):
     """{mu: (prod_i mu_i!, int terms of h_mu)} for every mu |- d, in the order of
     partitions_of(d).  Each h_mu is one int product h_{mu_1} h_{mu[1:]}, the
-    second factor read from a table, local to this call, of the tails of mu."""
-    table = {(): (1, (((), 1),))}
+    second factor read from a table, local to this call, of the tails of mu;
+    inside, partitions are keyed by their codes, decoded once at the end."""
+    weights = pt.code_weights(d)
+    h = {j: _coded_complete(j, weights) for j in range(1, d + 1)}
+    table = {(): (1, ((0, 1),))}
     for mu in pt.partitions_of(d):
         for i in range(len(mu) - 1, -1, -1):
             if mu[i:] not in table:
-                d_first, first = _complete_int(mu[i])
+                d_first, first = h[mu[i]]
                 d_rest, rest = table[mu[i + 1 :]]
                 out = {}
-                _product_into(out, 1, first, rest, pt.merge)
-                table[mu[i:]] = d_first * d_rest, tuple(out.items())
-    return {mu: table[mu] for mu in pt.partitions_of(d)}
+                _product_into(out, 1, first, rest, operator.add)
+                table[mu[i:]] = d_first * d_rest, out.items()
+    la_of = pt.code_table(weights, (d,))
+    out = {}
+    for mu in pt.partitions_of(d):
+        dh, terms = table[mu]
+        out[mu] = dh, tuple((la_of[key], c) for key, c in terms)
+    return out
 
 
 # -- Hall pairing and friends ------------------------------------------------

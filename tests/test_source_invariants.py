@@ -8,7 +8,9 @@ denominator and store int numerators, so no loop in them makes a Fraction
 per term and none reads ``.terms``, whose values are Fractions built on read.
 Every memo is an ``lru_cache``, which a cold start can clear, or local to one
 call: no module-level name holds a dict, set or list display, except the list
-of fast checks.  A check's outcome has one form:
+of fast checks.  The int code of a partition has one owner,
+``partitions.code_weights``, and the products in ``symfunc`` and ``grasscalc``
+add codes instead of merging tuples.  A check's outcome has one form:
 ``checks._verdict`` alone builds the report dict, and the Grassmannian checks
 return residuals, never text.
 """
@@ -32,6 +34,7 @@ INTEGER_KERNELS = {
     "_complete_int",
     "_complete_products_int",
     "_det_of_completes",
+    "_coded_complete",
     "_translated_mode",
     "_lowering_part",
     "_raising_part",
@@ -160,4 +163,28 @@ def test_grasscalc_imports_nothing_from_serialize():
             for alias in node.names
         )
     ]
+    assert not hits, hits
+
+
+def test_only_partitions_builds_partition_codes():
+    hits, owner = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            weight_shift = (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.LShift)
+                and isinstance(node.right, ast.BinOp)
+                and isinstance(node.right.op, ast.Mult)
+            )
+            if weight_shift or isinstance(node, ast.Call) and _called_name(node) == "bit_length":
+                found = owner if path.name == "partitions.py" else hits
+                found.append(f"{path.name}:{node.lineno}")
+            if (
+                path.stem in ("symfunc", "grasscalc")
+                and isinstance(node, ast.Call)
+                and _called_name(node) == "_product_into"
+                and any(ast.unparse(arg) == "pt.merge" for arg in node.args)
+            ):
+                hits.append(f"{path.name}:{node.lineno}: _product_into keyed by pt.merge")
+    assert owner, "partitions.py builds no code weights"
     assert not hits, hits

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quivertex
 from quivertex import grasscalc as gc
@@ -40,6 +42,39 @@ def test_conjugate():
     assert pt.conjugate((3, 1)) == (2, 1, 1)
     assert pt.conjugate(()) == ()
     assert pt.conjugate((2, 2)) == (2, 2)
+
+
+# the tops at which the width of the code, or the width a bit short of it, changes
+CODE_TOPS = (1, 2, 3, 7, 8, 15, 16, 31, 32)
+
+
+@st.composite
+def partition_pairs(draw):
+    """(top, la, mu) with |la| + |mu| <= top."""
+    top = draw(st.sampled_from(CODE_TOPS))
+    n = draw(st.integers(0, top))
+    la = draw(st.sampled_from(pt.partitions_of(n)))
+    mu = draw(st.sampled_from(pt.partitions_of(draw(st.integers(0, top - n)))))
+    return top, la, mu
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_pairs())
+def test_partition_code_adds_under_union_and_keeps_the_size(case):
+    top, la, mu = case
+    w = pt.code_weights(top)
+    (union, _), (a, _), (b, _) = pt.encode([(pt.merge(la, mu), 0), (la, 0), (mu, 0)], w)
+    assert union == a + b
+    assert pt.code_sizes([a, b], w) == {pt.size(la), pt.size(mu)}
+
+
+def test_partition_code_table_inverts_the_code():
+    for top in CODE_TOPS:
+        w = pt.code_weights(top)
+        table = pt.code_table(w, range(top + 1))
+        everything = [la for d in range(top + 1) for la in pt.partitions_of(d)]
+        assert len(table) == len(everything), top  # no two partitions share a code
+        assert all(table[key] == la for key, la in pt.encode(zip(everything, everything), w)), top
 
 
 def test_ring_operations():
