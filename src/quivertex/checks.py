@@ -24,7 +24,6 @@ from . import latticeva as lv
 from . import partitions as pt
 from . import quiver as qv
 from . import symfunc as sf
-from .lincomb import add_all
 from .symfunc import SymFunc
 
 
@@ -116,10 +115,11 @@ def check_annihilation_adjoint(max_deg=8, max_n=8, samples=30):
 def check_newton_series_inverse(max_deg=10):
     def cases():
         for d in range(1, max_deg + 1):
-            acc = {}
-            for j in range(d + 1):
-                add_all(acc, (sf.elementary(j) * sf.complete(d - j)).terms, (-1) ** j)
-            yield f"degree {d}", SymFunc._wrap(acc)
+            # e_0 h_d = h_d starts the sum of (-1)^j e_j h_{d-j}
+            terms = (
+                (sf.elementary(j) * sf.complete(d - j)).scale((-1) ** j) for j in range(1, d + 1)
+            )
+            yield f"degree {d}", sum(terms, sf.complete(d))
 
     return _verdict("newton_series_inverse", cases(), f"degrees 1..{max_deg}")
 
@@ -300,12 +300,12 @@ def check_framed_matches_dual_virasoro(max_n=4, max_deg=6):
             framing = qv.FramingVector(a1, [N])
             for _ in range(3):
                 f = _random_symfunc(rng, max_deg)
-                # p_la = prod_i la_i! ch_{la_i}
-                poly = dc.DescendentPoly(
-                    {
-                        tuple((part, "1") for part in la): c * prod(map(factorial, la))
-                        for la, c in f.terms.items()
-                    }
+                # p_la = prod_i la_i! ch_{la_i}; the monomial ascends, so it reads la reversed
+                poly = f._map(
+                    lambda la: [
+                        (tuple((part, "1") for part in reversed(la)), prod(map(factorial, la)))
+                    ],
+                    like=dc.DescendentPoly(),
                 )
                 got = dc.to_symfunc(dc.l_op_framed(a1, framing, n, poly), k)
                 yield f"N={N} k={k} n={n}", got - gc.gr_virasoro_dual(n, N, k, f)
@@ -354,12 +354,9 @@ def check_lattice_annihilation_dictionary(max_deg=6):
                 for n in range(1, d + 1):
                     lhs = lv.annihilate_mode(lat, (1,), n, x)
                     target = sf.annihilate(n, SymFunc.p_monomial(la)).scale(2)
-                    rhs = lv.VAElem(
-                        lat,
-                        {
-                            ((0,), tuple((0, part) for part in mu)): c
-                            for mu, c in target.terms.items()
-                        },
+                    rhs = target._map(
+                        lambda mu: [(((0,), tuple((0, part) for part in reversed(mu))), 1)],
+                        like=lv.VAElem(lat),
                     )
                     yield f"{la} n={n}", lhs - rhs
 

@@ -11,7 +11,7 @@ from itertools import product
 from math import factorial, perm, prod
 
 from . import quiver as qv
-from .lincomb import LinComb, add_to, coerce
+from .lincomb import LinComb, coerce
 from .symfunc import SymFunc
 
 
@@ -169,21 +169,21 @@ def l_wt0(quiver, f):
 def to_symfunc(f, ch0_value):
     """Translate a one-vertex descendent polynomial to symmetric functions.
 
-    ch_n maps to p_n / n! for n >= 1 and ch_0 to the scalar ch0_value.
+    ch_n maps to p_n / n! for n >= 1 and ch_0 to the scalar ch0_value = a / b.
+    A monomial with z factors ch_0 and parts la goes to top! / prod la_i! a^z
+    b^(z_max - z) p_la over top! b^z_max, top the ch-weight of f: prod la_i!
+    divides |la|! and so top!.
     """
-    vertices = {v for mono in f.terms for _, v in mono}
-    if len(vertices) > 1:
+    if len({v for mono in f.nums for _, v in mono}) > 1:
         raise ValueError("to_symfunc needs a single-vertex polynomial")
-    out = {}
-    for mono, c in f.terms.items():
-        coeff = c
-        parts = []
-        for k, _ in mono:
-            if k == 0:
-                coeff *= ch0_value
-            else:
-                coeff /= factorial(k)
-                parts.append(k)
-        if coeff:
-            add_to(out, tuple(sorted(parts, reverse=True)), coerce(coeff))
-    return SymFunc._wrap(out)
+    ch0 = coerce(ch0_value)
+    a, b = ch0.numerator, ch0.denominator
+    top = factorial(max(f.ch_weight(), 0))
+    z_max = max((sum(1 for k, _ in mono if not k) for mono in f.nums), default=0)
+
+    def image(mono):
+        la = tuple(k for k, _ in reversed(mono) if k)  # mono ascends, so la descends
+        z = len(mono) - len(la)
+        return [(la, top // prod(map(factorial, la)) * a**z * b ** (z_max - z))]
+
+    return f._map(image, top * b**z_max, like=SymFunc())

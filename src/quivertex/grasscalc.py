@@ -118,19 +118,19 @@ def gr_class_wallcross(k, N):
 
 
 def _va_to_gr(x, N, k):
-    """Read a VAElem supported on e^{(N,k)} with q-direction modes as a GrElem."""
-    nums = {}
-    for (alpha, fock), c in x.nums.items():
+    """Read a VAElem supported on e^{(N,k)} with q-direction modes as a GrElem:
+    the Fock state prod (q)_{-la_i} is p_la."""
+
+    def image(key):
+        alpha, fock = key
         if alpha != (N, k):
             raise ValueError(f"unexpected lattice component {alpha}")
-        parts = []
-        for i, mode in fock:
-            if i != 1:
-                raise ValueError("Fock monomial leaves the q-direction")
-            parts.append(mode)
-        la = tuple(sorted(parts, reverse=True))
-        nums[la] = nums.get(la, 0) + c
-    return GrElem(N, k, SymFunc._ints(nums, x.den))
+        la = tuple([mode for i, mode in reversed(fock) if i == 1])  # fock ascends, la descends
+        if len(la) != len(fock):
+            raise ValueError("Fock monomial leaves the q-direction")
+        return [(la, 1)]
+
+    return GrElem(N, k, x._map(image, like=SymFunc()))
 
 
 # -- Virasoro operators on the Grassmannian state space -----------------------

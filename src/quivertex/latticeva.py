@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .lincomb import LinComb, _product_into, add_all, expand_translation
+from .lincomb import LinComb, _product_into, expand_translation
 
 
 class Lattice:
@@ -24,13 +24,13 @@ class Lattice:
     __slots__ = ("rank", "B", "b")
 
     def __init__(self, B, b):
-        self.B = tuple(tuple(int(x) for x in row) for row in B)
-        self.b = tuple(tuple(int(x) for x in row) for row in b)
+        self.B, self.b = (tuple(map(tuple, M)) for M in (B, b))
         self.rank = len(self.B)
-        if any(len(row) != self.rank for row in self.B) or len(self.b) != self.rank:
+        rows = self.B + self.b
+        if len(self.b) != self.rank or any(len(row) != self.rank for row in rows):
             raise ValueError("B and b must be square matrices of equal rank")
-        if any(len(row) != self.rank for row in self.b):
-            raise ValueError("B and b must be square matrices of equal rank")
+        if bad := [x for row in rows for x in row if type(x) is not int]:
+            raise ValueError(f"lattice entries must be integers, got {bad[0]!r}")
         for i in range(self.rank):
             for j in range(self.rank):
                 if self.B[i][j] != self.B[j][i]:
@@ -321,19 +321,22 @@ def is_primary(lattice, x):
             failures.append(f"L{n}_nonzero")
 
     # finite weight-one criterion: nonzero value means x mod T(V) is not a
-    # weight-one primary state
+    # weight-one primary state.  It is summed in int over x.den (max_deg + 1)!:
+    # virasoro and translate only divide out a gcd, so each term.den divides x.den.
+    top = factorial(max_deg + 1)
     wt_sum = {}
     for n in range(-1, max_deg + 1):
         term = virasoro(lattice, n, x)
         for _ in range(n + 1):
             term = translate(lattice, term)
-        sign = -1 if n % 2 else 1
-        add_all(wt_sum, term.terms, Fraction(sign, factorial(n + 1)))
+        lift = (-1 if n % 2 else 1) * (top // factorial(n + 1)) * (x.den // term.den)
+        for key, c in term.nums.items():
+            wt_sum[key] = wt_sum.get(key, 0) + lift * c
 
     return {
         "primary": not failures,
         "l0_eigenvalue_ok": l0_ok,
         "l0_eigenvalue": eigenvalue,
         "failures": failures,
-        "wt0_sum_zero": not wt_sum,
+        "wt0_sum_zero": not any(wt_sum.values()),
     }

@@ -8,12 +8,15 @@ and ``hash`` compare it directly.  ``terms`` is a read-only view of the
 same coefficients as Fractions, built on each read and never stored.
 Operators sum int numerators into one fresh dict and wrap it once with
 ``_ints`` (``_like_ints`` keeps the ambient data), which drops zeros and divides
-out the gcd; ``_wrap`` is the one adapter from a dict of Fractions.  A
+out the gcd.  Fractions cross into this int core at one boundary: the public
+constructor (``coerce``, ``add_to``, ``integral``), ``_wrap`` for a parser's
+dict of Fractions, and ``rational`` for a table of int numerators read out.  A
 subclass supplies ``_check_key`` (key validation for the public
 constructor); an algebra also defines ``__mul__`` through ``_product`` with
 the product of two basis keys, and its empty key ``()`` is the unit, so the
 constant c is ``{(): c}``.  An operator that acts one key at a time is
-``_map`` with the int image of a single key.
+``_map`` with the int image of a single key; with ``like`` it also reads one
+element type as another, so the image must emit that type's canonical keys.
 """
 
 from fractions import Fraction
@@ -38,20 +41,6 @@ def add_to(out, key, c):
         out[key] = s
     else:
         out.pop(key, None)
-
-
-def add_all(out, terms, c=1):
-    """out += c * terms in place, for a term dict."""
-    get = out.get
-    scaled = c != 1  # the common c == 1 skips a Fraction product per term
-    for key, x in terms.items():
-        if scaled:
-            x = c * x
-        s = get(key, 0) + x
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
 
 
 def integral(terms):
@@ -159,11 +148,6 @@ class LinComb:
         d, ints = integral(terms)
         return cls._ints(dict(ints), d)
 
-    def _like(self, terms):
-        """An element of the same type and ambient data as self holding a dict of rationals."""
-        d, ints = integral(terms)
-        return self._like_ints(dict(ints), d)
-
     def _like_ints(self, nums, d=1):
         """An element of the same type and ambient data as self holding nums / d."""
         return self._ints(nums, d)
@@ -196,15 +180,17 @@ class LinComb:
         a = c.numerator
         return self._like_ints({k: a * n for k, n in self.nums.items()}, c.denominator * self.den)
 
-    def _map(self, image, den=1):
+    def _map(self, image, den=1, like=None):
         """The linear map sending key to sum x key' / den over the (key', int x) pairs
-        of image(key), summed in int over den times the denominator of self."""
+        of image(key), summed in int over den times the denominator of self.  The
+        result has the type and ambient data of like, by default of self; keys are
+        not checked, so image emits the canonical keys of that type."""
         out = {}
         get = out.get
         for key, c in self.nums.items():
             for k, x in image(key):
                 out[k] = get(k, 0) + c * x
-        return self._like_ints(out, self.den * den)
+        return (self if like is None else like)._like_ints(out, self.den * den)
 
     def _product(self, other, key):
         """The bilinear product in which basis keys k1, k2 multiply to key(k1, k2)."""

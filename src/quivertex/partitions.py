@@ -65,7 +65,7 @@ def z_int(la):
     return z
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # degree d fills ~d^2/4 entries; evicting mid-walk redoes subtrees
 def partitions_of(n, max_part=None):
     """All partitions of n with parts <= max_part, as descending tuples."""
     if n < 0:

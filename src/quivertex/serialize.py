@@ -34,8 +34,15 @@ def rational_to_json(c):
     return [c.numerator, c.denominator]
 
 
+def _int(x):
+    """x, when it is an int; a JSON reader's integer fields take nothing else."""
+    if type(x) is not int:  # bool is an int, and int() would truncate 0.5 or accept "1"
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def rational_from_json(pair):
-    num, den = map(int, pair)
+    num, den = map(_int, pair)
     if den == 0:
         raise ValueError(f"zero denominator in rational {pair!r}")
     return Fraction(num, den)
@@ -147,7 +154,7 @@ def symfunc_to_json(f):
 def symfunc_from_json(data):
     out = {}
     for pair, la in data:
-        out[tuple(la)] = rational_from_json(pair)
+        out[tuple(map(_int, la))] = rational_from_json(pair)
     return SymFunc(out)
 
 
@@ -167,7 +174,7 @@ def descendent_to_json(f):
 def descendent_from_json(data):
     out = {}
     for pair, mono in data:
-        out[tuple((int(k), str(v)) for k, v in mono)] = rational_from_json(pair)
+        out[tuple((_int(k), str(v)) for k, v in mono)] = rational_from_json(pair)
     return DescendentPoly(out)
 
 
@@ -200,7 +207,7 @@ def dimvector_to_json(d):
 
 
 def dimvector_from_json(quiver, data):
-    return qv.DimVector(quiver, {v: int(x) for v, x in data.items()})
+    return qv.DimVector(quiver, {v: _int(x) for v, x in data.items()})
 
 
 def stability_to_json(theta):
@@ -237,7 +244,7 @@ def vaelem_to_json(x):
 def vaelem_from_json(lattice, data):
     out = {}
     for pair, alpha, fock in data:
-        key = (tuple(int(a) for a in alpha), tuple((int(i), int(k)) for i, k in fock))
+        key = (tuple(map(_int, alpha)), tuple((_int(i), _int(k)) for i, k in fock))
         out[key] = rational_from_json(pair)
     return VAElem(lattice, out)
 
@@ -261,6 +268,6 @@ def grelem_to_json(x):
 
 def grelem_from_json(data):
     try:
-        return GrElem(int(data["N"]), int(data["k"]), symfunc_from_json(data["f"]))
+        return GrElem(_int(data["N"]), _int(data["k"]), symfunc_from_json(data["f"]))
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed GrElem JSON: {e}") from None

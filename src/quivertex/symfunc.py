@@ -81,20 +81,20 @@ class SymFunc(LinComb):
 # -- generators of the classical bases --------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # keyed by the caller's degree, so bounded
 def elementary(j):
     """e_j = omega(h_j) in the p-basis."""
     return involution(complete(j))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # keyed by the caller's degree, so bounded
 def complete(j):
     """h_j = sum_{la |- j} p_la / z_la in the p-basis."""
     d, terms = _complete_int(j)
     return SymFunc._ints(dict(terms), d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # keyed by the caller's degree, so bounded
 def _complete_int(j):
     """(j!, ((la, j!/z_la), ...)): h_j over the denominator j!, which every z_la
     divides (j!/z_la is the size of the class of cycle type la); h_{<0} = 0."""
@@ -159,7 +159,7 @@ def monomial(la):
     return _monomial_basis(pt.size(la))[la]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # keyed by the caller's degree, so bounded
 def _monomial_basis(d):
     """All m_la for |la| = d, by back-substitution on p_la = sum_mu <p_la, h_mu> m_mu.
 

@@ -5,7 +5,8 @@ h_mu, Jacobi-Trudi minors, Hecke modes, lattice field modes, the monomial and
 Jack bases, the Virasoro recursion, the descendent Virasoro operators and
 every operator that acts one key at a time through ``LinComb._map`` (p_{-n}
 and skewing, the Grassmannian L_n, R_n and Calogero-Sutherland operators, the
-lattice creation, annihilation and Virasoro modes, and the ch_0 substitution)
+lattice creation, annihilation and Virasoro modes, the ch_0 substitution,
+and the readers ``to_symfunc`` and ``_va_to_gr`` between element types)
 put their input over one denominator (``lincomb.integral``), sum in int and
 build one Fraction per output key (``lincomb.rational``).  The reference
 implementations below are the earlier forms of the same kernels, which add
@@ -19,14 +20,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
+import pytest
+
 from quivertex import descendent as dc
 from quivertex import grasscalc as gc
 from quivertex import latticeva as lv
 from quivertex import partitions as pt
 from quivertex import quiver as qv
 from quivertex import symfunc as sf
-from quivertex.lincomb import add_all, add_to, expand_translation, integral, rational
+from quivertex.lincomb import add_to, coerce, expand_translation, integral, rational
 from quivertex.symfunc import SymFunc
+
+from fraction_reference import add_all, like
 
 DENOMINATORS = (1, 2, 6, 7919, 104729, 2**61 - 1)
 ALPHAS = (1, Fraction(-1), Fraction(-7, 3), Fraction(104729, 7919), Fraction(1, 2**61 - 1))
@@ -41,7 +46,7 @@ def ref_product(x, y, key):
     for k1, a in x.terms.items():
         for k2, b in y.terms.items():
             add_to(out, key(k1, k2), a * b)
-    return x._like(out)
+    return like(x, out)
 
 
 def ref_hall_deformed(f, g, alpha):
@@ -140,7 +145,7 @@ def ref_create(lattice, v, k, x):
         for i, vi in enumerate(v):
             if vi:
                 add_to(out, (alpha, tuple(sorted(fock + ((i, k),)))), c * vi)
-    return x._like(out)
+    return like(x, out)
 
 
 def ref_annihilate_mode(lattice, v, k, x):
@@ -157,7 +162,7 @@ def ref_annihilate_mode(lattice, v, k, x):
             coeff = k * lattice.pairing(v, lattice.basis_vector(i))
             if coeff:
                 add_to(out, (alpha, fock[:j] + fock[j + 1 :]), c * coeff)
-    return x._like(out)
+    return like(x, out)
 
 
 def ref_lattice_virasoro(lattice, n, x):
@@ -180,7 +185,7 @@ def ref_lattice_virasoro(lattice, n, x):
                 for l, (i2, k2) in enumerate(rest[j:], j):
                     if k2 == n - k:
                         add_to(out, (alpha, rest[:l] + rest[l + 1 :]), c * k * k2 * B[i][i2])
-    return x._like(out)
+    return like(x, out)
 
 
 def ref_substitute_ch0(f, dims):
@@ -196,6 +201,50 @@ def ref_substitute_ch0(f, dims):
         if coeff:
             add_to(out, tuple(rest), coeff)
     return dc.DescendentPoly._wrap(out)
+
+
+def ref_to_symfunc(f, ch0_value):
+    vertices = {v for mono in f.terms for _, v in mono}
+    if len(vertices) > 1:
+        raise ValueError("to_symfunc needs a single-vertex polynomial")
+    out = {}
+    for mono, c in f.terms.items():
+        coeff = c
+        parts = []
+        for k, _ in mono:
+            if k == 0:
+                coeff *= ch0_value
+            else:
+                coeff /= factorial(k)
+                parts.append(k)
+        if coeff:
+            add_to(out, tuple(sorted(parts, reverse=True)), coerce(coeff))
+    return SymFunc._wrap(out)
+
+
+def ref_va_to_gr(x, N, k):
+    out = {}
+    for (alpha, fock), c in x.terms.items():
+        if alpha != (N, k):
+            raise ValueError(f"unexpected lattice component {alpha}")
+        parts = []
+        for i, mode in fock:
+            if i != 1:
+                raise ValueError("Fock monomial leaves the q-direction")
+            parts.append(mode)
+        add_to(out, tuple(sorted(parts, reverse=True)), c)
+    return gc.GrElem(N, k, SymFunc._wrap(out))
+
+
+def ref_wt0_sum(lattice, x):
+    """The weight-one sum sum_{n >= -1} (-1)^n/(n+1)! T^{n+1} L_n(x) of is_primary."""
+    out = {}
+    for n in range(-1, x.fock_degree() + 1):
+        term = lv.virasoro(lattice, n, x)
+        for _ in range(n + 1):
+            term = lv.translate(lattice, term)
+        add_all(out, term.terms, Fraction(-1 if n % 2 else 1, factorial(n + 1)))
+    return out
 
 
 def ref_det_of_completes(rows):
@@ -259,7 +308,7 @@ def ref_field_mode(lattice, alpha, n, x):
         for fock, c in annihilated.items():
             for created, d in ref_creation_series(alpha, p):
                 add_to(out, (gamma, tuple(sorted(fock + created))), c * d)
-    return x._like(out)
+    return like(x, out)
 
 
 @lru_cache(maxsize=None)
@@ -789,3 +838,80 @@ def test_substitute_ch0_matches_fraction_accumulation():
     c = Fraction(1, 7919)
     f = dc.DescendentPoly({((0, "1"), (2, "1")): c, ((2, "1"),): -3 * c})
     assert not f.substitute_ch0({"1": 3}).terms
+
+
+def _one_vertex_descendent(rng):
+    """Up to 4 terms on the vertex 1, each with up to 3 factors ch_0(1) and up to 3 ch_k(1)."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        zeros = [(0, "1")] * rng.randint(0, 3)
+        mono = zeros + [(rng.randint(1, 5), "1") for _ in range(rng.randint(0, 3))]
+        terms[tuple(mono)] = _coefficient(rng)
+    return dc.DescendentPoly(terms)
+
+
+def _error(read, *args):
+    with pytest.raises(ValueError) as info:
+        read(*args)
+    return str(info.value)
+
+
+def test_to_symfunc_matches_fraction_accumulation():
+    rng = random.Random(359)
+    several = 0
+    for _ in range(80):
+        f = _one_vertex_descendent(rng)
+        several += any(sum(1 for k, _ in mono if not k) > 1 for mono in f.nums)
+        for ch0 in NORMS:
+            got = dc.to_symfunc(f, ch0)
+            assert got == ref_to_symfunc(f, ch0), (f, ch0)
+            _assert_clean(got)
+    assert several > 20  # monomials with two or three ch_0 factors
+    two_vertices = dc.DescendentPoly({((1, "1"), (0, "2")): Fraction(1, 7919)})
+    assert _error(dc.to_symfunc, two_vertices, 1) == _error(ref_to_symfunc, two_vertices, 1)
+
+
+def test_va_to_gr_matches_fraction_accumulation():
+    rng = random.Random(367)
+    lat = lv.grassmannian_lattice()
+    for _ in range(80):
+        N = rng.randint(0, 6)
+        k = rng.randint(0, N)
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            modes = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
+            terms[((N, k), tuple((1, m) for m in modes))] = _coefficient(rng)
+        x = lv.VAElem(lat, terms)
+        got = gc._va_to_gr(x, N, k)
+        assert got == ref_va_to_gr(x, N, k), x
+        _assert_clean(got.f)
+    good = ((2, 1), ((1, 2),))
+    for bad in (((1, 1), ((1, 2),)), ((2, 1), ((0, 1), (1, 2)))):  # foreign component, p-mode
+        x = lv.VAElem(lat, {good: Fraction(1, 7919), bad: 3})
+        assert _error(gc._va_to_gr, x, 2, 1) == _error(ref_va_to_gr, x, 2, 1), bad
+
+
+def test_is_primary_weight_one_sum_matches_fraction_accumulation():
+    # the sum vanishes on a weight-one group element and on every translate T(y)
+    rng = random.Random(373)
+    gr = lv.grassmannian_lattice()
+    c, d = Fraction(1, 7919), Fraction(3, 104729)
+    cases = [
+        (gr, lv.VAElem(gr, {((0, 1), ()): c, ((0, -1), ()): d})),
+        (gr, lv.VAElem(gr, {((0, 1), ()): c, ((2, 1), ()): d})),
+    ]
+    for _ in range(40):
+        lat = _random_lattice(rng)
+        x = _vaelem(lat, rng)
+        degree = {alpha: sum(k for _, k in fock) for alpha, fock in x.nums}
+        y = lv.VAElem(
+            lat, {(a, f): x.terms[a, f] for a, f in x.nums if sum(k for _, k in f) == degree[a]}
+        )
+        cases += [(lat, y), (lat, lv.translate(lat, y))]
+    zero = 0
+    for lat, x in cases:
+        if x:
+            want = not ref_wt0_sum(lat, x)
+            zero += want
+            assert lv.is_primary(lat, x)["wt0_sum_zero"] == want, x
+    assert 20 < zero < len(cases) - 10

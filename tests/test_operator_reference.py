@@ -22,8 +22,9 @@ from quivertex import quiver as qv
 from quivertex import symfunc as sf
 from quivertex.checks import _random_symfunc, _random_vaelem
 from quivertex.descendent import DescendentPoly
-from quivertex.lincomb import add_all
 from quivertex.symfunc import SymFunc
+
+from fraction_reference import add_all
 
 # -- lattice vertex algebra ------------------------------------------------------
 

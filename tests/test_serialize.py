@@ -135,3 +135,43 @@ def test_grelem_round_trip():
     data = json.loads(json.dumps(sz.grelem_to_json(x)))
     assert sz.grelem_from_json(data) == x
     assert sz.grelem_to_text(x).startswith("Q^4 q^2 (x) ")
+
+
+LINEAR2 = qv.builtin("linear(2)")
+GR_LATTICE = lv.grassmannian_lattice()
+# every integer field a JSON reader takes, as (reader of one value, a valid value)
+INTEGER_FIELDS = {
+    "rational numerator": (lambda x: sz.rational_from_json([x, 3]), 1),
+    "rational denominator": (lambda x: sz.rational_from_json([1, x]), 1),
+    "symfunc part": (lambda x: sz.symfunc_from_json([[[1, 1], [x]]]), 1),
+    "descendent index": (lambda x: sz.descendent_from_json([[[1, 1], [[x, "1"]]]]), 1),
+    "quiver degree": (
+        lambda x: sz.quiver_from_json(
+            {"vertices": ["a", "b"], "arrows": [{"src": "a", "tgt": "b", "deg": x}]}
+        ),
+        0,
+    ),
+    "dimvector entry": (lambda x: sz.dimvector_from_json(LINEAR2, {"1": x}), 1),
+    "lattice B": (
+        lambda x: sz.lattice_from_json({"B": [[0, x], [x, 0]], "b": [[0, 1], [0, 0]]}),
+        1,
+    ),
+    "lattice b": (lambda x: sz.lattice_from_json({"B": [[2]], "b": [[x]]}), 1),
+    "vaelem alpha": (lambda x: sz.vaelem_from_json(GR_LATTICE, [[[1, 1], [x, 0], []]]), 1),
+    "vaelem basis index": (
+        lambda x: sz.vaelem_from_json(GR_LATTICE, [[[1, 1], [0, 0], [[x, 2]]]]),
+        1,
+    ),
+    "vaelem mode": (lambda x: sz.vaelem_from_json(GR_LATTICE, [[[1, 1], [0, 0], [[1, x]]]]), 1),
+    "grelem N": (lambda x: sz.grelem_from_json({"N": x, "k": 0, "f": []}), 1),
+    "grelem k": (lambda x: sz.grelem_from_json({"N": 2, "k": x, "f": []}), 1),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+@pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
+def test_json_readers_take_only_ints(field, bad):
+    read, good = INTEGER_FIELDS[field]
+    read(good)  # the field is read, so a ValueError below is its type's
+    with pytest.raises(ValueError):
+        read(bad)

@@ -6,6 +6,10 @@ and invariants are raised as exceptions, never asserted, since ``python -O``
 strips ``assert`` statements.  The integer kernels sum in int over one
 denominator and store int numerators, so no loop in them makes a Fraction
 per term and none reads ``.terms``, whose values are Fractions built on read.
+The readers between element types (``to_symfunc``, ``_va_to_gr``) are int
+kernels too.  Fractions cross into the int core only at the public
+constructor and the parsers: ``.terms`` is read only by ``sorted_terms``, and
+outside ``lincomb`` only ``serialize`` calls ``add_to`` or ``_wrap``.
 Every memo is an ``lru_cache``, which a cold start can clear, or local to one
 call: no module-level name holds a dict, set or list display, except the list
 of fast checks.  The int code of a partition has one owner,
@@ -54,6 +58,8 @@ INTEGER_KERNELS = {
     "integrals_by_recursion",
     "_virasoro",
     "l_wt0",
+    "to_symfunc",
+    "_va_to_gr",
 }
 PER_TERM_FRACTION = {"Fraction", "add_to", "add_all"}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -187,4 +193,29 @@ def test_only_partitions_builds_partition_codes():
             ):
                 hits.append(f"{path.name}:{node.lineno}: _product_into keyed by pt.merge")
     assert owner, "partitions.py builds no code weights"
+    assert not hits, hits
+
+
+
+def test_fractions_enter_only_at_the_boundary():
+    hits = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "sorted_terms"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "terms" and id(node) not in allowed:
+                hits.append(f"{path.name}:{node.lineno}: .terms read")
+            if (
+                path.name not in ("lincomb.py", "serialize.py")
+                and isinstance(node, ast.Call)
+                and _called_name(node) in ("add_to", "_wrap")
+            ):
+                hits.append(f"{path.name}:{node.lineno}: {_called_name(node)}")
+            if isinstance(node, ast.FunctionDef) and node.name in ("add_all", "_like"):
+                hits.append(f"{path.name}:{node.lineno}: defines {node.name}")
     assert not hits, hits

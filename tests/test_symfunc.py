@@ -336,3 +336,12 @@ def test_values_survive_clearing_every_cache():
     assert all(c.cache_info().currsize == 0 for c in caches)
     for name, get in requests.items():
         assert get() == warm[name], name
+
+
+def test_every_package_cache_is_bounded():
+    # the keys are degrees, partitions and quivers a caller picks, so no cache may grow without end
+    caches = _package_caches()
+    assert {c.__name__ for c in caches} >= {"partitions_of", "elementary", "_monomial_basis"}
+    unbounded = [c.__name__ for c in caches if c.cache_info().maxsize is None]
+    assert not unbounded, unbounded
+    assert pt.partitions_of.cache_info().maxsize >= 4096  # d = 49 alone fills 650 entries

@@ -14,8 +14,10 @@ from quivertex import latticeva as lv
 from quivertex import partitions as pt
 from quivertex import symfunc as sf
 from quivertex.checks import _random_symfunc, _random_vaelem
-from quivertex.lincomb import add_all, add_to
+from quivertex.lincomb import add_to
 from quivertex.symfunc import SymFunc
+
+from fraction_reference import add_all, like
 
 
 def ref_exp_annihilation(lattice, alpha, m, x):
@@ -30,7 +32,7 @@ def ref_exp_annihilation(lattice, alpha, m, x):
         if piece:
             sign = -1 if pt.length(mu) % 2 else 1
             add_all(out, piece.terms, Fraction(sign, 1) / pt.z_factor(mu))
-    return x._like(out)
+    return like(x, out)
 
 
 def ref_exp_creation(lattice, alpha, p, x):
@@ -44,7 +46,7 @@ def ref_exp_creation(lattice, alpha, p, x):
                 break
         if piece:
             add_all(out, piece.terms, Fraction(1) / pt.z_factor(nu))
-    return x._like(out)
+    return like(x, out)
 
 
 def ref_field_mode(lattice, alpha, n, x):
@@ -54,7 +56,7 @@ def ref_field_mode(lattice, alpha, n, x):
         sign = -1 if lattice.sign_exponent(alpha, beta) % 2 else 1
         shift = lattice.pairing(alpha, beta)
         gamma = tuple(a + b for a, b in zip(alpha, beta))
-        base = x._like({(beta, fock): c * sign})
+        base = like(x, {(beta, fock): c * sign})
         for m in range(0, sum(k for _, k in fock) + 1):
             annihilated = ref_exp_annihilation(lattice, alpha, m, base)
             p = m - 1 - n - shift
@@ -62,7 +64,7 @@ def ref_field_mode(lattice, alpha, n, x):
                 continue
             for (_, w), cc in ref_exp_creation(lattice, alpha, p, annihilated).terms.items():
                 add_to(out, (gamma, w), cc)
-    return x._like(out)
+    return like(x, out)
 
 
 def ref_hecke(n, f):
