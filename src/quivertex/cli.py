@@ -3,6 +3,11 @@
 Every subcommand maps to one library operation or check suite, prints
 deterministic text (or JSON with --json), and exits 0 on success or
 all-pass, 1 on a failed identity, 2 on malformed input.
+
+The subcommands are described once, in ``_COMMANDS``.  A call builds the
+parser of the command it names first alone, as building every subparser was
+most of the cost of a small request; help, or an argv that names no known
+command first, gets every command's parser.  Output and errors read the same.
 """
 
 import argparse
@@ -32,6 +37,11 @@ def _arg(parse):
             raise argparse.ArgumentTypeError(f"invalid value {s!r}: {e}") from None
 
     return convert
+
+
+_PARTITION = _arg(sz.partition_from_text)
+_SYMFUNC = _arg(sz.symfunc_from_text)
+_RATIONAL = _arg(sz.rational_from_text)
 
 
 def _load_quiver(path):
@@ -211,93 +221,74 @@ def cmd_selftest(args):
     return _emit_reports(args, ck.run_selftest(args.suite))
 
 
-def build_parser():
+_K_N = (("k", dict(type=int)), ("N", dict(type=int)))
+
+# Each subcommand, in the order that -h lists them: name, help, handler, and its
+# arguments as (name or flag, add_argument keywords) pairs.
+_COMMANDS = (
+    ("schur", "Schur polynomial of a partition", cmd_schur, (
+        ("partition", dict(type=_PARTITION, help="e.g. 2,2 (use - for empty)")),
+        ("--basis", dict(choices=("p", "m", "schur"), default="p")))),
+    ("hall", "Hall pairing of two symmetric functions", cmd_hall, (
+        ("f", dict(type=_SYMFUNC)),
+        ("g", dict(type=_SYMFUNC)))),
+    ("jack", "monic Jack polynomial P_la(alpha)", cmd_jack, (
+        ("partition", dict(type=_PARTITION)),
+        ("alpha", dict(type=_RATIONAL)))),
+    ("euler", "Euler form of a quiver on two dimension vectors", cmd_euler, (
+        ("quiver", dict(help="path to a quiver JSON file")),
+        ("d1", dict(help="comma-separated integers in vertex order")),
+        ("d2", dict()),
+        ("--sym", dict(action="store_true", help="symmetrized form")))),
+    ("virasoro-bracket", "check [L_n, L_m] = (m-n) L_{n+m} on a quiver", cmd_virasoro_bracket, (
+        ("quiver", dict()),
+        ("--max-n", dict(type=int, default=3)),
+        ("--max-deg", dict(type=int, default=6)))),
+    ("gr-class", "class of Gr(k,N) in the state space", cmd_gr_class, (
+        *_K_N,
+        ("--via", dict(choices=("schur", "wallcross"), default="schur")))),
+    ("gr-integral", "descendent integral over Gr(k,N)", cmd_gr_integral, (
+        *_K_N,
+        ("f", dict(type=_SYMFUNC)))),
+    ("gr-constraints", "Virasoro constraints on s_{(N-k)^k}", cmd_gr_constraints, (
+        *_K_N,
+        ("--max-n", dict(type=int, default=6)))),
+    ("gr-recursion", "all degree-d integrals from the Virasoro recursion", cmd_gr_recursion, (
+        *_K_N,
+        ("--norm", dict(type=_RATIONAL, required=True, help="value of <p_1^d, f>")))),
+    ("hecke", "apply a Hecke operator", cmd_hecke, (
+        ("n", dict(type=int)),
+        ("f", dict(type=_SYMFUNC)),
+        ("--sym", dict(action="store_true", help="symmetrized variant")))),
+    ("cs", "apply the Calogero-Sutherland operator", cmd_cs, (
+        ("f", dict(type=_SYMFUNC)),)),
+    ("singular", "Jack singular-vector check for a Fock module", cmd_singular, (
+        ("r", dict(type=int)),
+        ("s", dict(type=int)),
+        ("beta2", dict(type=_RATIONAL)))),
+    ("selftest", "run the identity suites", cmd_selftest, (
+        ("--suite", dict(choices=("fast", "full"), default="fast")),)),
+)
+_NAMES = tuple(name for name, *_ in _COMMANDS)
+
+
+def build_parser(names):
+    """The parser of the named subcommands, in ``_COMMANDS`` order."""
     parser = argparse.ArgumentParser(
         prog="quivertex",
         description="Exact computations with quiver Euler forms, symmetric "
         "functions, lattice vertex algebras and Grassmannian Virasoro constraints.",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sub = parser.add_subparsers(dest="command", required=True)
-    partition = _arg(sz.partition_from_text)
-    symfunc = _arg(sz.symfunc_from_text)
-    rational = _arg(sz.rational_from_text)
-
-    s = sub.add_parser("schur", help="Schur polynomial of a partition")
-    s.add_argument("partition", type=partition, help="e.g. 2,2 (use - for empty)")
-    s.add_argument("--basis", choices=("p", "m", "schur"), default="p")
-    s.set_defaults(func=cmd_schur)
-
-    s = sub.add_parser("hall", help="Hall pairing of two symmetric functions")
-    s.add_argument("f", type=symfunc)
-    s.add_argument("g", type=symfunc)
-    s.set_defaults(func=cmd_hall)
-
-    s = sub.add_parser("jack", help="monic Jack polynomial P_la(alpha)")
-    s.add_argument("partition", type=partition)
-    s.add_argument("alpha", type=rational)
-    s.set_defaults(func=cmd_jack)
-
-    s = sub.add_parser("euler", help="Euler form of a quiver on two dimension vectors")
-    s.add_argument("quiver", help="path to a quiver JSON file")
-    s.add_argument("d1", help="comma-separated integers in vertex order")
-    s.add_argument("d2")
-    s.add_argument("--sym", action="store_true", help="symmetrized form")
-    s.set_defaults(func=cmd_euler)
-
-    s = sub.add_parser(
-        "virasoro-bracket", help="check [L_n, L_m] = (m-n) L_{n+m} on a quiver"
-    )
-    s.add_argument("quiver")
-    s.add_argument("--max-n", type=int, default=3)
-    s.add_argument("--max-deg", type=int, default=6)
-    s.set_defaults(func=cmd_virasoro_bracket)
-
-    s = sub.add_parser("gr-class", help="class of Gr(k,N) in the state space")
-    s.add_argument("k", type=int)
-    s.add_argument("N", type=int)
-    s.add_argument("--via", choices=("schur", "wallcross"), default="schur")
-    s.set_defaults(func=cmd_gr_class)
-
-    s = sub.add_parser("gr-integral", help="descendent integral over Gr(k,N)")
-    s.add_argument("k", type=int)
-    s.add_argument("N", type=int)
-    s.add_argument("f", type=symfunc)
-    s.set_defaults(func=cmd_gr_integral)
-
-    s = sub.add_parser("gr-constraints", help="Virasoro constraints on s_{(N-k)^k}")
-    s.add_argument("k", type=int)
-    s.add_argument("N", type=int)
-    s.add_argument("--max-n", type=int, default=6)
-    s.set_defaults(func=cmd_gr_constraints)
-
-    s = sub.add_parser(
-        "gr-recursion", help="all degree-d integrals from the Virasoro recursion"
-    )
-    s.add_argument("k", type=int)
-    s.add_argument("N", type=int)
-    s.add_argument("--norm", type=rational, required=True, help="value of <p_1^d, f>")
-    s.set_defaults(func=cmd_gr_recursion)
-
-    s = sub.add_parser("hecke", help="apply a Hecke operator")
-    s.add_argument("n", type=int)
-    s.add_argument("f", type=symfunc)
-    s.add_argument("--sym", action="store_true", help="symmetrized variant")
-    s.set_defaults(func=cmd_hecke)
-
-    s = sub.add_parser("cs", help="apply the Calogero-Sutherland operator")
-    s.add_argument("f", type=symfunc)
-    s.set_defaults(func=cmd_cs)
-
-    s = sub.add_parser("singular", help="Jack singular-vector check for a Fock module")
-    s.add_argument("r", type=int)
-    s.add_argument("s", type=int)
-    s.add_argument("beta2", type=rational)
-    s.set_defaults(func=cmd_singular)
-
-    s = sub.add_parser("selftest", help="run the identity suites")
-    s.add_argument("--suite", choices=("fast", "full"), default="fast")
-    s.set_defaults(func=cmd_selftest)
+    # with fewer commands built, the usage line that an error prints still lists them all
+    metavar = None if set(names) >= set(_NAMES) else "{" + ",".join(_NAMES) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, text, handler, arguments in _COMMANDS:
+        if name in names:
+            s = sub.add_parser(name, help=text)
+            for flag, kwargs in arguments:
+                s.add_argument(flag, **kwargs)
+            s.set_defaults(func=handler)
 
     # argparse takes -7/3 or -p1 for an option, as only -<digits> and -<decimal> look
     # negative; every option here but the exactly matched -h is long, so read them as values.
@@ -307,8 +298,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the command named first (after an exact --json) alone; else, as for -h or --js, all
+    head = argv[1:2] if argv[:1] == ["--json"] else argv[:1]
+    args = build_parser(head if head and head[0] in _NAMES else _NAMES).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as e:

@@ -11,7 +11,7 @@ from itertools import product
 from math import factorial, perm, prod
 
 from . import quiver as qv
-from .lincomb import LinComb, coerce
+from .lincomb import LinComb, coerce, integer
 from .symfunc import SymFunc
 
 
@@ -21,7 +21,7 @@ class DescendentPoly(LinComb):
     __slots__ = ()
 
     def _check_key(self, mono):
-        m = tuple(sorted((int(k), str(v)) for k, v in mono))
+        m = tuple(sorted((integer(k), str(v)) for k, v in mono))
         for k, _ in m:
             if k < 0:
                 raise ValueError("ch symbols are indexed by nonnegative integers")

@@ -14,7 +14,7 @@ from math import factorial, gcd, lcm
 from . import latticeva as lv
 from . import partitions as pt
 from . import symfunc as sf
-from .lincomb import _product_into, expand_translation, rational
+from .lincomb import _product_into, expand_translation, integer, rational
 from .symfunc import SymFunc
 
 
@@ -24,10 +24,9 @@ class GrElem:
     __slots__ = ("N", "k", "f")
 
     def __init__(self, N, k, f):
+        self.N, self.k = integer(N), integer(k)
         if N < 0:
             raise ValueError("N must be nonnegative")
-        self.N = int(N)
-        self.k = int(k)
         self.f = f
 
     def scale(self, c):
@@ -356,10 +355,9 @@ class FockParams:
         self.beta_sq = Fraction(beta_sq)
         if self.beta_sq == 0:
             raise ValueError("beta^2 must be nonzero")
+        self.r, self.s = integer(r), integer(s)
         if r < 1 or s < 1:
             raise ValueError("r and s must be positive integers")
-        self.r = int(r)
-        self.s = int(s)
 
     @property
     def alpha_beta(self):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .lincomb import LinComb, _product_into, expand_translation
+from .lincomb import LinComb, _product_into, expand_translation, integer
 
 
 class Lattice:
@@ -39,8 +39,8 @@ class Lattice:
                     raise ValueError("sign datum must satisfy b + b^T = B")
 
     def vector(self, v):
-        """v as a tuple of ints; ValueError unless it has one entry per basis vector."""
-        v = tuple(int(c) for c in v)
+        """v as a tuple; ValueError unless it has one int entry per basis vector."""
+        v = tuple(map(integer, v))
         if len(v) != self.rank:
             raise ValueError(f"lattice vector {v} needs {self.rank} entries")
         return v
@@ -102,7 +102,7 @@ class VAElem(LinComb):
     def _check_key(self, key):
         alpha, fock = key
         a = self.lattice.vector(alpha)
-        f = tuple(sorted((int(i), int(k)) for i, k in fock))
+        f = tuple(sorted((integer(i), integer(k)) for i, k in fock))
         for i, k in f:
             if not (0 <= i < self.lattice.rank):
                 raise ValueError("basis index out of range")

@@ -11,10 +11,10 @@ Operators sum int numerators into one fresh dict and wrap it once with
 out the gcd.  Fractions cross into this int core at one boundary: the public
 constructor (``coerce``, ``add_to``, ``integral``), ``_wrap`` for a parser's
 dict of Fractions, and ``rational`` for a table of int numerators read out.  A
-subclass supplies ``_check_key`` (key validation for the public
-constructor); an algebra also defines ``__mul__`` through ``_product`` with
-the product of two basis keys, and its empty key ``()`` is the unit, so the
-constant c is ``{(): c}``.  An operator that acts one key at a time is
+subclass supplies ``_check_key`` (key validation for the public constructor,
+whose integer fields take only ints, through ``integer``); an algebra also
+defines ``__mul__`` through ``_product`` with the product of two basis keys,
+and its empty key ``()`` is the unit, so the constant c is ``{(): c}``.  An operator that acts one key at a time is
 ``_map`` with the int image of a single key; with ``like`` it also reads one
 element type as another, so the image must emit that type's canonical keys.
 """
@@ -23,6 +23,14 @@ from fractions import Fraction
 from collections.abc import Mapping
 from itertools import groupby
 from math import comb, gcd, lcm
+
+
+def integer(x, error=None):
+    """x, when it is an int; else raises error(x), by default a ValueError naming x.
+    bool is an int, and int() would truncate 0.5 or accept "1", so neither is used."""
+    if type(x) is not int:
+        raise error(x) if error else ValueError(f"expected an integer, got {x!r}")
+    return x
 
 
 def coerce(c):

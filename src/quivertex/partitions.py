@@ -8,13 +8,19 @@ p-monomials in bulk key them by an int code (``code_weights``) instead.
 from fractions import Fraction
 from functools import lru_cache
 
+from .lincomb import integer
+
+
+def _bad_part(p):
+    return ValueError(f"partition parts must be positive integers, got {p!r}")
+
 
 def check_partition(parts):
     """Validate and canonicalize an iterable of parts into a partition tuple."""
     t = tuple(parts)
     for i, p in enumerate(t):
-        if not isinstance(p, int) or p < 1:
-            raise ValueError(f"partition parts must be positive integers, got {p!r}")
+        if integer(p, _bad_part) < 1:
+            raise _bad_part(p)
         if i > 0 and t[i - 1] < p:
             raise ValueError(f"partition parts must be weakly decreasing, got {t}")
     return t

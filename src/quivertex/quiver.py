@@ -8,6 +8,8 @@ computation here, since that is all the Euler form consumes.
 
 from fractions import Fraction
 
+from .lincomb import integer
+
 
 class QuiverError(ValueError):
     """Structural problem with a quiver or its associated data."""
@@ -23,11 +25,13 @@ class DgQuiver:
     __slots__ = ("vertices", "arrows", "_index")
 
     def __init__(self, vertices, arrows):
+        self.arrows = tuple((str(s), str(t), d) for s, t, d in arrows)
+        for s, t, d in self.arrows:
+            integer(d, lambda d: QuiverError("malformed_degree", f"arrow {s}->{t} has degree {d!r}"))
         self.vertices = tuple(str(v) for v in vertices)
         self._index = {v: i for i, v in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
             raise QuiverError("duplicate_vertex", "vertex identifiers must be unique")
-        self.arrows = tuple((str(s), str(t), int(d)) for s, t, d in arrows)
         self.validate()
 
     def validate(self):
@@ -130,7 +134,7 @@ class DimVector(_VertexMap):
     """Integer vector indexed by vertices (negative entries allowed for K-classes)."""
 
     def __init__(self, quiver, entries):
-        super().__init__(quiver, entries, int)
+        super().__init__(quiver, entries, integer)
 
 
 class Stability(_VertexMap):
@@ -148,7 +152,7 @@ class FramingVector(_VertexMap):
     """Nonnegative framing multiplicities, not all zero."""
 
     def __init__(self, quiver, entries):
-        super().__init__(quiver, entries, int)
+        super().__init__(quiver, entries, integer)
         if any(x < 0 for x in self.values):
             raise QuiverError("negative_framing", "framing entries must be nonnegative")
         if self.is_zero():

@@ -170,9 +170,10 @@ def _monomial_basis(d):
     """
     parts = pt.partitions_of(d)  # descending lexicographic
     pairing = {la: {} for la in parts}  # pairing[la][mu] = <p_la, h_mu>
+    z = {la: pt.z_int(la) for la in parts}
     for mu, (dh, terms) in _complete_products_int(d).items():
         for la, n in terms:
-            pairing[la][mu] = n * pt.z_int(la) // dh
+            pairing[la][mu] = n * z[la] // dh
     out = {}
     for la in parts:
         row = pairing[la]

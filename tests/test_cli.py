@@ -1,16 +1,48 @@
+import argparse
 import contextlib
 import io
 import json
 import re
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quivertex import cli
 from quivertex import quiver as qv
 from quivertex import serialize as sz
-from quivertex.cli import _coeff_map_text, main
+from quivertex.cli import _coeff_map_text
+
+BUILD_PARSER = cli.build_parser
+
+
+def _outcome(argv):
+    """How cli.main ended (returned or exited, with its code), its stdout and its stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ended = ("returned", cli.main(list(argv)))
+        except SystemExit as e:
+            ended = ("exited", e.code)
+    return ended, out.getvalue(), err.getvalue()
+
+
+def main(argv):
+    """cli.main, which builds the parser of the command it is given alone, checked
+    against a run on the parser of every command: the two must agree byte for byte
+    on exit code, stdout and stderr, which are then passed on."""
+    got = _outcome(argv)
+    with mock.patch.object(cli, "build_parser", lambda names: BUILD_PARSER(cli._NAMES)):
+        assert _outcome(argv) == got, argv
+    (ended, code), out, err = got
+    sys.stdout.write(out)
+    sys.stderr.write(err)
+    if ended == "exited":
+        raise SystemExit(code)
+    return code
 
 
 def run(capsys, *argv):
@@ -169,6 +201,52 @@ def test_zero_denominator_is_malformed_input(capsys):
         assert "invalid" in err
         assert "zero denominator" in err, err
         assert not re.search(r"_\w+_arg", err), err
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["schur", "2,1", "--bogus"], 2, "err", "unrecognized arguments: --bogus"),
+        (["--json", "hecke", "2", "p1", "--x"], 2, "err", "unrecognized arguments: --x"),
+        (["-h"], 0, "out", "run the identity suites"),
+        (["schur", "-h"], 0, "out", "usage: quivertex schur [-h]"),
+        (["bogus", "1"], 2, "err", "invalid choice: 'bogus'"),
+        (["--json"], 2, "err", "the following arguments are required: command"),
+        (["--js", "schur", "2,1"], 0, "out", "[\n  [\n    [\n      1,\n      3\n"),
+    ],
+)
+def test_the_parser_of_one_command_reads_as_that_of_every_command(capsys, argv, code, stream, text):
+    try:
+        got = main(argv)  # asserts the byte identity
+    except SystemExit as e:
+        got = e.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert text in (captured.out if stream == "out" else captured.err)
+    if code == 2:  # every top-level usage line lists all commands
+        assert "{" + ",".join(cli._NAMES) + "}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["schur", "2,1"], 1),
+        (["--json", "gr-class", "2", "4"], 1),
+        (["-h"], 13),
+        (["bogus", "1"], 13),
+    ],
+)
+def test_a_call_builds_the_subparser_of_the_command_it_names_alone(argv, built):
+    add_parser = argparse._SubParsersAction.add_parser
+    names = []
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    with mock.patch.object(argparse._SubParsersAction, "add_parser", counted):
+        _outcome(argv)
+    assert len(names) == built, names
 
 
 def test_selftest_full(capsys):

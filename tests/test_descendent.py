@@ -127,6 +127,13 @@ def test_l_wt0_lands_in_r_minus1_kernel():
             assert shifted.substitute_ch0(dims) == DescendentPoly.zero()
 
 
+@pytest.mark.parametrize("bad", [1.9, True, "1"], ids=["float", "bool", "str"])
+def test_ch_indices_take_only_ints(bad):
+    assert DescendentPoly({((1, "1"),): 1}) == ch(1)
+    with pytest.raises(ValueError, match="expected an integer"):
+        DescendentPoly({((bad, "1"),): 1})
+
+
 def test_substitute_ch0():
     f = ch(0) * ch(1) + ch(2).scale(3)
     g = f.substitute_ch0({"1": 4})

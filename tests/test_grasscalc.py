@@ -426,6 +426,19 @@ def test_fock_params_rational_data():
         FockParams(F(2), 0, 1)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "1"], ids=["float", "bool", "str"])
+def test_grassmannian_and_fock_data_take_only_ints(bad):
+    assert (GrElem(4, 2, SymFunc.one()).N, FockParams(F(2), 1, 1).r) == (4, 1)
+    for make in (
+        lambda: GrElem(bad, 1, SymFunc.one()),
+        lambda: GrElem(4, bad, SymFunc.one()),
+        lambda: FockParams(F(2), bad, 1),
+        lambda: FockParams(F(2), 1, bad),
+    ):
+        with pytest.raises(ValueError, match="expected an integer"):
+            make()
+
+
 def test_fock_virasoro_degree_one():
     # coefficient vanishes identically at r = s = 1, killing p_1
     for b2 in (F(2), F(3), F(5, 2), F(7, 5)):

@@ -46,6 +46,17 @@ def test_lattice_vectors_of_the_wrong_length_are_rejected():
     assert GR.vector([1, -2]) == (1, -2)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
+def test_lattice_vectors_and_fock_modes_take_only_ints(bad):
+    assert GR.vector([1, -2]) == (1, -2)
+    with pytest.raises(ValueError, match="expected an integer"):
+        GR.vector((bad, 0))
+    for key in (((bad, 0), ()), ((1, 0), ((bad, 2),)), ((1, 0), ((1, bad),))):
+        with pytest.raises(ValueError, match="expected an integer"):
+            VAElem(GR, {key: 1})
+    assert VAElem(GR, {((1, 0), ((1, 2),)): 1}).nums == {((1, 0), ((1, 2),)): 1}
+
+
 def test_forms_reject_vectors_of_the_wrong_length():
     for form in (GR.pairing, GR.sign_exponent):
         for u, v in (((1, 2, 3), (1, 1)), ((1,), (1, 1)), ((1, 1), ()), ((1, 1), (1, 1, 0))):

@@ -204,6 +204,27 @@ def test_index_mismatch_detected():
         qv.euler_form(q, DimVector(q, [1]), DimVector(b, [1, 0, 0]))
 
 
+NOT_INTS = pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
+
+
+@NOT_INTS
+def test_dimension_and_framing_vectors_take_only_int_entries(bad):
+    q = qv.builtin("linear(2)")
+    for vector in (DimVector, FramingVector):
+        assert vector(q, [1, 0]).values == (1, 0)
+        for entries in ([bad, 0], {"2": bad}):
+            with pytest.raises(ValueError, match="expected an integer"):
+                vector(q, entries)
+
+
+@NOT_INTS
+def test_arrow_degrees_take_only_ints(bad):
+    assert DgQuiver(["a", "b"], [("a", "b", -1)]).arrows == (("a", "b", -1),)
+    with pytest.raises(QuiverError, match="arrow a->b has degree") as e:
+        DgQuiver(["a", "b"], [("a", "b", bad)])
+    assert e.value.code == "malformed_degree"
+
+
 def test_framing_vector_validation():
     q = a1()
     with pytest.raises(QuiverError):

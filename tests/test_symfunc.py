@@ -38,6 +38,13 @@ def test_partition_validation():
         pt.check_partition((0,))
 
 
+@pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "str"])
+def test_partition_parts_take_only_ints(bad):
+    assert SymFunc({(2, 1): 1}).terms == {(2, 1): 1}
+    with pytest.raises(ValueError, match="partition parts must be positive integers"):
+        SymFunc({(2, bad): 1})
+
+
 def test_conjugate():
     assert pt.conjugate((3, 1)) == (2, 1, 1)
     assert pt.conjugate(()) == ()
