@@ -22,14 +22,12 @@ from .quiver import (
     DimVector,
     FramingVector,
     QuiverError,
-    Stability,
     builtin,
     euler_form,
     euler_matrix,
     euler_sym,
     framed_euler,
     framed_quiver,
-    slope,
     virtual_dim,
 )
 from .descendent import (
@@ -61,6 +59,8 @@ from .grasscalc import (
     calogero_sutherland,
     constraint_check,
     fock_virasoro,
+    framed_class,
+    framed_lattice,
     geometricity_check,
     gr_class_schur,
     gr_class_wallcross,

@@ -222,21 +222,6 @@ def check_framed_quiver_euler(samples=20):
     return _verdict("framed_quiver_euler", cases(), f"{samples} samples")
 
 
-def check_slope_scaling(samples=20):
-    def cases():
-        rng = random.Random(113)
-        q = qv.builtin("kronecker(2)")
-        for _ in range(samples):
-            theta = qv.Stability(q, [F(rng.randint(-3, 3)), F(rng.randint(-3, 3))])
-            d = qv.DimVector(q, [rng.randint(0, 4), rng.randint(1, 4)])
-            c = rng.randint(1, 5)
-            scaled = qv.DimVector(q, [c * x for x in d.values])
-            residual = qv.slope(theta, d) - qv.slope(theta, scaled)
-            yield f"theta={theta.values} d={d.values} c={c}", residual
-
-    return _verdict("slope_scaling", cases(), f"{samples} samples")
-
-
 # -- descendent -------------------------------------------------------------------
 
 
@@ -514,6 +499,38 @@ def check_recursion_uniqueness(max_N=8):
     return _verdict("recursion_uniqueness", cases(), f"N <= {max_N}")
 
 
+def check_framed_class_is_primary():
+    """Each framed class is a primary state of L_0 eigenvalue 0 and Fock degree dim M^f_d
+    = f.d - 1 + virtual_dim(d), and the ample bundle prod_v det V_v has positive degree:
+    (-1)^dim dim! times the sum of the class's coefficients on monomials in the p_1^(v)."""
+    a1, a2 = qv.builtin("linear(1)"), qv.builtin("linear(2)")
+    k3 = qv.DgQuiver(["1", "2"], [("1", "2", 0)] * 3)
+    diamond = qv.DgQuiver("0123", [("0", "1", 0), ("0", "2", 0), ("1", "3", 0), ("2", "3", 0)])
+    rows = (
+        ("Gr(2,4)", a1, (4,), (2,)),
+        ("Gr(2,5)", a1, (5,), (2,)),
+        ("A_2 (4,0; 2,1)", a2, (4, 0), (2, 1)),
+        ("A_2 (2,1; 1,1)", a2, (2, 1), (1, 1)),
+        ("K_3 (2,0; 2,3)", k3, (2, 0), (2, 3)),
+        ("diamond (2,0,0,0; 2,1,1,1)", diamond, (2, 0, 0, 0), (2, 1, 1, 1)),
+    )
+
+    def cases():
+        for name, quiver, f, d in rows:
+            x = gc.framed_class(quiver, f, d)
+            report = lv.is_primary(x.lattice, x) if x else {"failures": ["zero class"]}
+            yield name, report["failures"] or report["l0_eigenvalue"]  # the eigenvalue must be 0
+            dim = sum(a * b for a, b in zip(f, d)) - 1
+            dim += qv.virtual_dim(quiver, qv.DimVector(quiver, d))
+            yield f"{name} Fock degree - dim", x.fock_degree() - dim
+            ones = sum(c for (_, fock), c in x.nums.items() if all(k == 1 for _, k in fock))
+            degree = F((-1) ** dim * factorial(dim) * ones, x.den)
+            yield f"{name} degree of prod_v det V_v", None if degree > 0 else f"{degree} <= 0"
+
+    names = ", ".join(row[0] for row in rows)
+    return _verdict("framed_class_is_primary", cases(), f"primary, L_0 eigenvalue 0: {names}")
+
+
 # -- heavier end-to-end suites (full) ------------------------------------------------
 
 
@@ -607,7 +624,6 @@ FAST_CHECKS = [
     check_euler_triangularity,
     check_euler_sym_symmetry,
     check_framed_quiver_euler,
-    check_slope_scaling,
     check_descendent_virasoro_bracket,
     check_framed_virasoro_bracket,
     check_r_derivation,
@@ -623,6 +639,7 @@ FAST_CHECKS = [
     check_rectangle_constraints,
     check_calogero_sutherland,
     check_recursion_uniqueness,
+    check_framed_class_is_primary,
 ]
 
 FULL_CHECKS = FAST_CHECKS + [

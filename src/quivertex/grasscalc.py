@@ -1,7 +1,8 @@
 """Grassmannian calculus on symmetric functions.
 
 Schubert reduction, Hecke operators, the Grassmannian Virasoro operators
-and constraints, the wall-crossing class, descendent integrals, the cubic
+and constraints, the framed wall-crossing class of every acyclic quiver (the
+Grassmannian class is its one-vertex case), descendent integrals, the cubic
 Calogero-Sutherland operator, and Virasoro Fock representations with their
 Jack singular vectors.  Everything is exact over Q.
 """
@@ -9,10 +10,11 @@ Jack singular vectors.  Everything is exact over Q.
 import operator
 from fractions import Fraction
 from itertools import groupby
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from . import latticeva as lv
 from . import partitions as pt
+from . import quiver as qv
 from . import symfunc as sf
 from .lincomb import _product_into, expand_translation, integer, rational
 from .symfunc import SymFunc
@@ -94,26 +96,49 @@ def gr_class_schur(k, N):
     return GrElem(N, k, sf.schur(pt.rectangle(N - k, k)).scale(sign))
 
 
-# Sign of each Lie-bracket step in the wall-crossing iteration, relative to
-# the raw zero-mode product of the lattice vertex algebra with the b-datum
-# of grassmannian_lattice().  The raw product realizes the bracket as
-# (-1)^(N-k) H^sym_{N-2k-1}; matching the k = 1 Schubert class forces one
-# extra sign per step.  See the k=1 test against gr_class_schur.
-WALLCROSS_STEP_SIGN = -1
-
-
 def gr_class_wallcross(k, N):
-    """[Gr(k,N)] as the k-fold iterated bracket of q on Q^N, scaled by 1/k!."""
+    """[Gr(k,N)], the framed class of linear(1) at f = (N), d = (k), run from e^{(N,0)}
+    on grassmannian_lattice() = framed_lattice(linear(1), [1]): there B and b pair e_1
+    with N e_inf as they pair it with e_inf at f = (N), so no quiver is built per call."""
     if not 0 <= k <= N:
         raise ValueError("need 0 <= k <= N")
-    lattice = lv.grassmannian_lattice()
-    x = lv.VAElem.group_element(lattice, (N, 0))
-    q = (0, 1)
-    for _ in range(k):
-        x = lv.borcherds_bracket(lattice, q, x)
-    # the bracket is linear, so the k step signs and 1/k! are applied once
-    x = x.scale(Fraction(WALLCROSS_STEP_SIGN**k, factorial(k)))
-    return _va_to_gr(x, N, k)
+    return _va_to_gr(_wall_crossing(lv.grassmannian_lattice(), (N, 0), [(1, k)]), N, k)
+
+
+def framed_lattice(quiver, f):
+    """The lattice of the framed quiver, in the basis (e_inf, the vertices in order):
+    M = euler_matrix(framed_quiver(quiver, f)) with the framing vertex's diagonal
+    entry set to 0, B = M + M^T and sign datum b = M^T."""
+    M = qv.euler_matrix(qv.framed_quiver(quiver, f))
+    M[0][0] = 0
+    Mt = [list(col) for col in zip(*M)]
+    return lv.Lattice(B=[[a + b for a, b in zip(*rows)] for rows in zip(M, Mt)], b=Mt)
+
+
+def framed_class(quiver, f, d):
+    """The wall-crossing class of the framed moduli space M^f_d of an acyclic quiver, a
+    VAElem on e^{(1,d)} of framed_lattice(quiver, f): from e^{e_inf}, apply -e^{e_v}_(0)
+    d_v times at each vertex v in topological order, and scale by 1/prod_v d_v!.  Mode k
+    of vertex v is p_k^(v): the integral of prod_v p_{mu^(v)} over M^f_d is the
+    coefficient of its Fock monomial times prod_v z_{mu^(v)}."""
+    d = qv.DimVector(quiver, d)
+    if any(x < 0 for x in d.values):
+        raise qv.QuiverError("negative_dimension", "dimension vector entries must be nonnegative")
+    lattice = framed_lattice(quiver, f)
+    steps = [(1 + quiver.vertex_index(v), d[v]) for v in quiver.topological_order]
+    return _wall_crossing(lattice, lattice.basis_vector(0), steps)
+
+
+def _wall_crossing(lattice, alpha, steps):
+    """e^alpha followed, for each (basis index i, count c) in steps in turn, by c
+    brackets -e^{e_i}_(0), scaled by 1/prod c!."""
+    x = lv.VAElem.group_element(lattice, alpha)
+    for i, count in steps:
+        for _ in range(count):
+            x = lv.borcherds_bracket(lattice, lattice.basis_vector(i), x)
+    # the bracket is linear, so the step signs and the factorials are applied once
+    signs = (-1) ** sum(count for _, count in steps)
+    return x.scale(Fraction(signs, prod(factorial(count) for _, count in steps)))
 
 
 def _va_to_gr(x, N, k):

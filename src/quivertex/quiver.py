@@ -1,12 +1,10 @@
-"""Finite acyclic dg quivers with Euler forms, stability, and framing.
+"""Finite acyclic dg quivers with Euler forms and framing.
 
 A plain quiver is the degree-0 special case; a quasi-smooth dg quiver has
 arrow degrees in {0, -1}.  Relations are never modeled as path-algebra
 elements: only the count and endpoints of the degree -1 arrows enter any
 computation here, since that is all the Euler form consumes.
 """
-
-from fractions import Fraction
 
 from .lincomb import integer
 
@@ -20,9 +18,9 @@ class QuiverError(ValueError):
 
 
 class DgQuiver:
-    """Ordered vertices plus a list of graded arrows (src, tgt, deg <= 0)."""
+    """Ordered vertices, graded arrows (src, tgt, deg <= 0), and a topological_order."""
 
-    __slots__ = ("vertices", "arrows", "_index")
+    __slots__ = ("vertices", "arrows", "_index", "topological_order")
 
     def __init__(self, vertices, arrows):
         self.arrows = tuple((str(s), str(t), d) for s, t, d in arrows)
@@ -46,17 +44,18 @@ class DgQuiver:
         for s, t, _ in self.arrows:
             indeg[t] += 1
         queue = [v for v in self.vertices if indeg[v] == 0]
-        seen = 0
+        order = []
         while queue:
             v = queue.pop()
-            seen += 1
+            order.append(v)
             for s, t, _ in self.arrows:
                 if s == v:
                     indeg[t] -= 1
                     if indeg[t] == 0:
                         queue.append(t)
-        if seen != len(self.vertices):
+        if len(order) != len(self.vertices):
             raise QuiverError("cycle", "quiver has an oriented cycle")
+        self.topological_order = tuple(order)
 
     def vertex_index(self, v):
         try:
@@ -112,9 +111,6 @@ class _VertexMap:
     def __getitem__(self, v):
         return self.values[self.quiver.vertex_index(v)]
 
-    def is_zero(self):
-        return all(x == 0 for x in self.values)
-
     def __eq__(self, other):
         return (
             type(self) is type(other)
@@ -137,17 +133,6 @@ class DimVector(_VertexMap):
         super().__init__(quiver, entries, integer)
 
 
-class Stability(_VertexMap):
-    """Rational stability weights indexed by vertices."""
-
-    def __init__(self, quiver, entries):
-        super().__init__(quiver, entries, Fraction)
-
-    def pairing(self, d):
-        _check_same_quiver(self, d)
-        return sum(t * x for t, x in zip(self.values, d.values))
-
-
 class FramingVector(_VertexMap):
     """Nonnegative framing multiplicities, not all zero."""
 
@@ -155,7 +140,7 @@ class FramingVector(_VertexMap):
         super().__init__(quiver, entries, integer)
         if any(x < 0 for x in self.values):
             raise QuiverError("negative_framing", "framing entries must be nonnegative")
-        if self.is_zero():
+        if not any(self.values):
             raise QuiverError("zero_framing", "framing vector must have a positive entry")
 
 
@@ -201,13 +186,6 @@ def framed_euler(quiver, f1, d1, f2, d2):
     return euler_form(quiver, d1, d2) - dot
 
 
-def slope(theta, d):
-    """theta(d) / sum_v d_v; undefined on the zero vector."""
-    if d.is_zero():
-        raise QuiverError("zero_dimension_vector", "slope of the zero dimension vector")
-    return Fraction(theta.pairing(d), sum(d.values))
-
-
 def virtual_dim(quiver, d):
     """1 - chi(d, d), the expected dimension grading of the moduli class."""
     if not quiver.is_quasi_smooth():
@@ -219,7 +197,10 @@ FRAMING_VERTEX = "inf"
 
 
 def framed_quiver(quiver, f):
-    """Attach a framing vertex with f_v degree-0 arrows into each vertex v."""
+    """Attach a framing vertex with f_v degree-0 arrows into each vertex v; f is a
+    `FramingVector` or the entries of one (a list in vertex order, or a dict)."""
+    if not isinstance(f, FramingVector):
+        f = FramingVector(quiver, f)
     if FRAMING_VERTEX in quiver.vertices:
         raise QuiverError("duplicate_vertex", f"vertex {FRAMING_VERTEX!r} already present")
     arrows = [(FRAMING_VERTEX, v, 0) for v in quiver.vertices for _ in range(f[v])]

@@ -1,4 +1,4 @@
-"""Text and JSON round-trips for every public value type.
+"""Text and JSON forms of the values that the command line reads and prints.
 
 Serialization is canonical: terms ordered by (degree, partition) so that
 identical inputs always produce byte-identical output.  Rationals are
@@ -9,9 +9,7 @@ import re
 from fractions import Fraction
 
 from . import quiver as qv
-from .descendent import DescendentPoly
 from .grasscalc import GrElem
-from .latticeva import Lattice, VAElem
 from .lincomb import add_to, integer
 from .symfunc import SymFunc
 
@@ -39,10 +37,6 @@ def rational_from_json(pair):
     if den == 0:
         raise ValueError(f"zero denominator in rational {pair!r}")
     return Fraction(num, den)
-
-
-def partition_to_text(la):
-    return ",".join(str(p) for p in la) if la else "-"
 
 
 def partition_from_text(s):
@@ -160,17 +154,6 @@ def descendent_to_text(f):
     )
 
 
-def descendent_to_json(f):
-    return [[rational_to_json(c), [[k, v] for k, v in mono]] for mono, c in f.sorted_terms()]
-
-
-def descendent_from_json(data):
-    out = {}
-    for pair, mono in data:
-        out[tuple((integer(k), str(v)) for k, v in mono)] = rational_from_json(pair)
-    return DescendentPoly(out)
-
-
 # -- quiver values ------------------------------------------------------------
 
 
@@ -190,53 +173,6 @@ def quiver_from_json(data):
     if not isinstance(vertices, list):
         raise qv.QuiverError("malformed_vertices", f"vertices must be a list, got {vertices!r}")
     return qv.DgQuiver(vertices, arrows)
-
-
-def dimvector_to_json(d):
-    return {v: x for v, x in zip(d.quiver.vertices, d.values)}
-
-
-def dimvector_from_json(quiver, data):
-    return qv.DimVector(quiver, {v: integer(x) for v, x in data.items()})
-
-
-def stability_to_json(theta):
-    return {v: rational_to_text(x) for v, x in zip(theta.quiver.vertices, theta.values)}
-
-
-def stability_from_json(quiver, data):
-    return qv.Stability(
-        quiver, {v: rational_from_text(str(x)) for v, x in data.items()}
-    )
-
-
-# -- lattice vertex algebra ----------------------------------------------------
-
-
-def lattice_to_json(lat):
-    return {"rank": lat.rank, "B": [list(r) for r in lat.B], "b": [list(r) for r in lat.b]}
-
-
-def lattice_from_json(data):
-    try:
-        return Lattice(data["B"], data["b"])
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed lattice JSON: {e}") from None
-
-
-def vaelem_to_json(x):
-    return [
-        [rational_to_json(c), list(alpha), [[i, k] for i, k in fock]]
-        for (alpha, fock), c in x.sorted_terms()
-    ]
-
-
-def vaelem_from_json(lattice, data):
-    out = {}
-    for pair, alpha, fock in data:
-        key = (tuple(map(integer, alpha)), tuple((integer(i), integer(k)) for i, k in fock))
-        out[key] = rational_from_json(pair)
-    return VAElem(lattice, out)
 
 
 # -- Grassmannian elements ------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -12,6 +13,8 @@ from quivertex import symfunc as sf
 from quivertex.checks import _random_symfunc
 from quivertex.grasscalc import FockParams, GrElem
 from quivertex.symfunc import SymFunc
+
+from localization_reference import localization_integrals
 
 
 F = Fraction
@@ -169,6 +172,104 @@ def test_gr_class_wallcross_equals_schur(N):
         assert gc.gr_class_wallcross(k, N) == gc.gr_class_schur(k, N), (k, N)
 
 
+A1 = qv.builtin("linear(1)")
+K3 = qv.DgQuiver(["1", "2"], [("1", "2", 0)] * 3)
+DIAMOND_ARROWS = [("0", "1", 0), ("0", "2", 0), ("1", "3", 0), ("2", "3", 0)]
+DIAMOND = qv.DgQuiver(["0", "1", "2", "3"], DIAMOND_ARROWS)
+GR_ROWS = ((1, 3), (2, 4), (2, 5), (3, 5), (3, 6))
+
+
+def _row(name, quiver, f, d, count):
+    """A table row: f and d as {vertex: entry}, and the number of integrals of degree dim."""
+    f, d = dict(zip(quiver.vertices, f)), dict(zip(quiver.vertices, d))
+    return pytest.param(quiver, f, d, count, id=name)
+
+
+FRAMED_ROWS = [
+    *(_row(f"Gr({k},{N})", A1, [N], [k], n) for (k, N), n in zip(GR_ROWS, (2, 5, 11, 11, 30))),
+    _row("A_2 (4,0; 2,1)", qv.builtin("linear(2)"), [4, 0], [2, 1], 36),
+    _row("A_3 (5,0,0; 3,2,1)", qv.builtin("linear(3)"), [5, 0, 0], [3, 2, 1], 1479),
+    _row("K_3 (2,0; 2,3)", K3, [2, 0], [2, 3], 300),
+    _row("A_2 (2,1; 1,1)", qv.builtin("linear(2)"), [2, 1], [1, 1], 5),
+    _row("diamond (2,0,0,0; 2,1,1,1)", DIAMOND, [2, 0, 0, 0], [2, 1, 1, 1], 40),
+    _row(
+        "beilinson_p2 arrows, no relations (1,0,0; 1,2,1)",
+        qv.DgQuiver(["1", "2", "3"], [("1", "2", 0)] * 3 + [("2", "3", 0)] * 3),
+        [1, 0, 0],
+        [1, 2, 1],
+        429,
+    ),
+]
+
+
+def _monomials(vertices, degree):
+    """Every {vertex: partition} of total size degree."""
+    if not vertices:
+        return [{}] if degree == 0 else []
+    return [
+        {vertices[0]: mu, **rest}
+        for a in range(degree + 1)
+        for mu in pt.partitions_of(a)
+        for rest in _monomials(vertices[1:], degree - a)
+    ]
+
+
+def _class_integrals(quiver, f, d, monomials):
+    """The integrals framed_class gives: the coefficient of each monomial's Fock state
+    on e^{(1,d)} times prod_v z_{mu^(v)}."""
+    terms = gc.framed_class(quiver, f, d).terms
+    alpha = (1, *(d[v] for v in quiver.vertices))
+    fock = lambda m: tuple(sorted((1 + quiver.vertex_index(v), j) for v in m for j in m[v]))
+    return [terms.get((alpha, fock(m)), 0) * prod(map(pt.z_int, m.values())) for m in monomials]
+
+
+def _dim(quiver, f, d):
+    dim = sum(f[v] * d[v] for v in quiver.vertices) - 1
+    return dim + qv.virtual_dim(quiver, qv.DimVector(quiver, d))
+
+
+@pytest.mark.parametrize("quiver, f, d, count", FRAMED_ROWS)
+def test_framed_class_matches_localization(quiver, f, d, count):
+    monomials = _monomials(quiver.vertices, _dim(quiver, f, d))
+    assert len(monomials) == count
+    want = localization_integrals(quiver, f, d, monomials)
+    got = _class_integrals(quiver, f, d, monomials)
+    mismatches = [(m, g, w) for m, g, w in zip(monomials, got, want) if g != w]
+    assert not mismatches, (len(mismatches), mismatches[:3])
+    assert any(want)
+
+
+def test_localization_matches_schubert_integrals():
+    for k, N in GR_ROWS:
+        monomials = _monomials(("1",), k * (N - k))
+        want = [gc.gr_integral(k, N, SymFunc.p_monomial(m["1"])) for m in monomials]
+        assert localization_integrals(A1, {"1": N}, {"1": k}, monomials) == want, (k, N)
+
+
+def test_framed_class_follows_the_topological_order_not_the_listing():
+    f, d = {"1": 2, "2": 0}, {"1": 2, "2": 3}
+    monomials = _monomials(("1", "2"), 9)
+    want = _class_integrals(K3, f, d, monomials)
+    assert any(want)
+    sink_first = qv.DgQuiver(["2", "1"], [("1", "2", 0)] * 3)
+    assert _class_integrals(sink_first, f, d, monomials) == want
+    # the diamond's two topological orders give one class
+    other = qv.DgQuiver(DIAMOND.vertices, DIAMOND_ARROWS[1::-1] + DIAMOND_ARROWS[2:])
+    assert other.topological_order != DIAMOND.topological_order
+    f, d = {"0": 2}, {"0": 2, "1": 1, "2": 1, "3": 1}
+    monomials = _monomials(DIAMOND.vertices, 3)
+    assert _class_integrals(other, f, d, monomials) == _class_integrals(DIAMOND, f, d, monomials)
+
+
+def test_framed_class_input():
+    a2 = qv.builtin("linear(2)")
+    for f, d in (([4, 0], [2, -1]), ([4, 0], [2]), ([-1, 4], [1, 1]), ([0, 0], [1, 1])):
+        with pytest.raises(qv.QuiverError):
+            gc.framed_class(a2, f, d)
+    x = gc.framed_class(a2, [4, 0], [0, 0])  # d = 0: the point, e^{e_inf}
+    assert x == lv.VAElem.group_element(x.lattice, (1, 0, 0))
+
+
 def test_field_modes_match_symmetrized_hecke_series():
     # Y(q, z) on Q^N q^k (x) f is (-1)^(N-k) z^(2k-N) H^sym(z) f: the mode-n
     # coefficient must be (-1)^(N-k) H^sym_{N-2k-1-n} f for every n
@@ -206,8 +307,8 @@ def test_gr_class_is_primary_state():
 def test_raw_bracket_matches_symmetrized_hecke_display():
     # the raw zero-mode product with the chosen sign datum realizes
     # [q, Q^N q^k (x) f] = (-1)^(N-k) Q^N q^(k+1) (x) H^sym_{N-2k-1} f,
-    # one sign per step away from the Schubert normalization (see
-    # WALLCROSS_STEP_SIGN)
+    # one sign per step away from the Schubert normalization (each wall-crossing
+    # step is -e^q_(0))
     lattice = lv.grassmannian_lattice()
     rng = random.Random(59)
     for N in range(0, 5):

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from quivertex import grasscalc as gc
 from quivertex import latticeva as lv
+from quivertex import quiver as qv
 from quivertex import symfunc as sf
 from quivertex import partitions as pt
 from quivertex.checks import _random_vaelem
@@ -70,6 +72,15 @@ def test_grassmannian_lattice_matches_symmetrized_framed_pairing():
     for n1, k1, n2, k2 in [(1, 0, 0, 1), (4, 2, 4, 2), (3, 1, 2, 2)]:
         got = GR.pairing((n1, k1), (n2, k2))
         assert got == 2 * k1 * k2 - n1 * k2 - n2 * k1
+    a1 = qv.builtin("linear(1)")
+    assert GR == gc.framed_lattice(a1, [1])
+    # the framed class of linear(1), read as p-monomials, is the Grassmannian class
+    for N in range(1, 9):
+        for k in range(0, N + 1):
+            x = gc.framed_class(a1, [N], [k])
+            assert {alpha for alpha, _ in x.nums} <= {(1, k)}
+            read = x._map(lambda key: [(tuple(m for _, m in reversed(key[1])), 1)], like=SymFunc())
+            assert gc.GrElem(N, k, read) == gc.gr_class_wallcross(k, N), (k, N)
 
 
 def test_create_basics():

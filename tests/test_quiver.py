@@ -1,10 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from quivertex import quiver as qv
-from quivertex.quiver import DgQuiver, DimVector, FramingVector, QuiverError, Stability
+from quivertex.quiver import DgQuiver, DimVector, FramingVector, QuiverError
 
 
 def a1():
@@ -138,20 +137,6 @@ def test_framed_euler_grassmannian_convention():
     assert qv.framed_euler(q, None, DimVector(q, [2]), None, DimVector(q, [3])) == 6
 
 
-def test_slope():
-    q = qv.builtin("kronecker(2)")
-    theta = Stability(q, [1, 0])
-    d = DimVector(q, [1, 1])
-    assert qv.slope(theta, d) == Fraction(1, 2)
-    assert qv.slope(Stability(q, [0, 0]), d) == 0
-    with pytest.raises(QuiverError) as e:
-        qv.slope(theta, DimVector(q, [0, 0]))
-    assert e.value.code == "zero_dimension_vector"
-    # invariance under positive scaling
-    d3 = DimVector(q, [3, 3])
-    assert qv.slope(theta, d3) == qv.slope(theta, d)
-
-
 def test_framed_quiver():
     q = a1()
     f = FramingVector(q, [3])
@@ -163,6 +148,30 @@ def test_framed_quiver():
     flag = qv.framed_quiver(lin, FramingVector(lin, [2, 0]))
     assert len(flag.vertices) == 3
     assert len(flag.arrows) == 3  # 2 framing arrows + 1 linear arrow
+
+
+def test_framed_quiver_reads_plain_framings():
+    lin = qv.builtin("linear(2)")
+    want = qv.framed_quiver(lin, FramingVector(lin, [2, 0]))
+    assert qv.framed_quiver(lin, [2, 0]) == want
+    assert qv.framed_quiver(lin, {"1": 2}) == want  # a vertex left out has framing 0
+    bad_framings = (([2], "index_mismatch"), ({"3": 1}, "unknown_vertex"), ([0, -1], "negative_framing"))
+    for bad, code in bad_framings:
+        with pytest.raises(QuiverError) as e:
+            qv.framed_quiver(lin, bad)
+        assert e.value.code == code
+
+
+def test_topological_order():
+    k3 = DgQuiver(["2", "1"], [("1", "2", 0)] * 3)  # listed sink first
+    assert k3.topological_order == ("1", "2")
+    arrows = [("0", "1", 0), ("0", "2", 0), ("1", "3", 0), ("2", "3", 0)]
+    orders = set()
+    for listed in (arrows, arrows[1::-1] + arrows[2:]):
+        order = DgQuiver(["0", "1", "2", "3"], listed).topological_order
+        assert all(order.index(s) < order.index(t) for s, t, _ in arrows)
+        orders.add(order)
+    assert len(orders) == 2  # the diamond's two orders
 
 
 def test_framed_quiver_restricts_to_plain_euler():

@@ -43,10 +43,8 @@ def test_rational_zero_denominator():
 
 
 def test_partition_text():
-    assert sz.partition_to_text((3, 1)) == "3,1"
     assert sz.partition_from_text("3,1") == (3, 1)
     assert sz.partition_from_text("-") == ()
-    assert sz.partition_to_text(()) == "-"
     with pytest.raises(ValueError):
         sz.partition_from_text("1,2")
 
@@ -96,7 +94,6 @@ def test_descendent_round_trip():
         - DescendentPoly.ch(1, "2").scale(F(5, 3))
         + DescendentPoly.one().scale(2)
     )
-    assert sz.descendent_from_json(sz.descendent_to_json(f)) == f
     assert sz.descendent_to_text(DescendentPoly.zero()) == "0"
     text = sz.descendent_to_text(f)
     assert "ch2(1)" in text
@@ -113,23 +110,6 @@ def test_quiver_round_trip():
         sz.quiver_from_json({"vertices": ["a"]})
 
 
-def test_dimvector_stability_round_trip():
-    q = qv.builtin("beilinson_p2")
-    d = qv.DimVector(q, [1, 0, 2])
-    assert sz.dimvector_from_json(q, sz.dimvector_to_json(d)) == d
-    theta = qv.Stability(q, [F(1, 2), F(-1), F(0)])
-    assert sz.stability_from_json(q, sz.stability_to_json(theta)) == theta
-
-
-def test_lattice_and_vaelem_round_trip():
-    lat = lv.grassmannian_lattice()
-    assert sz.lattice_from_json(sz.lattice_to_json(lat)) == lat
-    x = lv.create(lat, (0, 1), 2, lv.VAElem.group_element(lat, (3, 1))).scale(F(-2, 7))
-    x = x + lv.VAElem.vacuum(lat)
-    data = json.loads(json.dumps(sz.vaelem_to_json(x)))
-    assert sz.vaelem_from_json(lat, data) == x
-
-
 def test_grelem_round_trip():
     x = GrElem(4, 2, sf.schur((2, 2)))
     data = json.loads(json.dumps(sz.grelem_to_json(x)))
@@ -139,30 +119,26 @@ def test_grelem_round_trip():
 
 LINEAR2 = qv.builtin("linear(2)")
 GR_LATTICE = lv.grassmannian_lattice()
-# every integer field a JSON reader takes, as (reader of one value, a valid value)
+# every integer field a JSON reader takes, as (reader of one value, a valid value);
+# the descendent, dimvector, lattice and vaelem rows read through the constructor that
+# their JSON reader fed, which keeps the only test of the Lattice entry check
 INTEGER_FIELDS = {
     "rational numerator": (lambda x: sz.rational_from_json([x, 3]), 1),
     "rational denominator": (lambda x: sz.rational_from_json([1, x]), 1),
     "symfunc part": (lambda x: sz.symfunc_from_json([[[1, 1], [x]]]), 1),
-    "descendent index": (lambda x: sz.descendent_from_json([[[1, 1], [[x, "1"]]]]), 1),
+    "descendent index": (lambda x: DescendentPoly({((x, "1"),): 1}), 1),
     "quiver degree": (
         lambda x: sz.quiver_from_json(
             {"vertices": ["a", "b"], "arrows": [{"src": "a", "tgt": "b", "deg": x}]}
         ),
         0,
     ),
-    "dimvector entry": (lambda x: sz.dimvector_from_json(LINEAR2, {"1": x}), 1),
-    "lattice B": (
-        lambda x: sz.lattice_from_json({"B": [[0, x], [x, 0]], "b": [[0, 1], [0, 0]]}),
-        1,
-    ),
-    "lattice b": (lambda x: sz.lattice_from_json({"B": [[2]], "b": [[x]]}), 1),
-    "vaelem alpha": (lambda x: sz.vaelem_from_json(GR_LATTICE, [[[1, 1], [x, 0], []]]), 1),
-    "vaelem basis index": (
-        lambda x: sz.vaelem_from_json(GR_LATTICE, [[[1, 1], [0, 0], [[x, 2]]]]),
-        1,
-    ),
-    "vaelem mode": (lambda x: sz.vaelem_from_json(GR_LATTICE, [[[1, 1], [0, 0], [[1, x]]]]), 1),
+    "dimvector entry": (lambda x: qv.DimVector(LINEAR2, {"1": x}), 1),
+    "lattice B": (lambda x: lv.Lattice(B=[[0, x], [x, 0]], b=[[0, 1], [0, 0]]), 1),
+    "lattice b": (lambda x: lv.Lattice(B=[[2]], b=[[x]]), 1),
+    "vaelem alpha": (lambda x: lv.VAElem(GR_LATTICE, {((x, 0), ()): 1}), 1),
+    "vaelem basis index": (lambda x: lv.VAElem(GR_LATTICE, {((0, 0), ((x, 2),)): 1}), 1),
+    "vaelem mode": (lambda x: lv.VAElem(GR_LATTICE, {((0, 0), ((1, x),)): 1}), 1),
     "grelem N": (lambda x: sz.grelem_from_json({"N": x, "k": 0, "f": []}), 1),
     "grelem k": (lambda x: sz.grelem_from_json({"N": 2, "k": x, "f": []}), 1),
 }

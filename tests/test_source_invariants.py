@@ -16,7 +16,9 @@ of fast checks.  The int code of a partition has one owner,
 ``partitions.code_weights``, and the products in ``symfunc`` and ``grasscalc``
 add codes instead of merging tuples.  A check's outcome has one form:
 ``checks._verdict`` alone builds the report dict, and the Grassmannian checks
-return residuals, never text.
+return residuals, never text.  Every public function of ``serialize`` has a
+caller outside it, in the package or in ``perfbench/``, or is called by one that
+has, so no reader or writer is kept for its round-trip test alone.
 """
 
 import ast
@@ -26,6 +28,7 @@ from pathlib import Path
 import quivertex
 
 SOURCES = sorted(Path(quivertex.__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
 SELF_ACCUMULATION = re.compile(r"\b(\w+) = \1 [+-] ")
 INTEGER_KERNELS = {
     "_ints",
@@ -195,6 +198,26 @@ def test_only_partitions_builds_partition_codes():
     assert owner, "partitions.py builds no code weights"
     assert not hits, hits
 
+
+def test_every_public_serialize_function_has_a_caller():
+    path = SOURCES[0].parent / "serialize.py"
+    public = {
+        node.name: node
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    callers = "\n".join(p.read_text(encoding="utf-8") for p in SOURCES + PERFBENCH if p != path)
+    used = {name for name in public if re.search(rf"\b{name}\b", callers)}
+    # a function that only a used one calls is used too
+    while grown := {
+        node.id
+        for name in used
+        for node in ast.walk(public[name])
+        if isinstance(node, ast.Name) and node.id in public
+    } - used:
+        used |= grown
+    assert PERFBENCH, "perfbench/ not found"
+    assert sorted(set(public) - used) == []
 
 
 def test_fractions_enter_only_at_the_boundary():
