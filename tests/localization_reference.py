@@ -20,6 +20,8 @@ def localization_integrals(quiver, f, d, monomials, seed=0):
     """[integral of prod_v p_{mu^(v)}] for each monomial, a {vertex: mu} dict; f and d
     map each vertex to its entry.  Summed exactly in int over the lcm of the e(F), at
     one seeded integer point, which is generic unless an Euler factor vanishes."""
+    if any(deg for _, _, deg in quiver.arrows):
+        raise ValueError("the tower of Grassmannian bundles needs degree-0 arrows only")
     rng = random.Random(seed)
     points, dim = [({}, 1)], 0  # (weights picked per vertex, Euler class)
     for v in quiver.topological_order:
