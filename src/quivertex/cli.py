@@ -232,7 +232,7 @@ _COMMANDS = (
     ("hall", "Hall pairing of two symmetric functions", cmd_hall, (
         ("f", dict(type=_SYMFUNC)),
         ("g", dict(type=_SYMFUNC)))),
-    ("jack", "monic Jack polynomial P_la(alpha)", cmd_jack, (
+    ("jack", "monic Jack polynomial P_la(alpha); fails only at a pole of P_la", cmd_jack, (
         ("partition", dict(type=_PARTITION)),
         ("alpha", dict(type=_RATIONAL)))),
     ("euler", "Euler form of a quiver on two dimension vectors", cmd_euler, (

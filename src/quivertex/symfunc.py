@@ -10,6 +10,7 @@ and e, h, m, s and Jack polynomials are conversions.
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, gcd, lcm
 
 from . import partitions as pt
@@ -300,48 +301,86 @@ def hall_deformed(f, g, alpha):
 def jack(la, alpha):
     """Monic Jack polynomial P_la^(alpha) = m_la + lower monomial terms.
 
-    Computed by Gram-Schmidt against the alpha-deformed Hall pairing, running
-    through the partitions of |la| in increasing lexicographic order (which
-    refines dominance).  Raises for alpha = 0 or when the Gram matrix degenerates
-    at a non-generic alpha.
+    Raises for alpha = 0, and at an alpha where P_la has a pole.
     """
     alpha = Fraction(alpha)
     if alpha == 0:
         raise ValueError("Jack parameter must be nonzero")
-    la = pt.check_partition(la)
-    return _jack_basis(pt.size(la), alpha)[la]
+    return _jack(pt.check_partition(la), alpha)
 
 
-@lru_cache(maxsize=256)  # keyed by the caller's alpha, so bounded
-def _jack_basis(d, alpha):
-    """All P_la for |la| = d by fraction-free Gram-Schmidt on int p-coordinates.
+@lru_cache(maxsize=256)  # keyed by the caller's partition and alpha, so bounded
+def _jack(la, alpha):
+    """P_la = sum_nu u_nu m_nu as the eigenvector of Stanley's operator D(alpha).
 
-    With alpha = a/b, the pairing times b^d weighs p_rho by the int
-    z_rho a^l b^(d - l), l = len(rho).  A projection f <- <v, v> f - <f, v> v
-    keeps f an int vector; then f and lead, the coefficient of m_la in f, are
-    divided by their gcd.  P_la = f / lead.
+    On the m-basis D(alpha) m_mu = eps_mu m_mu + lower terms, eps_mu = alpha n(mu') - n(mu)
+    with n(mu) = sum (i-1) mu_i, so u_la = 1 and (eps_la - eps_nu) u_nu = sum_mu c u_mu
+    for each nu < la in dominance.  c is read from nu: two of its parts x >= y (m_x m_y
+    choices, or C(m_x, 2) when x = y) replace the parts {x + y - q, q} of mu, 0 <= q < y
+    (one part when q = 0), with weight x + y - 2q.  Descending lexicographic order
+    refines dominance, so each u_mu is known when a u_nu needs it.
+
+    With alpha = a/b, b (eps_la - eps_nu) at alpha + t is g0 + g1 t, g1 > 0, and g0 > 0
+    when alpha > 0.  Each u is a series mod t^K, its int coefficients over one common
+    denominator den, widened when a division needs it.  Where g0 = 0 the sum must have
+    no constant term, or P_la has a pole at alpha, and it is shifted down one order; K
+    is one more than the number of such nu, so every constant term stays exact.
     """
     a, b = alpha.numerator, alpha.denominator
-    parts = sorted(pt.partitions_of(d))  # ascending lexicographic
-    weight = [pt.z_int(rho) * a ** len(rho) * b ** (d - len(rho)) for rho in parts]
-    done = []  # (v, weighted v, <v, v>) for each earlier P, v an int multiple of it
-    out = {}
-    for la in parts:
-        m = monomial(la)
-        lead, f = m.den, [m.nums.get(rho, 0) for rho in parts]  # f = lead * m_la
-        for v, wv, norm in done:
-            c = sum(map(operator.mul, f, wv))
-            if c:
-                f = [norm * x - c * y for x, y in zip(f, v)]
-                g = gcd(lead * norm, *f) * (-1 if norm < 0 else 1)  # keeps lead > 0
-                lead = lead * norm // g
-                f = [x // g for x in f]
-        wf = list(map(operator.mul, f, weight))
-        norm = sum(map(operator.mul, f, wf))
-        if norm == 0:
-            raise ValueError(
-                f"Gram matrix singular at alpha={alpha} (norm of P_{la} vanishes)"
-            )
-        done.append((f, wf, norm))
-        out[la] = SymFunc._ints(dict(zip(parts, f)), lead)
-    return out
+    d = pt.size(la)
+    w = pt.code_weights(d)
+    # nu < la in dominance: no partial sum of nu exceeds that of la
+    below = [
+        nu
+        for nu in pt.partitions_of(d)
+        if nu < la and all(map(operator.ge, accumulate(la), accumulate(nu)))
+    ]
+    e0, e1 = _b_eps(la, a, b)
+    gaps = [(e0 - f0, e1 - f1) for f0, f1 in (_b_eps(nu, a, b) for nu in below)]
+    order = 1 + sum(g0 == 0 for g0, _ in gaps)
+    coded = pt.encode(((nu, nu) for nu in (la, *below)), w)
+    den = 1
+    u = {coded[0][0]: [1] + [0] * (order - 1)}
+    for (key, nu), (g0, g1) in zip(coded[1:], gaps):
+        parts = list({x: nu.count(x) for x in nu}.items())  # (part, multiplicity), descending
+        s = [0] * order
+        for i, (x, mx) in enumerate(parts):
+            for y, my in parts[i if mx > 1 else i + 1 :]:
+                ways = mx * (mx - 1) // 2 if x == y else mx * my
+                rest = key - w[x] - w[y]
+                for q in range(y):
+                    v = u.get(rest + w[x + y - q] + (w[q] if q else 0))
+                    if v:
+                        c = ways * (x + y - 2 * q)
+                        for k, z in enumerate(v):
+                            s[k] += c * z
+        if g0 == 0:
+            if s[0]:
+                raise ValueError(f"P_{la} has a pole at alpha={alpha} (coefficient of m_{nu})")
+            s, g0, g1 = s[1:] + [0], g1, 0  # the top order is unknown from here on
+        out = []  # u_nu = b s / (g0 + g1 t), one order at a time
+        for k in range(order):
+            x = b * s[k] - g1 * (out[-1] if out else 0)
+            if x % g0:
+                widen = abs(g0) // gcd(x, g0)
+                den *= widen
+                u = {mu: [widen * z for z in v] for mu, v in u.items()}
+                s, out, x = [widen * z for z in s], [widen * z for z in out], widen * x
+            out.append(x // g0)
+        u[key] = out
+    basis = _monomial_basis(d)
+    terms = [(u[key][0], basis[nu]) for key, nu in coded]
+    d_sum = lcm(*(m.den for _, m in terms))
+    acc = {}
+    for c, m in terms:
+        c *= d_sum // m.den
+        for rho, z in m.nums.items():
+            acc[rho] = acc.get(rho, 0) + c * z
+    return SymFunc._ints(acc, den * d_sum)
+
+
+def _b_eps(mu, a, b):
+    """b eps_mu at alpha = a/b + t as (constant, coefficient of t): eps_mu = alpha n(mu') - n(mu),
+    n(mu) = sum_i (i-1) mu_i and n(mu') = sum_i C(mu_i, 2)."""
+    n_conj = sum(p * (p - 1) // 2 for p in mu)
+    return a * n_conj - b * sum(i * p for i, p in enumerate(mu)), b * n_conj

@@ -81,6 +81,21 @@ def test_jack(capsys):
     assert out.strip() == "2/3*p1^2 + 1/3*p2"
 
 
+def test_jack_where_gram_schmidt_fails(capsys):
+    # P_21 = m_21 + 6/(alpha + 2) m_111 exists at alpha = -1, where the norm of P_111 vanishes
+    code, out, _ = run(capsys, "jack", "2,1", "-1")
+    assert code == 0 and out.strip() == "p1^3 - 2*p1*p2 + p3"
+    # P_2 = m_2 + 2/(1 + alpha) m_11 has a pole at alpha = -1
+    code, out, err = run(capsys, "jack", "2", "-1")
+    assert code == 2 and not out
+    assert err.startswith("error: P_(2,) has a pole at alpha=-1"), err
+    code, out, _ = run(capsys, "jack", "3,1,1", "-7/3")
+    assert code == 0
+    assert out.strip() == (
+        "9/40*p1^5 - 9/4*p1^3*p2 + 21/8*p1*p2^2 + 5*p1^2*p3 - 7/2*p2*p3 - 7*p1*p4 + 49/10*p5"
+    )
+
+
 def test_gr_integral_golden(capsys):
     code, out, _ = run(capsys, "gr-integral", "2", "4", "p1^4")
     assert code == 0 and out.strip() == "2"

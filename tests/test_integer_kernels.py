@@ -1,8 +1,8 @@
 """The integer-accumulating kernels against their Fraction-accumulating forms.
 
 The library's products, Hall pairings, complete symmetric functions h_j and
-h_mu, Jacobi-Trudi minors, Hecke modes, lattice field modes, the monomial and
-Jack bases, the Virasoro recursion, the descendent Virasoro operators and
+h_mu, Jacobi-Trudi minors, Hecke modes, lattice field modes, the monomial
+basis, the Virasoro recursion, the descendent Virasoro operators and
 every operator that acts one key at a time through ``LinComb._map`` (p_{-n}
 and skewing, the Grassmannian L_n, R_n and Calogero-Sutherland operators, the
 lattice creation, annihilation and Virasoro modes, the ch_0 substitution,
@@ -12,7 +12,9 @@ build one Fraction per output key (``lincomb.rational``).  The reference
 implementations below are the earlier forms of the same kernels, which add
 one Fraction per term with ``add_to``/``add_all``; they call no integral
 kernel, so the two agree only if every rescaling is right.  The inputs carry large coprime denominators,
-so a missed lift changes the result.
+so a missed lift changes the result.  The Jack polynomials, from the
+Laplace-Beltrami recursion, are held to the Gram-Schmidt basis where it exists
+and, at every alpha, to an interpolation oracle that also locates their poles.
 """
 
 import random
@@ -37,6 +39,9 @@ DENOMINATORS = (1, 2, 6, 7919, 104729, 2**61 - 1)
 ALPHAS = (1, Fraction(-1), Fraction(-7, 3), Fraction(104729, 7919), Fraction(1, 2**61 - 1))
 JACK_ALPHAS = tuple(map(Fraction, (2, "1/2", 3, "2/3", 1, "104729/7919")))
 SINGULAR_ALPHAS = tuple(map(Fraction, (-1, -2, "-1/2", "-1/3", "-2/3", "-3/2", "-3/7")))
+ORACLE_ALPHAS = JACK_ALPHAS + tuple(
+    map(Fraction, (-1, -2, "-1/2", -3, "-1/3", "-2/3", "-3/2", "-5/2", "-7/3", -4, "-1/4"))
+) + tuple(map(Fraction, ("-3/4", "-4/3", "-5/3")))
 NORMS = (Fraction(1), Fraction(-7, 3), Fraction(0), Fraction(104729, 7919))
 DESCENDENT_QUIVERS = ("beilinson_p2", "p1xp1", "kronecker(3)", "linear(2)", "linear(1)")
 
@@ -354,6 +359,82 @@ def ref_jack_basis(d, alpha):
     return out
 
 
+def _interpolate(xs, ys):
+    """Coefficients, lowest first, of the polynomial of degree < len(xs) through (xs, ys)."""
+    out = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis = [Fraction(1)]  # prod_{j != i} (x - x_j) / (x_i - x_j)
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = [(low - xj * c) / (xi - xj) for c, low in zip(basis + [0], [0] + basis)]
+        out = [c + yi * e for c, e in zip(out, basis)]
+    return out
+
+
+def _evaluate(poly, x):
+    return sum(c * x**k for k, c in enumerate(poly))
+
+
+def _divide_root(poly, r):
+    """poly / (x - r), lowest coefficient first, for a poly vanishing at r (synthetic division)."""
+    out, carry = [], 0
+    for c in reversed(poly[1:]):
+        carry = c + r * carry
+        out.append(carry)
+    return out[::-1]
+
+
+def _hook_polynomial(la):
+    """c_la(alpha) = prod over boxes s of (alpha a(s) + l(s) + 1), lowest coefficient first."""
+    out = [Fraction(1)]
+    conj = pt.conjugate(la)
+    for i, row in enumerate(la):
+        for j in range(row):
+            arm, leg = row - j - 1, conj[j] - i - 1
+            out = [(leg + 1) * c + arm * low for c, low in zip(out + [0], [0] + out)]
+    return out
+
+
+@lru_cache(maxsize=None)
+def ref_integral_forms(d):
+    """{la: ({rho: coefficient of p_rho in J_la}, c_la)} for la |- d, as polynomials in alpha.
+
+    J_la = c_la(alpha) P_la has m-coefficients polynomial in alpha (Knop-Sahi), so its
+    p-coefficients are too.  Each is interpolated from the Gram-Schmidt P_la at the
+    d + 2 points alpha = 1, ..., d + 2, and checked to have degree below d: the two
+    highest of its d + 2 coefficients vanish.
+    """
+    xs = [Fraction(x) for x in range(1, d + 3)]
+    bases = [ref_jack_basis(d, x) for x in xs]
+    out = {}
+    for la in pt.partitions_of(d):
+        c = _hook_polynomial(la)
+        values = [basis[la].scale(_evaluate(c, x)) for x, basis in zip(xs, bases)]
+        coeffs = {}
+        for rho in pt.partitions_of(d):
+            poly = _interpolate(xs, [v.coefficient(rho) for v in values])
+            assert not any(poly[max(d, 1) :]), (la, rho, poly)
+            if any(poly):
+                coeffs[rho] = poly
+        out[la] = coeffs, c
+    return out
+
+
+def ref_jack_at(la, alpha):
+    """P_la at alpha from the interpolated J_la / c_la, each coefficient's common roots
+    at alpha cancelled by synthetic division; None where a coefficient keeps a pole."""
+    coeffs, c = ref_integral_forms(pt.size(la))[la]
+    terms = {}
+    for rho, poly in coeffs.items():
+        den = c
+        while _evaluate(den, alpha) == 0:
+            if _evaluate(poly, alpha):
+                return None
+            poly, den = _divide_root(poly, alpha), _divide_root(den, alpha)
+        terms[rho] = _evaluate(poly, alpha) / _evaluate(den, alpha)
+    return SymFunc(terms)
+
+
 def ref_dual_virasoro(n, linear_coeff, f):
     """sum_j p_{n+j} p_{-j} + sum_{a+b=n} p_a p_b + linear_coeff p_n, by annihilating
     and then multiplying."""
@@ -636,22 +717,54 @@ def test_monomial_basis_matches_fraction_accumulation():
             _assert_clean(m)
 
 
+def _jack_or_pole(la, alpha):
+    """jack(la, alpha), or None where it raises a ValueError naming a pole at alpha."""
+    try:
+        return sf.jack(la, alpha)
+    except ValueError as e:
+        assert f"pole at alpha={alpha}" in str(e), e
+        return None
+
+
 def test_jack_basis_matches_fraction_accumulation():
     for alpha in JACK_ALPHAS:
         for d in range(1, 9):
-            assert _outcome(sf._jack_basis, d, alpha) == _outcome(ref_jack_basis, d, alpha)
-            for P in sf._jack_basis(d, alpha).values():
+            for la, want in ref_jack_basis(d, alpha).items():
+                P = sf.jack(la, alpha)
+                assert P == want, (la, alpha)
                 _assert_clean(P)
 
 
 def test_jack_basis_raises_where_fraction_accumulation_does():
+    # where Gram-Schmidt raises, P_la is the interpolation oracle's value or a pole
     raised = 0
     for alpha in SINGULAR_ALPHAS:
         for d in range(1, 7):
-            got = _outcome(sf._jack_basis, d, alpha)
-            assert got == _outcome(ref_jack_basis, d, alpha), (d, alpha)
-            raised += isinstance(got, str)
+            ref = _outcome(ref_jack_basis, d, alpha)
+            raised += isinstance(ref, str)
+            for la in pt.partitions_of(d):
+                want = ref_jack_at(la, alpha) if isinstance(ref, str) else SymFunc(ref[la])
+                assert _jack_or_pole(la, alpha) == want, (la, alpha)
     assert 10 <= raised < len(SINGULAR_ALPHAS) * 6
+
+
+def test_jack_matches_interpolation_oracle():
+    # the oracle agrees with Gram-Schmidt wherever that succeeds; jack agrees with the
+    # oracle everywhere, values and poles alike
+    seen = {"gram_schmidt": 0, "beyond_gram_schmidt": 0, "pole": 0}
+    for alpha in ORACLE_ALPHAS:
+        for d in range(1, 8):
+            ref = _outcome(ref_jack_basis, d, alpha)
+            for la in pt.partitions_of(d):
+                want = ref_jack_at(la, alpha)
+                if isinstance(ref, dict):
+                    assert want == SymFunc(ref[la]), (la, alpha)
+                assert _jack_or_pole(la, alpha) == want, (la, alpha)
+                if want is None:
+                    seen["pole"] += 1
+                else:
+                    seen["beyond_gram_schmidt" if isinstance(ref, str) else "gram_schmidt"] += 1
+    assert seen == {"gram_schmidt": 502, "beyond_gram_schmidt": 291, "pole": 87}
 
 
 RECURSION_CASES = [

@@ -57,7 +57,7 @@ INTEGER_KERNELS = {
     "field_mode",
     "_creation_series",
     "_monomial_basis",
-    "_jack_basis",
+    "_jack",
     "integrals_by_recursion",
     "_virasoro",
     "l_wt0",

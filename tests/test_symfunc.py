@@ -257,6 +257,50 @@ def test_jack_singular_gram_detected():
         sf.jack((2,), F(-1))
 
 
+@st.composite
+def jack_cases(draw):
+    """(la, alpha) with |la| <= 7 and alpha = p/q, 0 < |p| <= 9, 1 <= q <= 9."""
+    la = draw(st.sampled_from(pt.partitions_of(draw(st.integers(0, 7)))))
+    return la, F(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9)))
+
+
+def _laplace_beltrami(f, alpha):
+    """D' f = (alpha/2) sum ij p_{i+j} d_i d_j f + 1/2 sum (i+j) p_i p_j d_{i+j} f
+    + ((alpha-1)/2) sum i(i-1) p_i d_i f over i, j >= 1, d_i = d/dp_i = annihilate(i, .)/i."""
+    top = f.degree()
+    terms = []
+    for i in range(1, top + 1):
+        f_i = sf.annihilate(i, f)
+        terms.append((p(i) * f_i).scale((alpha - 1) * (i - 1) / 2))
+        for j in range(1, top + 1 - i):
+            terms.append((p(i + j) * sf.annihilate(j, f_i)).scale(alpha / 2))
+            terms.append((p(max(i, j), min(i, j)) * sf.annihilate(i + j, f)).scale(F(1, 2)))
+    return sum(terms, SymFunc.zero())
+
+
+def _dominates(la, mu):
+    sums = [sum(la[:i]) - sum(mu[:i]) for i in range(1, max(len(la), len(mu)) + 1)]
+    return all(x >= 0 for x in sums)
+
+
+@settings(max_examples=200, deadline=None)
+@given(jack_cases())
+def test_jack_is_a_triangular_eigenvector_of_laplace_beltrami(case):
+    # the p-basis operator D' is independent of the m-basis recursion behind jack
+    la, alpha = case
+    try:
+        P = sf.jack(la, alpha)
+    except ValueError as e:
+        assert f"pole at alpha={alpha}" in str(e)
+        return
+    coeffs = sf.monomial_expand(P)
+    assert coeffs[la] == 1
+    assert all(_dominates(la, mu) for mu in coeffs)
+    n = sum(i * x for i, x in enumerate(la))
+    n_conj = sum(x * (x - 1) // 2 for x in la)
+    assert _laplace_beltrami(P, alpha) == P.scale(alpha * n_conj - n)
+
+
 def test_skew_by():
     # e_1^perp = annihilate(1, .)
     f = p(2, 1) + p(1, 1, 1)
@@ -308,7 +352,7 @@ def test_cached_values_are_read_only():
 
 def test_caches_keyed_by_partitions_are_bounded():
     # schur and jack take any caller's partition or alpha, so their caches stop growing
-    for cached in (sf.schur, sf._jack_basis):
+    for cached in (sf.schur, sf._jack):
         assert cached.cache_info().maxsize is not None, cached
 
 
