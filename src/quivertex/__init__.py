@@ -49,7 +49,6 @@ from .latticeva import (
     field_mode,
     grassmannian_lattice,
     is_primary,
-    single_box_lattice,
     translate,
     virasoro,
 )

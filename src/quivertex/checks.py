@@ -214,9 +214,7 @@ def check_framed_quiver_euler(samples=20):
             plain = qv.euler_form(base, qv.DimVector(base, d1), qv.DimVector(base, d2))
             yield f"restriction d1={d1} d2={d2}", framed - plain
             lhs = qv.euler_form(qf, qv.DimVector(qf, [1] + d1), qv.DimVector(qf, [0] + d2))
-            rhs = qv.framed_euler(
-                base, f, qv.DimVector(base, d1), None, qv.DimVector(base, d2)
-            )
+            rhs = qv.framed_euler(base, f, qv.DimVector(base, d1), qv.DimVector(base, d2))
             yield f"framed pairing d1={d1} d2={d2}", lhs - rhs
 
     return _verdict("framed_quiver_euler", cases(), f"{samples} samples")
@@ -332,7 +330,7 @@ def check_field_translation_covariance():
 
 def check_lattice_annihilation_dictionary(max_deg=6):
     def cases():
-        lat = lv.single_box_lattice()
+        lat = lv.Lattice(B=[[2]], b=[[1]])  # (Z, 2), the symmetrized form of linear(1)
         for d in range(1, max_deg + 1):
             for la in pt.partitions_of(d):
                 x = lv.VAElem(lat, {((0,), tuple((0, part) for part in la)): 1})
@@ -504,7 +502,7 @@ def check_framed_class_is_primary():
     = f.d - 1 + virtual_dim(d), and the ample bundle prod_v det V_v has positive degree:
     (-1)^dim dim! times the sum of the class's coefficients on monomials in the p_1^(v)."""
     a1, a2 = qv.builtin("linear(1)"), qv.builtin("linear(2)")
-    k3 = qv.DgQuiver(["1", "2"], [("1", "2", 0)] * 3)
+    k3 = qv.builtin("kronecker(3)")
     diamond = qv.DgQuiver("0123", [("0", "1", 0), ("0", "2", 0), ("1", "3", 0), ("2", "3", 0)])
     rows = (
         ("Gr(2,4)", a1, (4,), (2,)),
@@ -601,9 +599,7 @@ def check_euler_goldens():
         a1 = qv.builtin("linear(1)")
         for n1, k1, n2, k2 in [(3, 1, 2, 2), (4, 2, 1, 1), (2, 0, 5, 3)]:
             f1 = qv.FramingVector(a1, [n1])
-            pairing = qv.framed_euler(
-                a1, f1, qv.DimVector(a1, [k1]), None, qv.DimVector(a1, [k2])
-            )
+            pairing = qv.framed_euler(a1, f1, qv.DimVector(a1, [k1]), qv.DimVector(a1, [k2]))
             label = f"n={n1} k1={k1} k2={k2}"
             yield f"grassmannian pairing {label}", pairing - k2 * (k1 - n1)
             kq = qv.builtin(f"kronecker({n1})")

@@ -392,15 +392,6 @@ class FockParams:
     def beta0_beta(self):
         return self.beta_sq / 2 - 1
 
-    @property
-    def central_charge(self):
-        return 1 - 12 * self.beta0_beta**2 / self.beta_sq
-
-    @property
-    def weight(self):
-        ab, bb = self.alpha_beta, self.beta0_beta
-        return (ab**2 / self.beta_sq) / 2 - ab * bb / self.beta_sq
-
     def linear_coefficient(self, n):
         """Coefficient of the annihilation term p_{-n} in L_n.
 
@@ -420,13 +411,6 @@ def fock_virasoro(params, n, f):
     if n < 1:
         raise ValueError("fock_virasoro is defined for n >= 1")
     return _lowering_part(n, params.linear_coefficient(n), f, quad_coeff=params.beta_sq / 2)
-
-
-def fock_l0_weight(params, f):
-    """Check L_0 f = (h + deg f) f degreewise; returns the common weight shift h."""
-    if not f.is_homogeneous():
-        raise ValueError("needs a homogeneous input")
-    return params.weight + max(f.degree(), 0)
 
 
 JACK_VARIANTS = ("beta_sq/2", "2/beta_sq")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .lincomb import LinComb, _product_into, expand_translation, integer
+from .lincomb import LinComb, _product_into, combine, expand_translation, integer
 
 
 class Lattice:
@@ -81,11 +81,6 @@ def grassmannian_lattice():
     return Lattice(B=[[0, -1], [-1, 2]], b=[[0, 0], [-1, 1]])
 
 
-def single_box_lattice():
-    """Rank-1 lattice (Z, 2): the symmetrized form of the one-vertex quiver."""
-    return Lattice(B=[[2]], b=[[1]])
-
-
 class VAElem(LinComb):
     """Sparse element of the lattice vertex algebra.
 
@@ -114,10 +109,6 @@ class VAElem(LinComb):
         out = self._ints(nums, d)
         out.lattice = self.lattice
         return out
-
-    @staticmethod
-    def vacuum(lattice):
-        return VAElem(lattice, {(lattice.zero(), ()): 1})
 
     @staticmethod
     def group_element(lattice, alpha):
@@ -321,22 +312,19 @@ def is_primary(lattice, x):
             failures.append(f"L{n}_nonzero")
 
     # finite weight-one criterion: nonzero value means x mod T(V) is not a
-    # weight-one primary state.  It is summed in int over x.den (max_deg + 1)!:
-    # virasoro and translate only divide out a gcd, so each term.den divides x.den.
+    # weight-one primary state.  It is summed in int, times (max_deg + 1)!.
     top = factorial(max_deg + 1)
-    wt_sum = {}
+    wt_terms = []
     for n in range(-1, max_deg + 1):
         term = virasoro(lattice, n, x)
         for _ in range(n + 1):
             term = translate(lattice, term)
-        lift = (-1 if n % 2 else 1) * (top // factorial(n + 1)) * (x.den // term.den)
-        for key, c in term.nums.items():
-            wt_sum[key] = wt_sum.get(key, 0) + lift * c
+        wt_terms.append(((-1 if n % 2 else 1) * (top // factorial(n + 1)), term))
 
     return {
         "primary": not failures,
         "l0_eigenvalue_ok": l0_ok,
         "l0_eigenvalue": eigenvalue,
         "failures": failures,
-        "wt0_sum_zero": not any(wt_sum.values()),
+        "wt0_sum_zero": not combine(wt_terms),
     }

@@ -66,9 +66,6 @@ class DgQuiver:
     def is_quasi_smooth(self):
         return all(d in (0, -1) for _, _, d in self.arrows)
 
-    def arrows_of_degree(self, deg):
-        return tuple(a for a in self.arrows if a[2] == deg)
-
     def unit_vector(self, v):
         self.vertex_index(v)
         return DimVector(self, {v: 1})
@@ -173,11 +170,11 @@ def euler_matrix(quiver):
     return [[euler_form(quiver, a, b) for b in units] for a in units]
 
 
-def framed_euler(quiver, f1, d1, f2, d2):
-    """Framed pairing chi((f1,d1),(f2,d2)) = chi(d1,d2) - f1.d2.
+def framed_euler(quiver, f1, d1, d2):
+    """Framed pairing chi((f1,d1),(f2,d2)) = chi(d1,d2) - f1.d2, which no f2 enters.
 
     f1 = None means no framing on the first argument, reducing to the plain
-    Euler form; f2 never enters the formula.
+    Euler form.
     """
     if f1 is None:
         return euler_form(quiver, d1, d2)
@@ -231,7 +228,7 @@ def builtin(name):
             if n < 1:
                 raise QuiverError("unknown_builtin", f"parameter must be >= 1 in {name!r}")
             if prefix == "kronecker":
-                return DgQuiver([FRAMING_VERTEX, "1"], [(FRAMING_VERTEX, "1", 0)] * n)
+                return DgQuiver(["1", "2"], [("1", "2", 0)] * n)
             verts = [str(i) for i in range(1, n + 1)]
             return DgQuiver(verts, [(str(i), str(i + 1), 0) for i in range(1, n)])
     raise QuiverError("unknown_builtin", f"unknown builtin quiver {name!r}")

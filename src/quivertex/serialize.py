@@ -93,6 +93,8 @@ def symfunc_to_text(f):
 
 _TERM_SPLIT = re.compile(r"(?<![\^*/])\s*([+-])\s*")
 _P_FACTOR = re.compile(r"p(\d+)(?:\^(\d+))?$")
+# at most this many power-sum factors in one term, checked before they are listed
+_MAX_TERM_FACTORS = 10_000
 
 
 def symfunc_from_text(s):
@@ -128,7 +130,10 @@ def _parse_sym_term(term, sign):
             idx = int(m.group(1))
             if idx < 1:
                 raise ValueError(f"bad power-sum index in {factor!r}")
-            parts.extend([idx] * int(m.group(2) or 1))
+            count = int(m.group(2) or 1)
+            if len(parts) + count > _MAX_TERM_FACTORS:
+                raise ValueError(f"more than {_MAX_TERM_FACTORS} factors in term {term!r}")
+            parts.extend([idx] * count)
         else:
             coeff *= rational_from_text(factor)
     return tuple(sorted(parts, reverse=True)), coeff

@@ -14,7 +14,7 @@ from itertools import accumulate
 from math import factorial, gcd, lcm
 
 from . import partitions as pt
-from .lincomb import LinComb, _product_into
+from .lincomb import LinComb, _product_into, combine
 
 
 class SymFunc(LinComb):
@@ -62,9 +62,6 @@ class SymFunc(LinComb):
     def degree(self):
         """Max degree among stored terms; -1 for the zero function."""
         return max((pt.size(la) for la in self.nums), default=-1)
-
-    def is_homogeneous(self):
-        return len({pt.size(la) for la in self.nums}) <= 1
 
     def homogeneous_part(self, d):
         return SymFunc._ints({la: n for la, n in self.nums.items() if pt.size(la) == d}, self.den)
@@ -178,14 +175,8 @@ def _monomial_basis(d):
     out = {}
     for la in parts:
         row = pairing[la]
-        below = [(c, out[mu]) for mu, c in row.items() if mu != la]
-        d_sum = lcm(*(m.den for _, m in below))
-        acc = {la: d_sum}  # d_sum * (p_la - sum_mu <p_la, h_mu> m_mu)
-        for c, m in below:
-            s = c * (d_sum // m.den)
-            for nu, n in m.nums.items():
-                acc[nu] = acc.get(nu, 0) - s * n
-        out[la] = SymFunc._ints(acc, d_sum * row[la])
+        below = [(-c, out[mu]) for mu, c in row.items() if mu != la]
+        out[la] = combine([(1, SymFunc._ints({la: 1})), *below], row[la])
     return out
 
 
@@ -369,14 +360,7 @@ def _jack(la, alpha):
             out.append(x // g0)
         u[key] = out
     basis = _monomial_basis(d)
-    terms = [(u[key][0], basis[nu]) for key, nu in coded]
-    d_sum = lcm(*(m.den for _, m in terms))
-    acc = {}
-    for c, m in terms:
-        c *= d_sum // m.den
-        for rho, z in m.nums.items():
-            acc[rho] = acc.get(rho, 0) + c * z
-    return SymFunc._ints(acc, den * d_sum)
+    return combine([(u[key][0], basis[nu]) for key, nu in coded], den)
 
 
 def _b_eps(mu, a, b):

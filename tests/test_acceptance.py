@@ -140,9 +140,7 @@ def test_criterion_11_euler_goldens():
         assert qv.euler_matrix(b) == [[1, -3, 6], [0, 1, -3], [0, 0, 1]]
         for n1, k1, k2 in [(1, 1, 1), (3, 1, 2), (4, 2, 2), (5, 0, 3)]:
             f1 = qv.FramingVector(a1, [n1])
-            got = qv.framed_euler(
-                a1, f1, qv.DimVector(a1, [k1]), None, qv.DimVector(a1, [k2])
-            )
+            got = qv.framed_euler(a1, f1, qv.DimVector(a1, [k1]), qv.DimVector(a1, [k2]))
             assert got == k2 * (k1 - n1)
             kq = kron[n1]
             assert got == qv.euler_form(

@@ -381,7 +381,7 @@ QUIVER_FILES = {
         {"vertices": ["a", "b"], "arrows": [{"src": "a", "tgt": "b", "deg": -2}]}
     ),
 }
-HOSTILE = ["1/0", "p0", "--p1", "2,,1", "", "-", "x", "-1/2", "@missing", "@bad_json"]
+HOSTILE = ["1/0", "p0", "--p1", "2,,1", "", "-", "x", "-1/2", "@missing", "@bad_json", "p1^99999999999"]
 QUIVERS = list(QUIVER_FILES) + ["@missing"]
 PARTITIONS = ["-", "1", "2,1", "2,2", "3,1,1", "1,2", "0,1"]
 SYMFUNCS = ["0", "1", "p1", "-p1", "p2^2", "1/2*p1*p2", "p1 - p3"]
@@ -432,6 +432,7 @@ def quiver_files(tmp_path_factory):
 @given(argv=cli_argv())
 @example(argv=["virasoro-bracket", "@empty"])
 @example(argv=["euler", "@nested", "1", "1"])
+@example(argv=["hall", "p1^99999999999", "p1"])
 def test_exit_code_is_0_or_2(quiver_files, argv):
     argv = [quiver_files.get(token, token) for token in argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -693,7 +693,7 @@ def test_field_modes_match_fraction_accumulation():
 def test_field_mode_that_cancels_stores_no_key():
     # e^alpha_(-2) on alpha_(-1) e^0 for B = (2): the p = 1 bucket gives
     # alpha_(-1)^2, the p = 2 bucket -2 S_2 = -alpha_(-1)^2 - alpha_(-2).
-    lat = lv.single_box_lattice()
+    lat = lv.Lattice(B=[[2]], b=[[1]])
     x = lv.VAElem(lat, {((0,), ((0, 1),)): Fraction(1, 7919)})
     got = lv.field_mode(lat, (1,), -2, x)
     assert got.terms == {((1,), ((0, 2),)): Fraction(-1, 7919)}

@@ -15,13 +15,13 @@ from quivertex.symfunc import SymFunc
 
 F = Fraction
 GR = lv.grassmannian_lattice()
-BOX = lv.single_box_lattice()
+BOX = Lattice(B=[[2]], b=[[1]])  # (Z, 2), the symmetrized form of linear(1)
 # a degenerate rank-2 form for bracket coverage
 DEGEN = Lattice(B=[[2, 2], [2, 2]], b=[[1, 2], [0, 1]])
 
 
 def vac(lat):
-    return VAElem.vacuum(lat)
+    return VAElem.group_element(lat, lat.zero())
 
 
 def test_lattice_validation():

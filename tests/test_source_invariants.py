@@ -16,9 +16,10 @@ of fast checks.  The int code of a partition has one owner,
 ``partitions.code_weights``, and the products in ``symfunc`` and ``grasscalc``
 add codes instead of merging tuples.  A check's outcome has one form:
 ``checks._verdict`` alone builds the report dict, and the Grassmannian checks
-return residuals, never text.  Every public function of ``serialize`` has a
-caller outside it, in the package or in ``perfbench/``, or is called by one that
-has, so no reader or writer is kept for its round-trip test alone.
+return residuals, never text.  Every public def, class, method and property of
+the package has a caller in ``src/`` outside its own body and outside
+``__init__.py``, or in ``perfbench/``, or is called by one that has, or is one of
+the ``ENTRY_POINTS`` that README.md names; so no name is kept for its test alone.
 """
 
 import ast
@@ -63,6 +64,7 @@ INTEGER_KERNELS = {
     "l_wt0",
     "to_symfunc",
     "_va_to_gr",
+    "combine",
 }
 PER_TERM_FRACTION = {"Fraction", "add_to", "add_all"}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -199,25 +201,90 @@ def test_only_partitions_builds_partition_codes():
     assert not hits, hits
 
 
-def test_every_public_serialize_function_has_a_caller():
-    path = SOURCES[0].parent / "serialize.py"
-    public = {
-        node.name: node
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+# Public names kept with no caller in src/ or perfbench/, each named in README.md:
+ENTRY_POINTS = {
+    "t_element",  # perfbench traces it by name
+    "framed_t_element",  # T_n^{f->*}, the framed sibling of t_element
+    "create",  # library entry points
+    "gr_virasoro",
+    "DescendentPoly.ch",
+    "SymFunc.coefficient",
+    "skew_by",  # the tests build their Hecke and pairing references from these two
+    "z_factor",
+}
+
+
+def _public_defs(tree):
+    """(name, node, is_method) of each public module-level def and class, and of each
+    public method or property of a class; a method is named Class.method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item, True
+
+
+def _references(node, public, enclosing=()):
+    """(reference, the public def nodes around it) for each Name ("name") and
+    Attribute (".name") below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name):
+            yield child.id, enclosing
+        elif isinstance(child, ast.Attribute):
+            yield f".{child.attr}", enclosing
+        inner = enclosing + (child,) if child in public else enclosing
+        yield from _references(child, public, inner)
+
+
+def _reference_keys(name, is_method):
+    """A method is reached as an attribute; a module-level name also bare."""
+    bare = name.rpartition(".")[2]
+    return [f".{bare}"] if is_method else [bare, f".{bare}"]
+
+
+def test_every_public_name_has_a_caller():
+    nodes, named, refs = {}, {}, []  # name -> node; key -> names; (key, enclosing nodes)
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            public = set()
+            for name, node, is_method in _public_defs(tree):
+                public.add(node)
+                nodes[name] = node
+                for key in _reference_keys(name, is_method):
+                    named.setdefault(key, []).append(name)
+            refs += _references(tree, public)
+    perfbench = {
+        key
+        for path in PERFBENCH
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for key in (
+            [node.id] if isinstance(node, ast.Name)
+            else [f".{node.attr}"] if isinstance(node, ast.Attribute) else []
+        )
     }
-    callers = "\n".join(p.read_text(encoding="utf-8") for p in SOURCES + PERFBENCH if p != path)
-    used = {name for name in public if re.search(rf"\b{name}\b", callers)}
-    # a function that only a used one calls is used too
-    while grown := {
-        node.id
-        for name in used
-        for node in ast.walk(public[name])
-        if isinstance(node, ast.Name) and node.id in public
-    } - used:
+    used = set(ENTRY_POINTS) | {name for key in perfbench for name in named.get(key, ())}
+    # a reference counts when every public def around it is used, and it is not
+    # inside the def it names; so a name that only a used one calls is used too
+    grown = used
+    while grown:
+        live = {nodes[name] for name in used}
+        grown = {
+            name
+            for key, enclosing in refs
+            if live.issuperset(enclosing)
+            for name in named.get(key, ())
+            if name not in used and nodes[name] not in enclosing
+        }
         used |= grown
     assert PERFBENCH, "perfbench/ not found"
-    assert sorted(set(public) - used) == []
+    assert ENTRY_POINTS <= set(nodes), sorted(ENTRY_POINTS - set(nodes))
+    assert not (unused := sorted(set(nodes) - used)), unused
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    unnamed = sorted(name for name in ENTRY_POINTS if not re.search(rf"`{re.escape(name)}[`(]", readme))
+    assert not unnamed, f"entry points README.md does not name: {unnamed}"
 
 
 def test_fractions_enter_only_at_the_boundary():
