@@ -48,7 +48,7 @@ from .latticeva import (
     create,
     field_mode,
     grassmannian_lattice,
-    is_primary,
+    primary_check,
     translate,
     virasoro,
 )

@@ -516,8 +516,8 @@ def check_framed_class_is_primary():
     def cases():
         for name, quiver, f, d in rows:
             x = gc.framed_class(quiver, f, d)
-            report = lv.is_primary(x.lattice, x) if x else {"failures": ["zero class"]}
-            yield name, report["failures"] or report["l0_eigenvalue"]  # the eigenvalue must be 0
+            for label, residual in lv.primary_check(x.lattice, x, 0):
+                yield f"{name} {label}", residual
             dim = sum(a * b for a, b in zip(f, d)) - 1
             dim += qv.virtual_dim(quiver, qv.DimVector(quiver, d))
             yield f"{name} Fock degree - dim", x.fock_degree() - dim

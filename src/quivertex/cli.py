@@ -44,10 +44,18 @@ _SYMFUNC = _arg(sz.symfunc_from_text)
 _RATIONAL = _arg(sz.rational_from_text)
 
 
+def _json_int(digits):
+    """A quiver file's integer, within Python's default 4,300-digit bound, which main
+    lifts for output: int() takes time quadratic in the digits (1M digits, 9 s)."""
+    if (n := len(digits.lstrip("-"))) > 4300:
+        raise ValueError(f"quiver JSON holds an integer of {n} digits, more than 4300")
+    return int(digits)
+
+
 def _load_quiver(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise ValueError(f"quiver JSON in {path} is nested too deeply") from None
     return sz.quiver_from_json(data)
@@ -299,11 +307,16 @@ def build_parser(names):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # exact results print in full, at any size
+        sys.set_int_max_str_digits(0)
     # the command named first (after an exact --json) alone; else, as for -h or --js, all
     head = argv[1:2] if argv[:1] == ["--json"] else argv[:1]
-    args = build_parser(head if head and head[0] in _NAMES else _NAMES).parse_args(argv)
     try:
+        args = build_parser(head if head and head[0] in _NAMES else _NAMES).parse_args(argv)
         return args.func(args)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except (ValueError, OSError, json.JSONDecodeError) as e:
         code = getattr(e, "code", None)
         prefix = f"error[{code}]" if code else "error"

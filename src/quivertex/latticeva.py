@@ -11,11 +11,10 @@ Operator products follow the ordered Leibniz rule: a bracket produced while
 commuting past the j-th creation factor acts only on the factors after j.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .lincomb import LinComb, _product_into, combine, expand_translation, integer
+from .lincomb import LinComb, _product_into, expand_translation, integer
 
 
 class Lattice:
@@ -274,57 +273,9 @@ def borcherds_bracket(lattice, alpha, x):
     return field_mode(lattice, alpha, 0, x)
 
 
-def is_primary(lattice, x):
-    """Check the primary-state conditions on a Fock-homogeneous element.
-
-    Returns a report with the L_0 eigenvalue check, the list of failing
-    L_n operators (1 <= n <= Fock degree suffices: L_n lowers Fock degree
-    by n and kills every e^alpha for n > 0), and the value of the finite
-    weight-one criterion sum_{n >= -1} (-1)^n/(n+1)! T^{n+1} L_n(x).
-    """
-    if not x:
-        raise ValueError("primary test undefined for the zero element")
-    by_component = {}
-    for alpha, fock in x.nums:
-        by_component.setdefault(alpha, set()).add(sum(k for _, k in fock))
-    for alpha, degrees in by_component.items():
-        if len(degrees) > 1:
-            raise ValueError(f"component {alpha} is not Fock-homogeneous")
-
-    failures = []
-    eigenvalues = {
-        Fraction(lattice.pairing(alpha, alpha), 2) + next(iter(degs))
-        for alpha, degs in by_component.items()
-    }
-    eigenvalue = None
-    if len(eigenvalues) == 1:
-        eigenvalue = next(iter(eigenvalues))
-        if virasoro(lattice, 0, x) != x.scale(eigenvalue):
-            failures.append("L0_not_eigenvector")
-            eigenvalue = None
-    else:
-        failures.append("L0_not_eigenvector")
-    l0_ok = eigenvalue is not None
-
-    max_deg = x.fock_degree()
-    for n in range(1, max_deg + 1):
-        if virasoro(lattice, n, x):
-            failures.append(f"L{n}_nonzero")
-
-    # finite weight-one criterion: nonzero value means x mod T(V) is not a
-    # weight-one primary state.  It is summed in int, times (max_deg + 1)!.
-    top = factorial(max_deg + 1)
-    wt_terms = []
-    for n in range(-1, max_deg + 1):
-        term = virasoro(lattice, n, x)
-        for _ in range(n + 1):
-            term = translate(lattice, term)
-        wt_terms.append(((-1 if n % 2 else 1) * (top // factorial(n + 1)), term))
-
-    return {
-        "primary": not failures,
-        "l0_eigenvalue_ok": l0_ok,
-        "l0_eigenvalue": eigenvalue,
-        "failures": failures,
-        "wt0_sum_zero": not combine(wt_terms),
-    }
+def primary_check(lattice, x, h):
+    """The primary-state conditions L_0 x = h x and L_n x = 0 for 1 <= n <= the Fock
+    degree of x, as (label, residual) pairs: L_n lowers the Fock degree by n and
+    kills every e^alpha for n > 0, so no higher L_n acts."""
+    pairs = [("L_0", virasoro(lattice, 0, x) - x.scale(h))]
+    return pairs + [(f"L_{n}", virasoro(lattice, n, x)) for n in range(1, x.fock_degree() + 1)]

@@ -4,8 +4,8 @@ DescendentPoly and VAElem.
 An element stores ``den``, a positive int, and ``nums``, a dict from
 hashable keys to nonzero int numerators: the coefficient of key is
 nums[key] / den, and gcd(den, *nums) = 1.  The form is canonical, so ``==``
-and ``hash`` compare it directly.  ``terms`` is a read-only view of the
-same coefficients as Fractions, built on each read and never stored.
+and ``hash`` compare it directly.  ``terms`` is a ``MappingProxyType`` of the
+same coefficients as Fractions, built by ``rational`` on each read and never stored.
 Operators sum int numerators into one fresh dict and wrap it once with
 ``_ints`` (``_like_ints`` keeps the ambient data), which drops zeros and divides
 out the gcd; ``combine`` sums int multiples of whole elements that way.
@@ -21,9 +21,9 @@ element type as another, so the image must emit that type's canonical keys.
 """
 
 from fractions import Fraction
-from collections.abc import Mapping
 from itertools import groupby
 from math import comb, gcd, lcm
+from types import MappingProxyType
 
 
 def integer(x, error=None):
@@ -110,30 +110,6 @@ def expand_translation(factors, weight):
     return out
 
 
-class _Terms(Mapping):
-    """Read-only {key: Fraction} view of an element; each value is built on read."""
-
-    __slots__ = ("_den", "_nums")
-
-    def __init__(self, den, nums):
-        self._den, self._nums = den, nums
-
-    def __getitem__(self, key):
-        return Fraction(self._nums[key], self._den)
-
-    def __len__(self):
-        return len(self._nums)
-
-    def __iter__(self):
-        return iter(self._nums)
-
-    def __contains__(self, key):
-        return key in self._nums
-
-    def __repr__(self):
-        return repr(dict(self.items()))
-
-
 class LinComb:
     """Base of the sparse element types; see the module docstring."""
 
@@ -177,7 +153,7 @@ class LinComb:
 
     @property
     def terms(self):
-        return _Terms(self.den, self.nums)
+        return MappingProxyType(rational(self.nums, self.den))
 
     def _add(self, other, sign):
         """self + sign * other over the lcm of the two denominators."""

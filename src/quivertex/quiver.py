@@ -89,12 +89,12 @@ class _VertexMap:
 
     __slots__ = ("quiver", "values")
 
-    def __init__(self, quiver, entries, coerce):
+    def __init__(self, quiver, entries):
         self.quiver = quiver
-        vals = [coerce(0)] * len(quiver.vertices)
+        vals = [0] * len(quiver.vertices)
         if isinstance(entries, dict):
             for v, x in entries.items():
-                vals[quiver.vertex_index(str(v))] = coerce(x)
+                vals[quiver.vertex_index(str(v))] = integer(x)
         else:
             entries = list(entries)
             if len(entries) != len(quiver.vertices):
@@ -102,7 +102,7 @@ class _VertexMap:
                     "index_mismatch",
                     f"expected {len(quiver.vertices)} entries, got {len(entries)}",
                 )
-            vals = [coerce(x) for x in entries]
+            vals = [integer(x) for x in entries]
         self.values = tuple(vals)
 
     def __getitem__(self, v):
@@ -126,15 +126,12 @@ class _VertexMap:
 class DimVector(_VertexMap):
     """Integer vector indexed by vertices (negative entries allowed for K-classes)."""
 
-    def __init__(self, quiver, entries):
-        super().__init__(quiver, entries, integer)
-
 
 class FramingVector(_VertexMap):
     """Nonnegative framing multiplicities, not all zero."""
 
     def __init__(self, quiver, entries):
-        super().__init__(quiver, entries, integer)
+        super().__init__(quiver, entries)
         if any(x < 0 for x in self.values):
             raise QuiverError("negative_framing", "framing entries must be nonnegative")
         if not any(self.values):
@@ -171,13 +168,7 @@ def euler_matrix(quiver):
 
 
 def framed_euler(quiver, f1, d1, d2):
-    """Framed pairing chi((f1,d1),(f2,d2)) = chi(d1,d2) - f1.d2, which no f2 enters.
-
-    f1 = None means no framing on the first argument, reducing to the plain
-    Euler form.
-    """
-    if f1 is None:
-        return euler_form(quiver, d1, d2)
+    """Framed pairing chi((f1,d1),(f2,d2)) = chi(d1,d2) - f1.d2, which no f2 enters."""
     _check_same_quiver(f1, d2)
     dot = sum(a * b for a, b in zip(f1.values, d2.values))
     return euler_form(quiver, d1, d2) - dot

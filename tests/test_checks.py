@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from quivertex import checks as ck
 from quivertex import grasscalc as gc
+from quivertex import latticeva as lv
 from quivertex import quiver as qv
 from quivertex import symfunc as sf
 from quivertex.symfunc import SymFunc
@@ -101,3 +102,18 @@ def test_constraints_grid_names_its_residual(monkeypatch):
     report = ck.check_constraints_grid(2)
     assert not report["ok"]
     assert report["detail"] == "k=0 N=0 L_1: residual 1 * ()"
+
+
+def test_framed_class_check_names_the_mode_that_a_scaled_term_breaks(monkeypatch):
+    framed_class = gc.framed_class
+
+    def scaled(quiver, f, d):
+        # every term has L_0 eigenvalue 0, so doubling one of them breaks an L_n, n > 0
+        x = framed_class(quiver, f, d)
+        top = max(x.terms)
+        return lv.VAElem(x.lattice, {key: c * (1 + (key == top)) for key, c in x.terms.items()})
+
+    monkeypatch.setattr(gc, "framed_class", scaled)
+    report = ck.check_framed_class_is_primary()
+    assert not report["ok"]
+    assert re.fullmatch(r"Gr\(2,4\) L_[1-9]\d*: residual .+", report["detail"]), report["detail"]

@@ -2,9 +2,14 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
+import resource
+import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -218,6 +223,29 @@ def test_zero_denominator_is_malformed_input(capsys):
         assert not re.search(r"_\w+_arg", err), err
 
 
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+
+def test_out_of_memory_is_malformed_input():
+    # schur 200 builds h_200 from every partition of 200, more than 400 MB holds
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-m", "quivertex.cli", "schur", "200"],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_address_space, timeout=300,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+
+
+def test_results_of_any_size_print_in_full(capsys):
+    # <p_1^9000, p_1^9000> = 9000!, 31,682 digits, past Python's default int/str limit
+    code, out, err = run(capsys, "hall", "p1^9000", "p1^9000")
+    # main has lifted the limit in this process too, so the expected text can be built
+    assert (code, out, err) == (0, f"{factorial(9000)}\n", "")
+
+
 @pytest.mark.parametrize(
     "argv, code, stream, text",
     [
@@ -361,6 +389,18 @@ def test_deeply_nested_quiver_json_is_malformed_input(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "nested too deeply" in err, err
+
+
+def test_a_huge_integer_in_quiver_json_is_malformed_input(tmp_path, capsys):
+    # main lifts the int/str digit limit for output; a quiver file keeps the default bound
+    path = tmp_path / "huge.json"
+    text = json.dumps({"vertices": ["a", "b"], "arrows": [{"src": "a", "tgt": "b", "deg": -1}]})
+    path.write_text(text.replace("-1", "-" + "1" * 4301))
+    code, out, err = run(capsys, "euler", str(path), "1,0", "0,1")
+    assert (code, out) == (2, "")
+    assert err == "error: quiver JSON holds an integer of 4301 digits, more than 4300\n"
+    path.write_text(text.replace("-1", "-" + "1" * 4300))  # an odd degree, as -1
+    assert run(capsys, "euler", str(path), "1,0", "0,1") == (0, "1\n", "")
 
 
 # -- exit-code contract: random argv exits 0 (ok) or 2 (malformed input) ------------------

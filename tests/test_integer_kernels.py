@@ -241,17 +241,6 @@ def ref_va_to_gr(x, N, k):
     return gc.GrElem(N, k, SymFunc._wrap(out))
 
 
-def ref_wt0_sum(lattice, x):
-    """The weight-one sum sum_{n >= -1} (-1)^n/(n+1)! T^{n+1} L_n(x) of is_primary."""
-    out = {}
-    for n in range(-1, x.fock_degree() + 1):
-        term = lv.virasoro(lattice, n, x)
-        for _ in range(n + 1):
-            term = lv.translate(lattice, term)
-        add_all(out, term.terms, Fraction(-1 if n % 2 else 1, factorial(n + 1)))
-    return out
-
-
 def ref_det_of_completes(rows):
     n = len(rows)
 
@@ -1002,29 +991,3 @@ def test_va_to_gr_matches_fraction_accumulation():
     for bad in (((1, 1), ((1, 2),)), ((2, 1), ((0, 1), (1, 2)))):  # foreign component, p-mode
         x = lv.VAElem(lat, {good: Fraction(1, 7919), bad: 3})
         assert _error(gc._va_to_gr, x, 2, 1) == _error(ref_va_to_gr, x, 2, 1), bad
-
-
-def test_is_primary_weight_one_sum_matches_fraction_accumulation():
-    # the sum vanishes on a weight-one group element and on every translate T(y)
-    rng = random.Random(373)
-    gr = lv.grassmannian_lattice()
-    c, d = Fraction(1, 7919), Fraction(3, 104729)
-    cases = [
-        (gr, lv.VAElem(gr, {((0, 1), ()): c, ((0, -1), ()): d})),
-        (gr, lv.VAElem(gr, {((0, 1), ()): c, ((2, 1), ()): d})),
-    ]
-    for _ in range(40):
-        lat = _random_lattice(rng)
-        x = _vaelem(lat, rng)
-        degree = {alpha: sum(k for _, k in fock) for alpha, fock in x.nums}
-        y = lv.VAElem(
-            lat, {(a, f): x.terms[a, f] for a, f in x.nums if sum(k for _, k in f) == degree[a]}
-        )
-        cases += [(lat, y), (lat, lv.translate(lat, y))]
-    zero = 0
-    for lat, x in cases:
-        if x:
-            want = not ref_wt0_sum(lat, x)
-            zero += want
-            assert lv.is_primary(lat, x)["wt0_sum_zero"] == want, x
-    assert 20 < zero < len(cases) - 10

@@ -214,32 +214,33 @@ def test_annihilation_is_twice_symfunc_annihilation():
             assert lhs == rhs
 
 
+def _failures(lattice, x, h):
+    """The labels of the primary-state conditions that x fails at L_0 eigenvalue h."""
+    return [label for label, residual in lv.primary_check(lattice, x, h) if residual]
+
+
 def test_is_primary_vacuum_and_group_elements():
-    rep = lv.is_primary(GR, vac(GR))
-    assert rep["primary"] and rep["l0_eigenvalue"] == 0 and rep["wt0_sum_zero"]
+    assert [label for label, _ in lv.primary_check(GR, vac(GR), 0)] == ["L_0"]
+    assert not _failures(GR, vac(GR), 0)
     alpha = (4, 2)
-    rep = lv.is_primary(GR, VAElem.group_element(GR, alpha))
-    assert rep["primary"]
-    assert rep["l0_eigenvalue"] == F(GR.pairing(alpha, alpha), 2)
-    # weight-one group element satisfies the quotient criterion
-    rep = lv.is_primary(GR, VAElem.group_element(GR, (0, 1)))
-    assert rep["primary"] and rep["l0_eigenvalue"] == 1 and rep["wt0_sum_zero"]
-    # weight -1: still primary, but not weight-one mod translations
-    rep = lv.is_primary(GR, VAElem.group_element(GR, (2, 1)))
-    assert rep["primary"] and rep["l0_eigenvalue"] == -1 and not rep["wt0_sum_zero"]
+    assert not _failures(GR, VAElem.group_element(GR, alpha), F(GR.pairing(alpha, alpha), 2))
+    assert not _failures(GR, VAElem.group_element(GR, (0, 1)), 1)
+    # weight -1: primary at that eigenvalue alone
+    assert not _failures(GR, VAElem.group_element(GR, (2, 1)), -1)
+    assert _failures(GR, VAElem.group_element(GR, (2, 1)), 0) == ["L_0"]
 
 
 def test_is_primary_detects_failures():
     x = lv.create(GR, (0, 1), 1, vac(GR))  # q_{-1}|0>: L_1 x = q_(0)|0> = 0
-    rep = lv.is_primary(GR, x)
-    assert rep["primary"]
-    # a state with L_1 acting nontrivially
+    assert [label for label, _ in lv.primary_check(GR, x, 1)] == ["L_0", "L_1"]
+    assert not _failures(GR, x, 1)
+    # q_{-1} e^q, of L_0 eigenvalue B(q, q)/2 + 1 = 2: L_1 gives B(q, q) e^q
     y = lv.create(GR, (0, 1), 1, VAElem.group_element(GR, (0, 1)))
-    rep = lv.is_primary(GR, y)
-    assert "L1_nonzero" in rep["failures"] and not rep["primary"]
+    assert _failures(GR, y, 2) == ["L_1"]
+    assert dict(lv.primary_check(GR, y, 2))["L_1"] == VAElem.group_element(GR, (0, 1)).scale(2)
 
 
 def test_is_primary_rejects_inhomogeneous():
+    # Fock degrees 0 and 1 on one component: no eigenvalue fits both
     x = vac(GR) + lv.create(GR, (0, 1), 1, vac(GR))
-    with pytest.raises(ValueError):
-        lv.is_primary(GR, x)
+    assert _failures(GR, x, 0) == _failures(GR, x, 1) == ["L_0"]

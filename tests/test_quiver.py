@@ -133,8 +133,6 @@ def test_framed_euler_grassmannian_convention():
     # d2 = 0 gives 0
     f1 = FramingVector(q, [3])
     assert qv.framed_euler(q, f1, DimVector(q, [2]), DimVector(q, [0])) == 0
-    # no framing reduces to the plain Euler form
-    assert qv.framed_euler(q, None, DimVector(q, [2]), DimVector(q, [3])) == 6
 
 
 def test_framed_quiver():

@@ -15,11 +15,13 @@ call: no module-level name holds a dict, set or list display, except the list
 of fast checks.  The int code of a partition has one owner,
 ``partitions.code_weights``, and the products in ``symfunc`` and ``grasscalc``
 add codes instead of merging tuples.  A check's outcome has one form:
-``checks._verdict`` alone builds the report dict, and the Grassmannian checks
-return residuals, never text.  Every public def, class, method and property of
-the package has a caller in ``src/`` outside its own body and outside
-``__init__.py``, or in ``perfbench/``, or is called by one that has, or is one of
-the ``ENTRY_POINTS`` that README.md names; so no name is kept for its test alone.
+``checks._verdict`` alone builds the report dict, no other function outside the
+JSON writers of ``cli`` and ``serialize`` builds a dict keyed by field names, and
+the Grassmannian and primary-state checks return residuals, never text.  Every
+public def, class, method and property of the package has a caller in ``src/``
+outside its own body and outside ``__init__.py``, or in ``perfbench/``, or is
+called by one that has, or is one of the ``ENTRY_POINTS`` that README.md names;
+so no name is kept for its test alone.
 """
 
 import ast
@@ -143,24 +145,36 @@ def test_no_module_level_mutable_display():
     assert bound == {"checks.FAST_CHECKS"}, bound
 
 
-def _report_builders(node, module, function=None):
-    """module.function, innermost, of each dict display with an "ok" key."""
+def _dict_builders(node, module, keyed, function=None):
+    """module.function, innermost, of each dict display with a constant key that keyed accepts."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Dict) and any(
-            isinstance(key, ast.Constant) and key.value == "ok" for key in child.keys
+            isinstance(key, ast.Constant) and keyed(key.value) for key in child.keys
         ):
             yield f"{module}.{function}"
         inner = child.name if isinstance(child, ast.FunctionDef) else function
-        yield from _report_builders(child, module, inner)
+        yield from _dict_builders(child, module, keyed, inner)
+
+
+def _builders(keyed):
+    return {
+        scope
+        for path in SOURCES
+        for scope in _dict_builders(ast.parse(path.read_text(encoding="utf-8")), path.stem, keyed)
+    }
 
 
 def test_only_verdict_builds_a_report():
-    builders = {
-        scope
-        for path in SOURCES
-        for scope in _report_builders(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert _builders(lambda key: key == "ok") == {"checks._verdict"}
+
+
+def test_only_verdict_and_the_json_writers_build_records():
+    # a dict display keyed by field names is a record: a report, or a JSON payload of
+    # cli or serialize; a map keyed by data, as vertex names like "1", is not one
+    builders = _builders(lambda key: isinstance(key, str) and key.isidentifier())
+    assert {scope for scope in builders if scope.split(".")[0] not in ("cli", "serialize")} == {
+        "checks._verdict"
     }
-    assert builders == {"checks._verdict"}
 
 
 def test_grasscalc_imports_nothing_from_serialize():
