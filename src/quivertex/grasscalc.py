@@ -70,7 +70,7 @@ def _translated_mode(n, weight, f):
     weights = pt.code_weights(n + f.degree())
     pieces = {}  # m -> {la: int coefficient over d}
     for la, c in terms:
-        for (m, kept), t in expand_translation(la, lambda k: (k, weight)).items():
+        for m, kept, t in expand_translation(la, lambda k: (k, weight)):
             if n + m >= 0:
                 piece = pieces.setdefault(m, {})
                 piece[kept] = piece.get(kept, 0) + c * t

@@ -13,6 +13,7 @@ commuting past the j-th creation factor acts only on the factors after j.
 
 from functools import lru_cache
 from math import factorial
+from operator import add, mul
 
 from .lincomb import LinComb, _product_into, expand_translation, integer
 
@@ -153,10 +154,10 @@ def annihilate_mode(lattice, v, k, x):
     contract against matching creation factors via [v_(k), w_(-l)] = k d_{kl} B(v,w)."""
     if k < 0:
         raise ValueError("annihilation mode must be >= 0")
-    v = lattice.vector(v)
+    row = _rows(lattice, lattice.vector(v))[0]
     if k == 0:
-        return x._map(lambda key: [(key, lattice.pairing(v, key[0]))])
-    weights = [k * lattice.pairing(v, lattice.basis_vector(i)) for i in range(lattice.rank)]
+        return x._map(lambda key: [(key, sum(map(mul, row, key[0])))])
+    weights = [k * w for w in row]
 
     def image(key):
         alpha, fock = key
@@ -215,39 +216,56 @@ def virasoro(lattice, n, x):
 def field_mode(lattice, alpha, n, x):
     """Coefficient of z^{-1-n} in Y(e^alpha, z) x.
 
-    Per beta-component: sign (-1)^{b(alpha,beta)} and monomial shift by
-    B(alpha,beta).  The annihilation exponential is the translation
-    (e_i)_{-k} -> (e_i)_{-k} - B(alpha, e_i) z^{-k}; its pieces are summed in
-    int per target (gamma, p) and multiplied once by the integer series p! S_p,
-    lifted by P!/p! to the common denominator d P! (d that of x, P the largest p).
+    Per beta-component: sign (-1)^{b(alpha,beta)}, target gamma = alpha + beta and
+    monomial shift by B(alpha,beta), read off the cached rows of alpha.  The
+    annihilation exponential is the translation (e_i)_{-k} -> (e_i)_{-k} -
+    B(alpha, e_i) z^{-k}; its pieces are summed in int per power p of the
+    component and multiplied once by the integer series p! S_p, lifted by P!/p!
+    to the common denominator d P! (d that of x, P the largest p).  As beta ->
+    gamma is one-to-one, a component's products are keyed by the Fock monomial
+    alone and gamma is put on each of its output keys once.
     """
     alpha = lattice.vector(alpha)
-    weights = [lattice.pairing(alpha, lattice.basis_vector(i)) for i in range(lattice.rank)]
-    weight = lambda f: (f[1], weights[f[0]])
-    d, terms = x.den, x.nums.items()
+    B_row, b_row = _rows(lattice, alpha)
+    weight = lambda f: (f[1], B_row[f[0]])
     by_beta = {}  # beta -> [(fock, int coefficient over d)]
-    for (beta, fock), c in terms:
+    for (beta, fock), c in x.nums.items():
         by_beta.setdefault(beta, []).append((fock, c))
-    buckets = {}  # (gamma, p) -> {fock: int coefficient over d}
+    components, largest = [], 0  # [(gamma, {p: {fock: int coefficient over d}})], the largest p
     for beta, focks in by_beta.items():
-        sign = -1 if lattice.sign_exponent(alpha, beta) % 2 else 1
-        gamma = tuple(a + b for a, b in zip(alpha, beta))
-        shift = 1 + n + lattice.pairing(alpha, beta)
+        sign = -1 if sum(map(mul, b_row, beta)) % 2 else 1
+        shift = 1 + n + sum(map(mul, B_row, beta))
+        buckets = {}
         for fock, c in focks:
             c *= sign
-            for (m, kept), t in expand_translation(fock, weight).items():
+            for m, kept, t in expand_translation(fock, weight):
                 if m >= shift:
-                    bucket = buckets.setdefault((gamma, m - shift), {})
+                    bucket = buckets.setdefault(m - shift, {})
                     bucket[kept] = bucket.get(kept, 0) + c * t
-    # a bucket that cancelled to zero needs no creation series S_p, nor a lift to p!
-    buckets = {target: bucket for target, bucket in buckets.items() if any(bucket.values())}
-    top = factorial(max((p for _, p in buckets), default=0))
+        # a bucket that cancelled to zero needs no creation series S_p, nor a lift to p!
+        buckets = {p: bucket for p, bucket in buckets.items() if any(bucket.values())}
+        if buckets:
+            components.append((tuple(map(add, alpha, beta)), buckets))
+            largest = max(largest, *buckets)
+    top = factorial(largest)
+    key = lambda fock, created: tuple(sorted(fock + created))
     out = {}
-    for (gamma, p), annihilated in buckets.items():
-        key = lambda fock, created: (gamma, tuple(sorted(fock + created)))
-        series = _creation_series(alpha, p)
-        _product_into(out, top // factorial(p), annihilated.items(), series, key)
-    return x._like_ints(out, d * top)
+    for gamma, buckets in components:
+        focks = {}
+        for p, annihilated in buckets.items():
+            series = _creation_series(alpha, p)
+            _product_into(focks, top // factorial(p), annihilated.items(), series, key)
+        out.update(((gamma, fock), c) for fock, c in focks.items())
+    return x._like_ints(out, x.den * top)
+
+
+@lru_cache(maxsize=1024)
+def _rows(lattice, alpha):
+    """(B(alpha, e_i))_i and (b(alpha, e_i))_i as tuples, so that B(alpha, beta) and
+    b(alpha, beta) are dot products with beta."""
+    basis = [lattice.basis_vector(i) for i in range(lattice.rank)]
+    forms = (lattice.pairing, lattice.sign_exponent)
+    return tuple(tuple(form(alpha, e) for e in basis) for form in forms)
 
 
 @lru_cache(maxsize=1024)

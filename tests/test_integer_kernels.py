@@ -264,7 +264,7 @@ def ref_det_of_completes(rows):
 def ref_translated_mode(n, weight, f):
     pieces = {}
     for la, c in f.terms.items():
-        for (m, kept), t in expand_translation(la, lambda k: (k, weight)).items():
+        for m, kept, t in expand_translation(la, lambda k: (k, weight)):
             if n + m >= 0:
                 add_to(pieces.setdefault(m, {}), kept, c * t)
     out = {}
@@ -294,7 +294,7 @@ def ref_field_mode(lattice, alpha, n, x):
         c = -c if lattice.sign_exponent(alpha, beta) % 2 else c
         gamma = tuple(a + b for a, b in zip(alpha, beta))
         shift = 1 + n + lattice.pairing(alpha, beta)
-        for (m, kept), t in expand_translation(fock, lambda f: (f[1], weights[f[0]])).items():
+        for m, kept, t in expand_translation(fock, lambda f: (f[1], weights[f[0]])):
             if m >= shift:
                 add_to(buckets.setdefault((gamma, m - shift), {}), kept, c * t)
     out = {}

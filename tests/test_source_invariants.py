@@ -14,7 +14,10 @@ Every memo is an ``lru_cache``, which a cold start can clear, or local to one
 call: no module-level name holds a dict, set or list display, except the list
 of fast checks.  The int code of a partition has one owner,
 ``partitions.code_weights``, and the products in ``symfunc`` and ``grasscalc``
-add codes instead of merging tuples.  A check's outcome has one form:
+add codes instead of merging tuples.  ``lincomb._product_into`` is the one product
+loop: the field modes, the creation series, the Hecke modes, the Jacobi-Trudi
+minors, the products of complete functions and ``LinComb._product`` all call it.
+A check's outcome has one form:
 ``checks._verdict`` alone builds the report dict, no other function outside the
 JSON writers of ``cli`` and ``serialize`` builds a dict keyed by field names, and
 the Grassmannian and primary-state checks return residuals, never text.  Every
@@ -213,6 +216,40 @@ def test_only_partitions_builds_partition_codes():
                 hits.append(f"{path.name}:{node.lineno}: _product_into keyed by pt.merge")
     assert owner, "partitions.py builds no code weights"
     assert not hits, hits
+
+
+PRODUCT_LOOP_CALLERS = {
+    "field_mode",
+    "_creation_series",
+    "_translated_mode",
+    "_det_of_completes",
+    "_complete_products_int",
+    "LinComb._product",
+}
+
+
+def test_one_product_loop_serves_every_product():
+    defined, callers = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        scopes += [
+            (f"{node.name}.{item.name}", item)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+        ]
+        for name, fn in scopes:
+            if name == "_product_into":
+                defined.append(path.name)
+            if any(
+                isinstance(call, ast.Call) and _called_name(call) == "_product_into"
+                for call in ast.walk(fn)
+            ):
+                callers.add(name)
+    assert defined == ["lincomb.py"], defined
+    assert not (missing := sorted(PRODUCT_LOOP_CALLERS - callers)), missing
 
 
 # Public names kept with no caller in src/ or perfbench/, each named in README.md:

@@ -14,7 +14,7 @@ from quivertex import latticeva as lv
 from quivertex import partitions as pt
 from quivertex import symfunc as sf
 from quivertex.checks import _random_symfunc, _random_vaelem
-from quivertex.lincomb import add_to
+from quivertex.lincomb import add_to, expand_translation
 from quivertex.symfunc import SymFunc
 
 from fraction_reference import add_all, like
@@ -126,6 +126,81 @@ def test_field_mode_matches_partition_exponentials():
         done += 1
         nontrivial += bool(got) and any(any(r) for r in lat.b)
     assert nontrivial >= 20
+
+
+def _lattice_with_signs(rng, rank):
+    """A random lattice of the given rank whose sign datum b is not zero."""
+    while True:
+        b = [[rng.randint(-1, 1) for _ in range(rank)] for _ in range(rank)]
+        if any(map(any, b)):
+            return lv.Lattice([[b[i][j] + b[j][i] for j in range(rank)] for i in range(rank)], b)
+
+
+def _random_fock(lat, rng, budget):
+    fock = []
+    while budget > 0:
+        k = rng.randint(1, budget)
+        fock.append((rng.randrange(lat.rank), k))
+        budget -= k
+    return tuple(sorted(fock))
+
+
+def test_field_mode_sums_over_lattice_components():
+    rng = random.Random(227)
+    done = nontrivial = 0
+    while done < 30:
+        lat = _lattice_with_signs(rng, rng.choice((2, 3)))
+        alpha = tuple(rng.randint(-1, 1) for _ in range(lat.rank))
+        weights = [lat.pairing(alpha, lat.basis_vector(i)) for i in range(lat.rank)]
+        i, j = rng.sample(range(lat.rank), 2)
+        if not (weights[i] and weights[j]):
+            continue
+        # on e^beta, w_j (e_i)_{-k} - w_i (e_j)_{-k} translates to itself plus z^{-k} times
+        # -w_j w_i + w_i w_j = 0; a shift 1 + n + B(alpha, beta) in 1..k drops the rest, so
+        # every bucket of beta cancels
+        beta = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
+        k = rng.randint(1, 3)
+        n = rng.randint(1, k) - 1 - lat.pairing(alpha, beta)
+        parts = [lv.VAElem(lat, {(beta, ((i, k),)): weights[j], (beta, ((j, k),)): -weights[i]})]
+        components = {beta}
+        while len(parts) < 3 + rng.randint(0, 1):
+            gamma = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
+            if gamma not in components:
+                components.add(gamma)
+                focks = {_random_fock(lat, rng, rng.randint(0, 4)) for _ in range(rng.randint(1, 3))}
+                parts.append(lv.VAElem(lat, {(gamma, f): rng.randint(-3, 3) or 1 for f in focks}))
+        x = parts[0]
+        for part in parts[1:]:
+            x = x + part
+        if _creation_degree(lat, alpha, n, x) > 10:
+            continue
+        assert not lv.field_mode(lat, alpha, n, parts[0])
+        got = lv.field_mode(lat, alpha, n, x)
+        summed = lv.field_mode(lat, alpha, n, parts[1])
+        for part in parts[2:]:
+            summed = summed + lv.field_mode(lat, alpha, n, part)
+        assert got == summed == ref_field_mode(lat, alpha, n, x), (lat, alpha, n, x)
+        done += 1
+        nontrivial += bool(got)
+    assert nontrivial >= 20
+
+
+def test_translation_entries_are_distinct_and_match_partition_exponentials():
+    rng = random.Random(229)
+    for _ in range(60):
+        lat = _lattice_with_signs(rng, rng.choice((2, 3)))
+        alpha = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
+        weights = [lat.pairing(alpha, lat.basis_vector(i)) for i in range(lat.rank)]
+        beta = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
+        fock = _random_fock(lat, rng, rng.randint(0, 6))
+        entries = expand_translation(fock, lambda f: (f[1], weights[f[0]]))
+        assert len({(m, kept) for m, kept, _ in entries}) == len(entries), fock
+        x = lv.VAElem(lat, {(beta, fock): 1})
+        degree = sum(k for _, k in fock)
+        assert all(0 <= m <= degree for m, _, _ in entries)
+        for m in range(degree + 1):
+            got = lv.VAElem(lat, {(beta, kept): c for mm, kept, c in entries if mm == m})
+            assert got == ref_exp_annihilation(lat, alpha, m, x), (lat, alpha, fock, m)
 
 
 def test_grassmannian_brackets_match_partition_exponentials():
