@@ -72,26 +72,24 @@ def z_int(la):
 
 
 @lru_cache(maxsize=4096)
-def partitions_of(n, max_part=None):
-    """All partitions of n with parts <= max_part, as descending tuples, in descending
-    lexicographic order.
+def partitions_of(n):
+    """All partitions of n, as descending tuples, in descending lexicographic order.
 
     Those of m with first part f are f followed by those of m - f with parts <= f.
     The walk builds them bottom-up in a table local to the call, only for the
-    f <= n - m that a partition of n reaches, and calls nothing: one that recursed
-    n deep through this cache could end in a SystemError when memory ran out,
-    where this one raises MemoryError.
+    m < n and f <= n - m that a partition of n reaches, and calls nothing: one
+    that recursed n deep through this cache could end in a SystemError when
+    memory ran out, where this one raises MemoryError.
     """
     if n <= 0:
         return ((),) if n == 0 else ()
-    top = n if max_part is None else min(max_part, n)
     below = [[((),)]]  # below[m][j]: the partitions of m with parts <= j, descending
-    for m in range(1, n + 1):
+    for m in range(1, n):
         row = [[]]
-        for f in range(1, (top if m == n else min(m, n - m)) + 1):
+        for f in range(1, min(m, n - m) + 1):
             row.append([(f,) + la for la in below[m - f][min(f, m - f)]] + row[-1])
         below.append(row)
-    return tuple(below[n][-1])
+    return tuple((f,) + la for f in range(n, 0, -1) for la in below[n - f][min(f, n - f)])
 
 
 def contains(box, la):

@@ -395,4 +395,4 @@ def test_every_package_cache_is_bounded():
     assert {c.__name__ for c in caches} >= {"partitions_of", "elementary", "_monomial_basis"}
     unbounded = [c.__name__ for c in caches if c.cache_info().maxsize is None]
     assert not unbounded, unbounded
-    assert pt.partitions_of.cache_info().maxsize >= 4096  # d = 49 alone fills 650 entries
+    assert pt.partitions_of.cache_info().maxsize >= 4096

@@ -95,10 +95,14 @@ def ref_hecke_sym(n, f):
     return SymFunc._wrap(out)
 
 
-def _random_lattice(rng):
-    """Rank 1..3 with a random integral sign datum b and B = b + b^T."""
-    rank = rng.randint(1, 3)
-    b = [[rng.randint(-1, 1) for _ in range(rank)] for _ in range(rank)]
+def _random_lattice(rng, rank=None, signed=False):
+    """The given rank, else one of 1..3, with a random integral sign datum b, not zero
+    if signed, and B = b + b^T."""
+    rank = rng.randint(1, 3) if rank is None else rank
+    while True:
+        b = [[rng.randint(-1, 1) for _ in range(rank)] for _ in range(rank)]
+        if any(map(any, b)) or not signed:
+            break
     B = [[b[i][j] + b[j][i] for j in range(rank)] for i in range(rank)]
     return lv.Lattice(B, b)
 
@@ -128,14 +132,6 @@ def test_field_mode_matches_partition_exponentials():
     assert nontrivial >= 20
 
 
-def _lattice_with_signs(rng, rank):
-    """A random lattice of the given rank whose sign datum b is not zero."""
-    while True:
-        b = [[rng.randint(-1, 1) for _ in range(rank)] for _ in range(rank)]
-        if any(map(any, b)):
-            return lv.Lattice([[b[i][j] + b[j][i] for j in range(rank)] for i in range(rank)], b)
-
-
 def _random_fock(lat, rng, budget):
     fock = []
     while budget > 0:
@@ -149,7 +145,7 @@ def test_field_mode_sums_over_lattice_components():
     rng = random.Random(227)
     done = nontrivial = 0
     while done < 30:
-        lat = _lattice_with_signs(rng, rng.choice((2, 3)))
+        lat = _random_lattice(rng, rng.choice((2, 3)), signed=True)
         alpha = tuple(rng.randint(-1, 1) for _ in range(lat.rank))
         weights = [lat.pairing(alpha, lat.basis_vector(i)) for i in range(lat.rank)]
         i, j = rng.sample(range(lat.rank), 2)
@@ -188,7 +184,7 @@ def test_field_mode_sums_over_lattice_components():
 def test_translation_entries_are_distinct_and_match_partition_exponentials():
     rng = random.Random(229)
     for _ in range(60):
-        lat = _lattice_with_signs(rng, rng.choice((2, 3)))
+        lat = _random_lattice(rng, rng.choice((2, 3)), signed=True)
         alpha = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
         weights = [lat.pairing(alpha, lat.basis_vector(i)) for i in range(lat.rank)]
         beta = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
