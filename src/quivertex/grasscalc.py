@@ -16,7 +16,7 @@ from . import latticeva as lv
 from . import partitions as pt
 from . import quiver as qv
 from . import symfunc as sf
-from .lincomb import _product_into, expand_translation, integer, rational
+from .lincomb import _product_into, integer, rational
 from .symfunc import SymFunc
 
 
@@ -64,25 +64,18 @@ def hecke_sym(n, f):
 
 def _translated_mode(n, weight, f):
     """sum_m h_{n+m} [z^{-m}] f(p_k - weight z^{-k}), summed in int over d_f lcm_m d_h(n+m);
-    inside, partitions are keyed by their codes (partitions.code_weights), so a
-    product of p-monomials adds keys, and the keys are decoded once, at the end."""
-    d, terms = f.den, f.nums.items()
-    weights = pt.code_weights(n + f.degree())
-    pieces = {}  # m -> {la: int coefficient over d}
-    for la, c in terms:
-        for m, kept, t in expand_translation(la, lambda k: (k, weight)):
-            if n + m >= 0:
-                piece = pieces.setdefault(m, {})
-                piece[kept] = piece.get(kept, 0) + c * t
-    # a piece that cancelled to zero needs no h_{n+m}, which is costly to build and cache
-    pieces = {m: piece for m, piece in pieces.items() if any(piece.values())}
+    inside, partitions are keyed by their codes (partitions.code_weights), translated
+    as codes, multiplied by adding codes and decoded once, at the end."""
+    weights = pt.code_weights(f.degree() + max(n, 0))
+    pieces = pt.translate_codes(pt.encode(f.nums.items(), weights), weights, (weight,), -n)
+    # a piece that cancelled to zero is absent, and needs no h_{n+m}, costly to build and cache
     h = {m: sf._coded_complete(n + m, weights) for m in pieces}
     d_h = lcm(*(dm for dm, _ in h.values()))
     out = {}
     for m, (dm, h_terms) in h.items():
-        _product_into(out, d_h // dm, h_terms, pt.encode(pieces[m].items(), weights), operator.add)
+        _product_into(out, d_h // dm, h_terms, pieces[m], operator.add)
     la_of = pt.code_table(weights, pt.code_sizes(out, weights))
-    return SymFunc._ints({la_of[key]: c for key, c in out.items()}, d * d_h)
+    return SymFunc._ints({la_of[key]: c for key, c in out.items()}, f.den * d_h)
 
 
 # -- the Grassmannian class ---------------------------------------------------

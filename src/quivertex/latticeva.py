@@ -9,13 +9,15 @@ Elements are sparse sums of basis states e^alpha (x) prod_j (v_{i_j})_{-k_j}
 with alpha an integer vector, i_j a lattice basis index and k_j >= 1.
 Operator products follow the ordered Leibniz rule: a bracket produced while
 commuting past the j-th creation factor acts only on the factors after j.
+Inside, field modes key a Fock monomial by its int code (``partitions``).
 """
 
 from functools import lru_cache
 from math import factorial
 from operator import add, mul
 
-from .lincomb import LinComb, _product_into, expand_translation, integer
+from . import partitions as pt
+from .lincomb import LinComb, _product_into, integer
 
 
 class Lattice:
@@ -217,46 +219,38 @@ def field_mode(lattice, alpha, n, x):
     """Coefficient of z^{-1-n} in Y(e^alpha, z) x.
 
     Per beta-component: sign (-1)^{b(alpha,beta)}, target gamma = alpha + beta and
-    monomial shift by B(alpha,beta), read off the cached rows of alpha.  The
-    annihilation exponential is the translation (e_i)_{-k} -> (e_i)_{-k} -
-    B(alpha, e_i) z^{-k}; its pieces are summed in int per power p of the
-    component and multiplied once by the integer series p! S_p, lifted by P!/p!
-    to the common denominator d P! (d that of x, P the largest p).  As beta ->
-    gamma is one-to-one, a component's products are keyed by the Fock monomial
-    alone and gamma is put on each of its output keys once.
+    monomial shift by B(alpha,beta), read off the cached rows of alpha.  Its
+    annihilation exponential, (e_i)_{-k} -> (e_i)_{-k} - B(alpha, e_i) z^{-k}, is
+    partitions.translate_codes on the codes of x, and its power p is multiplied once
+    by the integer series p! S_p, lifted by P!/p! to the common denominator d P!
+    (d that of x, P the largest p); each output code is decoded once.
     """
     alpha = lattice.vector(alpha)
     B_row, b_row = _rows(lattice, alpha)
-    weight = lambda f: (f[1], B_row[f[0]])
-    by_beta = {}  # beta -> [(fock, int coefficient over d)]
+    by_beta, degree = {}, 0  # beta -> [(fock, int coefficient over d)]; the Fock degree
     for (beta, fock), c in x.nums.items():
         by_beta.setdefault(beta, []).append((fock, c))
-    components, largest = [], 0  # [(gamma, {p: {fock: int coefficient over d}})], the largest p
-    for beta, focks in by_beta.items():
-        sign = -1 if sum(map(mul, b_row, beta)) % 2 else 1
-        shift = 1 + n + sum(map(mul, B_row, beta))
-        buckets = {}
-        for fock, c in focks:
-            c *= sign
-            for m, kept, t in expand_translation(fock, weight):
-                if m >= shift:
-                    bucket = buckets.setdefault(m - shift, {})
-                    bucket[kept] = bucket.get(kept, 0) + c * t
-        # a bucket that cancelled to zero needs no creation series S_p, nor a lift to p!
-        buckets = {p: bucket for p, bucket in buckets.items() if any(bucket.values())}
-        if buckets:
-            components.append((tuple(map(add, alpha, beta)), buckets))
-            largest = max(largest, *buckets)
-    top = factorial(largest)
-    key = lambda fock, created: tuple(sorted(fock + created))
+        degree = max(degree, sum([k for _, k in fock]))
+    shifts, rank = [1 + n + sum(map(mul, B_row, beta)) for beta in by_beta], lattice.rank
+    # degree D leaves as D - shift; the series serve the largest top T of the code width
+    weights = pt.code_weights(degree - min([0, *shifts]), rank)
+    top = (len(weights) - 1) // rank
+    components, largest = [], 0  # [(gamma, sign, shift, {m: [(code, int coefficient over d)]})]
+    for (beta, focks), shift in zip(by_beta.items(), shifts):
+        translated = pt.translate_codes(pt.encode(focks, weights, rank), weights, B_row, shift)
+        if translated:
+            sign = -1 if sum(map(mul, b_row, beta)) % 2 else 1
+            components.append((tuple(map(add, alpha, beta)), sign, shift, translated))
+            largest = max(largest, max(translated) - shift)
+    lift = factorial(largest)
     out = {}
-    for gamma, buckets in components:
-        focks = {}
-        for p, annihilated in buckets.items():
-            series = _creation_series(alpha, p)
-            _product_into(focks, top // factorial(p), annihilated.items(), series, key)
-        out.update(((gamma, fock), c) for fock, c in focks.items())
-    return x._like_ints(out, x.den * top)
+    for gamma, sign, shift, translated in components:
+        coded = {}
+        for m, annihilated in translated.items():
+            series = _creation_series(alpha, m - shift, top)
+            _product_into(coded, sign * (lift // factorial(m - shift)), annihilated, series, add)
+        out.update(((gamma, fock), c) for fock, c in pt._decode(coded.items(), weights, rank))
+    return x._like_ints(out, x.den * lift)
 
 
 @lru_cache(maxsize=1024)
@@ -269,21 +263,24 @@ def _rows(lattice, alpha):
 
 
 @lru_cache(maxsize=1024)
-def _creation_series(alpha, p):
+def _creation_series(alpha, p, top):
     """p! S_p, S_p the z^p coefficient of exp(sum_{j>0} alpha_(-j)/j z^j), as
-    (fock, int coefficient) pairs.
+    (code, int coefficient) pairs under code_weights(top, len(alpha)), which field_mode reads.
 
-    Differentiating in z gives p S_p = sum_{j=1}^{p} alpha_(-j) S_{p-j}, so
-    p! S_p = sum_j (p-1)!/(p-j)! alpha_(-j) (p-j)! S_{p-j}; the form B plays
-    no part, so the lattice is not in the cache key.
+    Differentiating in z gives q S_q = sum_{j=1}^{q} alpha_(-j) S_{q-j}; q! S_q is built
+    for q = 1, ..., p in a table local to the call, with no recursion, so a large p
+    cannot exhaust the stack.  B plays no part, so the lattice is not in the cache key.
     """
-    out = {} if p else {(): 1}
-    key = lambda fock, f: tuple(sorted(fock + (f,)))
-    for j in range(1, p + 1):
-        lift = factorial(p - 1) // factorial(p - j)
-        created = [((i, j), a) for i, a in enumerate(alpha) if a]
-        _product_into(out, lift, _creation_series(alpha, p - j), created, key)
-    return tuple((fock, c) for fock, c in out.items() if c)
+    weights, rank = pt.code_weights(top, len(alpha)), len(alpha)
+    created = {j: pt.encode(((((i, j),), a) for i, a in enumerate(alpha) if a), weights, rank)
+               for j in range(1, p + 1)}  # alpha_(-j), coded
+    table = [[(0, 1)]]
+    for q in range(1, p + 1):
+        out = {}
+        for j in range(1, q + 1):
+            _product_into(out, factorial(q - 1) // factorial(q - j), table[q - j], created[j], add)
+        table.append([(code, c) for code, c in out.items() if c])
+    return tuple(table[p])
 
 
 def borcherds_bracket(lattice, alpha, x):

@@ -21,8 +21,7 @@ element type as another, so the image must emit that type's canonical keys.
 """
 
 from fractions import Fraction
-from itertools import groupby
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 
@@ -85,28 +84,6 @@ def _product_into(out, s, t1, t2, key):
         for k2, b in t2:
             k = key(k1, k2)
             out[k] = get(k, 0) + sa * b
-
-
-def expand_translation(factors, weight):
-    """[(m, kept, c)] with prod_f (f - w_f z^{-mode_f}) = sum c z^{-m} prod(kept).
-
-    This is exp(-sum_k w a_(k) z^{-k}/k) on a monomial in creation factors
-    a_(-k): the translation a_(-k) -> a_(-k) - w z^{-k}, shared by the lattice
-    field modes and the Hecke operators.  factors is a sorted monomial and
-    weight(f) gives (mode_f, w_f).  A factor of multiplicity r has r + 1
-    choices, binom(r, s) (-w)^s for s substituted copies; kept lists the
-    surviving factors in input order, so it stays sorted, and it fixes every
-    choice, so no two entries share (m, kept) and the list is flat.
-    """
-    out = [(0, (), 1)]
-    for f, group in groupby(factors):
-        r = sum(1 for _ in group)
-        mode, w = weight(f)
-        picks = [
-            (s * mode, comb(r, s) * (-w) ** s, (f,) * (r - s)) for s in range(r + 1 if w else 1)
-        ]
-        out = [(m + dm, kept + tail, c * dc) for m, kept, c in out for dm, dc, tail in picks]
-    return out
 
 
 class LinComb:

@@ -2,11 +2,13 @@
 
 The empty tuple () is the unique partition of 0.  All other modules use
 these tuples directly as dictionary keys; inside, the kernels that multiply
-p-monomials in bulk key them by an int code (``code_weights``) instead.
+p-monomials in bulk, and the field modes their Fock monomials, key them by an int
+code instead; this module owns it (``code_weights``, ``translate_codes``).
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .lincomb import integer
 
@@ -125,31 +127,101 @@ def sign_of_conjugation(la):
     return -1 if (size(la) - length(la)) % 2 else 1
 
 
-def code_weights(top):
-    """[w_0, ..., w_top] with w_p = p + B^p, B = 2^b and b = (top + 1).bit_length().
+@lru_cache(maxsize=64)
+def code_weights(top, colours=1):
+    """(w_0, ..., w_{colours T}), w_d = k + B^d for the part k of colour i at digit d =
+    colours (k - 1) + i + 1; B = 2^b, b = max((top + 1).bit_length(), 2), T = 2^b - 2.
 
-    The code of a partition la with |la| <= top is sum(w_p for p in la): its low
-    b bits hold |la| and digit p in base B the multiplicity of p, so while sizes
-    add up to at most top, the code of a union is the sum of the codes.  A list
-    is indexed faster than a tuple, so each caller builds its own.
+    The low b bits of the code sum(w_p for p in la) of a partition, |la| <= T, hold
+    |la| and digit p the multiplicity of p, so while sizes add up to at most T, a union
+    adds codes; T is the largest top of width b.  A Fock monomial, sorted (basis index
+    i, mode k) pairs, is a partition of colours i.  The tuple is cached and shared.
     """
-    b = (top + 1).bit_length()
-    return [p + (1 << b * p) for p in range(top + 1)]
+    b = max((top + 1).bit_length(), 2)
+    return tuple(-(-d // colours) + (1 << b * d) for d in range(colours * ((1 << b) - 2) + 1))
 
 
-def encode(pairs, weights):
-    """[(code of la, x)] for each (la, x) of pairs, under the weights of code_weights;
-    one call per batch, not per partition."""
-    w = weights.__getitem__
+def encode(pairs, weights, colours=0):
+    """[(code of la, x)] for each (la, x) of pairs, under the weights of code_weights; with
+    colours, la is a coloured partition of (colour, part) pairs.  One call per batch."""
+    if colours:
+        return [(sum([weights[colours * (k - 1) + i + 1] for i, k in la]), x) for la, x in pairs]
+    w = list(weights).__getitem__  # map calls a list's faster than a tuple's
     return [(sum(map(w, la)), x) for la, x in pairs]
 
 
 def code_sizes(codes, weights):
     """{|la|} over the given codes, each read as code mod B."""
-    mask = (1 << len(weights).bit_length()) - 1
+    mask = (1 << weights[1].bit_length() - 1) - 1  # w_1 = 1 + B
     return {c & mask for c in codes}
 
 
 def code_table(weights, degrees):
     """{code: la} for every partition of each of the degrees."""
     return dict(encode(((la, la) for d in degrees for la in partitions_of(d)), weights))
+
+
+def _decode(pairs, weights, colours):
+    """[(la, x)] for each (code, x) of pairs with x != 0, la the coloured partition of code."""
+    b = weights[1].bit_length() - 1
+    out = []
+    for code, x in pairs:
+        if x:
+            code >>= b  # the size
+            la = []
+            while code:
+                s = code.bit_length() - 1
+                s -= s % b  # the highest nonzero digit, d = s / b
+                r = code >> s
+                code ^= r << s
+                la += [(s // b % colours, s // b // colours + 1)] * r
+            out.append((tuple(sorted(la)), x))
+    return out
+
+
+def translate_codes(terms, weights, row, least=0):
+    """{m: [(code, c)]}, m >= least and c != 0, with sum c0 prod_f (f - row[i_f] z^{-k_f})
+    = sum c z^{-m} (the monomial of code) + (powers below least), for coded terms
+    (code, c0) under weights, f running over the factors (e_i)_(-k) of each.
+
+    This is exp(-sum_k w a_(k) z^{-k}/k), shared by the field modes and the Hecke
+    operators.  A digit of multiplicity r has the r + 1 choices binom(r, s) (-w)^s.  A
+    term, keyed by code B + m, waits in the bucket of its highest digit with w != 0
+    not yet translated, then goes to that of the next, where equal keys are summed.
+    """
+    b, colours = weights[1].bit_length() - 1, len(row)
+    mask, span = (1 << b) - 1, b * colours  # a digit, the digits of one part in every colour
+    # in a key, the digits of the colours with w != 0 (those of the code, one digit up)
+    live = -1 if all(row) else sum(mask << b * (i + 2) for i, w in enumerate(row) if w) * (
+        ((1 << b * (len(weights) - 1)) - 1) // ((1 << span) - 1))  # once for every part
+    buckets, done = {}, {}
+    for code, c in terms:
+        if code & mask < least:  # m is at most the degree of the term
+            continue
+        key = code << b
+        d = ((key & live).bit_length() - 1) // b - 1  # the highest live digit of the code
+        into = done if d < 1 else buckets.get(d) or buckets.setdefault(d, {})
+        into[key] = into.get(key, 0) + c
+    while buckets:
+        d = max(buckets)
+        w, shift, below = row[(d - 1) % colours], b * (d + 1), live & ((1 << b * (d + 1)) - 1)
+        step = (weights[d] & mask) - (weights[d] << b)  # one copy substituted
+        for key, c in buckets.pop(d).items():
+            if c:
+                e = ((key & below).bit_length() - 1) // b - 1  # the next live digit
+                into = done if e < 1 else buckets.get(e) or buckets.setdefault(e, {})
+                get = into.get
+                for t in _choices(key >> shift & mask, w):
+                    into[key] = get(key, 0) + c * t
+                    key += step
+    out = {}
+    for key, c in done.items():
+        if c and key & mask >= least:
+            out.setdefault(key & mask, []).append((key >> b, c))
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _choices(r, w):
+    """binom(r, s) (-w)^s for s = 0, ..., r, for a factor of weight w and multiplicity r."""
+    return tuple(comb(r, s) * (-w) ** s for s in range(r + 1))

@@ -30,10 +30,10 @@ from quivertex import latticeva as lv
 from quivertex import partitions as pt
 from quivertex import quiver as qv
 from quivertex import symfunc as sf
-from quivertex.lincomb import add_to, coerce, expand_translation, integral, rational
+from quivertex.lincomb import add_to, coerce, integral, rational
 from quivertex.symfunc import SymFunc
 
-from fraction_reference import add_all, like
+from fraction_reference import add_all, expand_translation, like
 
 DENOMINATORS = (1, 2, 6, 7919, 104729, 2**61 - 1)
 ALPHAS = (1, Fraction(-1), Fraction(-7, 3), Fraction(104729, 7919), Fraction(1, 2**61 - 1))
@@ -657,10 +657,78 @@ def test_hecke_modes_match_fraction_accumulation():
 def test_creation_series_is_integral():
     for alpha in ((1,), (2, -1), (0, 3, -2)):
         for p in range(7):
-            got = lv._creation_series(alpha, p)
-            assert all(type(c) is int and c for _, c in got)
-            scaled = {fock: Fraction(c, factorial(p)) for fock, c in got}
-            assert scaled == dict(ref_creation_series(alpha, p)), (alpha, p)
+            for top in (p, 14):  # the codes of every width at least p's
+                got = lv._creation_series(alpha, p, top)
+                assert all(type(c) is int and c for _, c in got)
+                weights = pt.code_weights(top, len(alpha))
+                scaled = {
+                    fock: Fraction(c, factorial(p)) for fock, c in pt._decode(got, weights, len(alpha))
+                }
+                assert scaled == dict(ref_creation_series(alpha, p)), (alpha, p, top)
+
+
+def ref_translation(terms, row):
+    """{m: {kept: c}} for a term dict {fock: c} under the translation (e_i)_(-k) ->
+    (e_i)_(-k) - row[i] z^{-k}, each monomial expanded on its own."""
+    out = {}
+    for fock, c in terms.items():
+        for m, kept, t in expand_translation(fock, lambda f: (f[1], row[f[0]])):
+            add_to(out.setdefault(m, {}), kept, c * t)
+    return {m: piece for m, piece in out.items() if piece}
+
+
+def _translated(terms, weights, row):
+    """translate_codes on a term dict {fock: c}, read back as {m: {fock: c}}."""
+    colours = len(row)
+    coded = pt.encode(terms.items(), weights, colours)
+    assert dict(pt._decode(coded, weights, colours)) == {f: c for f, c in terms.items() if c}
+    out = {}
+    for m, pieces in pt.translate_codes(coded, weights, row).items():
+        codes = [code for code, _ in pieces]
+        assert len(set(codes)) == len(codes), (m, pieces)  # equal keys were summed
+        out[m] = dict(pt._decode(pieces, weights, colours))
+    return out
+
+
+def _fock(rng, colours, budget):
+    fock = []
+    while budget > 0:
+        k = rng.randint(1, budget)
+        fock.append((rng.randrange(colours), k))
+        budget -= k
+    return fock
+
+
+def test_translate_codes_matches_per_monomial_expansion():
+    rng = random.Random(331)
+    mixed = 0
+    for _ in range(150):
+        colours = rng.randint(1, 3)
+        row = tuple(rng.choice((0, 1, -1, 2, -3)) for _ in range(colours))
+        mixed += 0 in row and any(row)
+        top = rng.randint(1, 9)
+        weights = pt.code_weights(top, colours)
+        for _ in range(rng.randint(1, 3)):  # several beta components, one call each
+            shared = _fock(rng, colours, rng.randint(0, top // 2))  # factors the terms share
+            terms = {(): rng.randint(-3, 3)}  # the empty monomial
+            for _ in range(rng.randint(1, 6)):
+                extra = _fock(rng, colours, rng.randint(0, top - sum(k for _, k in shared)))
+                terms[tuple(sorted(shared + extra))] = rng.choice((-2, -1, 1, 3))
+            assert _translated(terms, weights, row) == ref_translation(terms, row), (row, terms)
+    assert mixed >= 20
+    # (a1 - w z^-1)(a2 - w z^-2) + w (a3 - w z^-3): the z^-3 terms cancel to zero
+    for w in (1, -2):
+        terms = {((0, 1), (0, 2)): 1, ((0, 3),): w}
+        got = _translated(terms, pt.code_weights(3), (w,))
+        assert got == ref_translation(terms, (w,)) and 3 not in got
+    # a factor of the largest multiplicity a digit holds: T of code_weights, 2^b - 2
+    for top, colours, row in ((6, 1, (2,)), (14, 2, (0, -1)), (30, 3, (3, 0, 1))):
+        weights = pt.code_weights(top, colours)
+        T = (len(weights) - 1) // colours
+        assert T == top
+        for i in range(colours):
+            terms = {((i, 1),) * T: 1, ((i, 1),) * (T - 2) + ((i, 2),): -1}
+            assert _translated(terms, weights, row) == ref_translation(terms, row), (top, i)
 
 
 def test_field_modes_match_fraction_accumulation():

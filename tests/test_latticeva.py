@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -244,3 +246,15 @@ def test_is_primary_rejects_inhomogeneous():
     # Fock degrees 0 and 1 on one component: no eigenvalue fits both
     x = vac(GR) + lv.create(GR, (0, 1), 1, vac(GR))
     assert _failures(GR, x, 0) == _failures(GR, x, 1) == ["L_0"]
+
+
+def test_creation_series_needs_no_deep_stack():
+    # p! S_p is built bottom-up in one call; one that recursed p deep ended
+    # `quivertex gr-class 1 1200 --via wallcross` in a RecursionError
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        series = lv._creation_series((0, 1), 40, 40)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(series) == len(pt.partitions_of(40))

@@ -13,8 +13,11 @@ outside ``lincomb`` only ``serialize`` calls ``add_to`` or ``_wrap``.
 Every memo is an ``lru_cache``, which a cold start can clear, or local to one
 call: no module-level name holds a dict, set or list display, except the list
 of fast checks.  The int code of a partition has one owner,
-``partitions.code_weights``, and the products in ``symfunc`` and ``grasscalc``
-add codes instead of merging tuples.  ``lincomb._product_into`` is the one product
+``partitions.code_weights``, and the products in ``symfunc`` and ``grasscalc``,
+and those of ``latticeva.field_mode`` on Fock monomials coded as coloured
+partitions, add codes instead of merging tuples; the vertex-operator translation
+of the field modes and Hecke modes runs on those codes, in
+``partitions.translate_codes``.  ``lincomb._product_into`` is the one product
 loop: the field modes, the creation series, the Hecke modes, the Jacobi-Trudi
 minors, the products of complete functions and ``LinComb._product`` all call it.
 A check's outcome has one form:
@@ -62,6 +65,7 @@ INTEGER_KERNELS = {
     "substitute_ch0",
     "field_mode",
     "_creation_series",
+    "translate_codes",
     "_monomial_basis",
     "_jack",
     "integrals_by_recursion",
@@ -216,6 +220,20 @@ def test_only_partitions_builds_partition_codes():
                 hits.append(f"{path.name}:{node.lineno}: _product_into keyed by pt.merge")
     assert owner, "partitions.py builds no code weights"
     assert not hits, hits
+
+
+def test_field_mode_products_add_codes():
+    path = SOURCES[0].parent / "latticeva.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    field_mode = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "field_mode"
+    )
+    keys = [
+        ast.unparse(call.args[-1])
+        for call in ast.walk(field_mode)
+        if isinstance(call, ast.Call) and _called_name(call) == "_product_into"
+    ]
+    assert keys == ["add"], keys
 
 
 PRODUCT_LOOP_CALLERS = {

@@ -2,7 +2,7 @@
 
 The reference implementations below expand each exponential over every
 partition mu of m and apply annihilators or creators one part at a time.
-They share no code with ``lincomb.expand_translation``, which the library's
+They share no code with ``partitions.translate_codes``, which the library's
 field modes and Hecke operators use, so they are an independent oracle.
 """
 
@@ -14,7 +14,7 @@ from quivertex import latticeva as lv
 from quivertex import partitions as pt
 from quivertex import symfunc as sf
 from quivertex.checks import _random_symfunc, _random_vaelem
-from quivertex.lincomb import add_to, expand_translation
+from quivertex.lincomb import add_to
 from quivertex.symfunc import SymFunc
 
 from fraction_reference import add_all, like
@@ -186,16 +186,19 @@ def test_translation_entries_are_distinct_and_match_partition_exponentials():
     for _ in range(60):
         lat = _random_lattice(rng, rng.choice((2, 3)), signed=True)
         alpha = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
-        weights = [lat.pairing(alpha, lat.basis_vector(i)) for i in range(lat.rank)]
+        row = tuple(lat.pairing(alpha, lat.basis_vector(i)) for i in range(lat.rank))
         beta = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
         fock = _random_fock(lat, rng, rng.randint(0, 6))
-        entries = expand_translation(fock, lambda f: (f[1], weights[f[0]]))
-        assert len({(m, kept) for m, kept, _ in entries}) == len(entries), fock
-        x = lv.VAElem(lat, {(beta, fock): 1})
         degree = sum(k for _, k in fock)
-        assert all(0 <= m <= degree for m, _, _ in entries)
+        weights = pt.code_weights(degree, lat.rank)
+        pieces = pt.translate_codes(pt.encode([(fock, 1)], weights, lat.rank), weights, row)
+        assert all(0 <= m <= degree for m in pieces)
+        x = lv.VAElem(lat, {(beta, fock): 1})
         for m in range(degree + 1):
-            got = lv.VAElem(lat, {(beta, kept): c for mm, kept, c in entries if mm == m})
+            piece = pieces.get(m, [])
+            assert len({code for code, _ in piece}) == len(piece), fock
+            kept = pt._decode(piece, weights, lat.rank)
+            got = lv.VAElem(lat, {(beta, k): c for k, c in kept})
             assert got == ref_exp_annihilation(lat, alpha, m, x), (lat, alpha, fock, m)
 
 
