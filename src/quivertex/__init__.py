@@ -44,7 +44,6 @@ from .latticeva import (
     Lattice,
     VAElem,
     annihilate_mode,
-    borcherds_bracket,
     create,
     field_mode,
     grassmannian_lattice,

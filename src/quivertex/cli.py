@@ -314,14 +314,15 @@ def main(argv=None):
     try:
         args = build_parser(head if head and head[0] in _NAMES else _NAMES).parse_args(argv)
         return args.func(args)
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 2
+    except MemoryError:  # reported below, once leaving this block frees what filled memory
+        pass
     except (ValueError, OSError, json.JSONDecodeError) as e:
         code = getattr(e, "code", None)
         prefix = f"error[{code}]" if code else "error"
         print(f"{prefix}: {e}", file=sys.stderr)
         return 2
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -124,14 +124,36 @@ def framed_class(quiver, f, d):
 
 def _wall_crossing(lattice, alpha, steps):
     """e^alpha followed, for each (basis index i, count c) in steps in turn, by c
-    brackets -e^{e_i}_(0), scaled by 1/prod c!."""
-    x = lv.VAElem.group_element(lattice, alpha)
+    brackets -e^{e_i}_(0), scaled by 1/prod c!.
+
+    The state stays on one component beta, of Fock degree D, and the bracket with e_i
+    takes it to beta + e_i at degree D - 1 - B(e_i, beta); so the chain is planned first
+    (a negative degree is zero), then runs as field_mode on one component, on the codes of
+    one code_weights, over one reduced denominator, and is decoded once, at the end."""
+    plan, beta, degree, top = [], alpha, 0, 0  # [(e_i, B row of e_i, -sign, shift)]
+    zero = lv.VAElem(lattice)
     for i, count in steps:
+        e = lattice.basis_vector(i)
+        B_row, b_row = lv._rows(lattice, e)
         for _ in range(count):
-            x = lv.borcherds_bracket(lattice, lattice.basis_vector(i), x)
-    # the bracket is linear, so the step signs and the factorials are applied once
-    signs = (-1) ** sum(count for _, count in steps)
-    return x.scale(Fraction(signs, prod(factorial(count) for _, count in steps)))
+            shift = 1 + sum(map(operator.mul, B_row, beta))
+            sign = 1 if sum(map(operator.mul, b_row, beta)) % 2 else -1
+            plan.append((e, B_row, sign, shift))
+            beta, degree = tuple(map(operator.add, beta, e)), degree - shift
+            if degree < 0:
+                return zero
+            top = max(top, degree)
+    weights, rank = pt.code_weights(top, lattice.rank), lattice.rank
+    top = (len(weights) - 1) // rank  # the largest top of the width, as in field_mode
+    state, den = [(0, 1)], 1  # the codes of the Fock monomials, int coefficients over den
+    for e, B_row, sign, shift in plan:
+        translated = pt.translate_codes(state, weights, B_row, shift)
+        lift = factorial(max(translated, default=shift) - shift)
+        coded = lv._created(e, sign * lift, shift, translated, top)
+        g = gcd(den * lift, *coded.values())
+        state, den = [(code, c // g) for code, c in coded.items() if c], den * lift // g
+    den *= prod(factorial(count) for _, count in steps)
+    return zero._like_ints({(beta, fock): c for fock, c in pt._decode(state, weights, rank)}, den)
 
 
 def _va_to_gr(x, N, k):

@@ -245,12 +245,21 @@ def field_mode(lattice, alpha, n, x):
     lift = factorial(largest)
     out = {}
     for gamma, sign, shift, translated in components:
-        coded = {}
-        for m, annihilated in translated.items():
-            series = _creation_series(alpha, m - shift, top)
-            _product_into(coded, sign * (lift // factorial(m - shift)), annihilated, series, add)
+        coded = _created(alpha, sign * lift, shift, translated, top)
         out.update(((gamma, fock), c) for fock, c in pt._decode(coded.items(), weights, rank))
     return x._like_ints(out, x.den * lift)
+
+
+def _created(alpha, scale, shift, translated, top):
+    """The creation half of a field mode of e^alpha on one component: {code: int}, the sum
+    over the powers m of translated (partitions.translate_codes, m >= shift) of its
+    terms at z^{-m} times scale / p! times p! S_p, p = m - shift, under
+    code_weights(top, len(alpha)); scale is divisible by every p!, and zeros stay."""
+    coded = {}
+    for m, annihilated in translated.items():
+        p = m - shift
+        _product_into(coded, scale // factorial(p), annihilated, _creation_series(alpha, p, top), add)
+    return coded
 
 
 @lru_cache(maxsize=1024)
@@ -281,11 +290,6 @@ def _creation_series(alpha, p, top):
             _product_into(out, factorial(q - 1) // factorial(q - j), table[q - j], created[j], add)
         table.append([(code, c) for code, c in out.items() if c])
     return tuple(table[p])
-
-
-def borcherds_bracket(lattice, alpha, x):
-    """The zero-mode product e^alpha_(0) x inducing the Lie bracket on V/TV."""
-    return field_mode(lattice, alpha, 0, x)
 
 
 def primary_check(lattice, x, h):

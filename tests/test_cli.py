@@ -239,6 +239,18 @@ def test_out_of_memory_is_malformed_input():
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 
+def test_out_of_memory_in_the_wall_crossing_is_malformed_input():
+    # the creation series of degree 1199 has p(1199) terms; the report is printed after the
+    # except block, so the frames that filled memory are freed before it is written
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-m", "quivertex.cli", "gr-class", "1", "1200", "--via", "wallcross"],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_address_space, timeout=300,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+
+
 def test_results_of_any_size_print_in_full(capsys):
     # <p_1^9000, p_1^9000> = 9000!, 31,682 digits, past Python's default int/str limit
     code, out, err = run(capsys, "hall", "p1^9000", "p1^9000")

@@ -14,12 +14,14 @@ Every memo is an ``lru_cache``, which a cold start can clear, or local to one
 call: no module-level name holds a dict, set or list display, except the list
 of fast checks.  The int code of a partition has one owner,
 ``partitions.code_weights``, and the products in ``symfunc`` and ``grasscalc``,
-and those of ``latticeva.field_mode`` on Fock monomials coded as coloured
-partitions, add codes instead of merging tuples; the vertex-operator translation
-of the field modes and Hecke modes runs on those codes, in
-``partitions.translate_codes``.  ``lincomb._product_into`` is the one product
-loop: the field modes, the creation series, the Hecke modes, the Jacobi-Trudi
-minors, the products of complete functions and ``LinComb._product`` all call it.
+and those of ``latticeva._created``, the creation half that ``latticeva.field_mode``
+and the wall-crossing chain ``grasscalc._wall_crossing`` share, on Fock monomials
+coded as coloured partitions, add codes instead of merging tuples; the
+vertex-operator translation of the field modes, the chain and the Hecke modes runs
+on those codes, in ``partitions.translate_codes``.  ``lincomb._product_into`` is the
+one product loop: the creation half, the creation series, the Hecke modes, the
+Jacobi-Trudi minors, the products of complete functions and ``LinComb._product``
+all call it.
 A check's outcome has one form:
 ``checks._verdict`` alone builds the report dict, no other function outside the
 JSON writers of ``cli`` and ``serialize`` builds a dict keyed by field names, and
@@ -64,7 +66,9 @@ INTEGER_KERNELS = {
     "virasoro",
     "substitute_ch0",
     "field_mode",
+    "_created",
     "_creation_series",
+    "_wall_crossing",
     "translate_codes",
     "_monomial_basis",
     "_jack",
@@ -223,21 +227,27 @@ def test_only_partitions_builds_partition_codes():
 
 
 def test_field_mode_products_add_codes():
-    path = SOURCES[0].parent / "latticeva.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    field_mode = next(
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "field_mode"
-    )
-    keys = [
-        ast.unparse(call.args[-1])
-        for call in ast.walk(field_mode)
-        if isinstance(call, ast.Call) and _called_name(call) == "_product_into"
-    ]
+    # the field modes and the wall-crossing chain multiply only through _created,
+    # whose one product loop is keyed by add
+    defs = {
+        node.name: node
+        for path in SOURCES
+        if path.stem in ("latticeva", "grasscalc")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def calls(name, callee):
+        return [c for c in ast.walk(defs[name]) if isinstance(c, ast.Call) and _called_name(c) == callee]
+
+    keys = [ast.unparse(call.args[-1]) for call in calls("_created", "_product_into")]
     assert keys == ["add"], keys
+    for name in ("field_mode", "_wall_crossing"):
+        assert calls(name, "_created") and not calls(name, "_product_into"), name
 
 
 PRODUCT_LOOP_CALLERS = {
-    "field_mode",
+    "_created",
     "_creation_series",
     "_translated_mode",
     "_det_of_completes",
@@ -275,6 +285,7 @@ ENTRY_POINTS = {
     "t_element",  # perfbench traces it by name
     "framed_t_element",  # T_n^{f->*}, the framed sibling of t_element
     "create",  # library entry points
+    "VAElem.group_element",
     "gr_virasoro",
     "DescendentPoly.ch",
     "SymFunc.coefficient",

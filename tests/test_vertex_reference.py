@@ -4,14 +4,18 @@ The reference implementations below expand each exponential over every
 partition mu of m and apply annihilators or creators one part at a time.
 They share no code with ``partitions.translate_codes``, which the library's
 field modes and Hecke operators use, so they are an independent oracle.
+The coded wall-crossing chain is checked against its definition, one
+``field_mode`` per bracket.
 """
 
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 from quivertex import grasscalc as gc
 from quivertex import latticeva as lv
 from quivertex import partitions as pt
+from quivertex import quiver as qv
 from quivertex import symfunc as sf
 from quivertex.checks import _random_symfunc, _random_vaelem
 from quivertex.lincomb import add_to
@@ -208,7 +212,7 @@ def test_grassmannian_brackets_match_partition_exponentials():
         x = lv.VAElem.group_element(lat, (N, 0))
         for _ in range(N // 2 + 1):
             want = ref_field_mode(lat, (0, 1), 0, x)
-            assert lv.borcherds_bracket(lat, (0, 1), x) == want, N
+            assert lv.field_mode(lat, (0, 1), 0, x) == want, N
             x = want
 
 
@@ -219,3 +223,78 @@ def test_hecke_matches_skew_forms():
         n = rng.randint(-6, 4)
         assert gc.hecke(n, f) == ref_hecke(n, f), (n, f)
         assert gc.hecke_sym(n, f) == ref_hecke_sym(n, f), (n, f)
+
+
+def _bracket_by_bracket(lattice, alpha, steps, died=None):
+    """The wall-crossing chain by its definition: e^alpha, then for each (i, c) of steps
+    c brackets e^{e_i}_(0) = field_mode(lattice, e_i, 0, .), scaled by (-1)^{sum c} / prod c!.
+    Adds to died "degree" or "cancelled" when a nonzero state dies before the last bracket,
+    by its Fock degree falling below 0 or by its terms cancelling."""
+    x = lv.VAElem.group_element(lattice, alpha)
+    brackets = [lattice.basis_vector(i) for i, count in steps for _ in range(count)]
+    for j, e in enumerate(brackets):
+        before, x = x, lv.field_mode(lattice, e, 0, x)
+        if before and not x and j + 1 < len(brackets) and died is not None:
+            beta = next(iter(before.nums))[0]
+            fell = before.fock_degree() < 1 + lattice.pairing(e, beta)
+            died.add("degree" if fell else "cancelled")
+    signs = (-1) ** sum(count for _, count in steps)
+    return x.scale(Fraction(signs, prod(factorial(count) for _, count in steps)))
+
+
+def _planned_top(lattice, alpha, steps):
+    """The largest Fock degree the chain passes through while it is not yet zero: a
+    bracket with e_i on beta takes degree D to D - 1 - B(e_i, beta)."""
+    beta, degree, top = tuple(alpha), 0, 0
+    for i, count in steps:
+        e = lattice.basis_vector(i)
+        for _ in range(count):
+            degree -= 1 + lattice.pairing(e, beta)
+            if degree < 0:
+                return top
+            beta, top = tuple(map(sum, zip(beta, e))), max(top, degree)
+    return top
+
+
+def test_wall_crossing_chain_matches_bracket_by_bracket():
+    rng = random.Random(227)
+    seen, died = set(), set()
+    done = 0
+    while done < 300:
+        lat = _random_lattice(rng)
+        alpha = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
+        steps = [(rng.randrange(lat.rank), rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+        # the references run each bracket on its own; keep their Fock degrees small
+        if _planned_top(lat, alpha, steps) > 8:
+            continue
+        got = gc._wall_crossing(lat, alpha, steps)
+        want = _bracket_by_bracket(lat, alpha, steps, died)
+        assert (got.den, got.nums) == (want.den, want.nums), (lat, alpha, steps)
+        assert got.lattice == lat
+        seen.add("nonzero" if got else "zero")
+        if any(count == 0 for _, count in steps):
+            seen.add("count 0")
+        done += 1
+    assert seen == {"nonzero", "zero", "count 0"}, seen
+    assert died == {"degree", "cancelled"}, died
+
+
+def test_framed_class_dies_midway_as_bracket_by_bracket():
+    # Gr(3, 2) is empty: its third bracket leaves Fock degree -3; on linear(2) one more
+    # bracket, at the second vertex, acts on the zero state
+    for name, f, d, dies in [("linear(1)", [2], [3], set()), ("linear(2)", [2, 0], [3, 1], {"degree"})]:
+        quiver, died = qv.builtin(name), set()
+        lattice = gc.framed_lattice(quiver, f)
+        steps = [(1 + i, count) for i, count in enumerate(d)]
+        want = _bracket_by_bracket(lattice, lattice.basis_vector(0), steps, died)
+        got = gc.framed_class(quiver, f, d)
+        assert (got.den, got.nums) == (want.den, want.nums) == (1, {}), name
+        assert died == dies, name
+
+
+def test_a_framed_class_decodes_once(monkeypatch):
+    calls = []
+    decode = pt._decode
+    monkeypatch.setattr(pt, "_decode", lambda *args: calls.append(args) or decode(*args))
+    got = gc.framed_class(qv.builtin("linear(3)"), [3, 0, 0], [2, 2, 1])
+    assert got and len(calls) == 1
