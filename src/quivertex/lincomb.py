@@ -8,7 +8,7 @@ and ``hash`` compare it directly.  ``terms`` is a ``MappingProxyType`` of the
 same coefficients as Fractions, built by ``rational`` on each read and never stored.
 Operators sum int numerators into one fresh dict and wrap it once with
 ``_ints`` (``_like_ints`` keeps the ambient data), which drops zeros and divides
-out the gcd; ``combine`` sums int multiples of whole elements that way.
+out the gcd.
 Fractions cross into this int core at one boundary: the public constructor
 (``coerce``, ``add_to``, ``integral``), ``_wrap`` for a parser's dict of
 Fractions, and ``rational`` for a table of int numerators read out.  A
@@ -60,20 +60,6 @@ def integral(terms):
 def rational(int_terms, d):
     """{key: Fraction(n, d)} for each nonzero n of an int term dict."""
     return {key: Fraction(n, d) for key, n in int_terms.items() if n}
-
-
-def combine(pairs, d=1):
-    """sum c x / d over a nonempty list of (int c, element x) pairs, summed in int over
-    d times the lcm of the denominators of the x; the result has the type and ambient
-    data of the first x, and d > 0."""
-    den = lcm(*(x.den for _, x in pairs))
-    out = {}
-    get = out.get
-    for c, x in pairs:
-        c *= den // x.den
-        for key, n in x.nums.items():
-            out[key] = get(key, 0) + c * n
-    return pairs[0][1]._like_ints(out, den * d)
 
 
 def _product_into(out, s, t1, t2, key):

@@ -14,7 +14,7 @@ from itertools import accumulate
 from math import factorial, gcd, lcm
 
 from . import partitions as pt
-from .lincomb import LinComb, _product_into, combine
+from .lincomb import LinComb, _product_into, rational
 
 
 class SymFunc(LinComb):
@@ -151,56 +151,72 @@ def _coded_complete(j, weights):
     return d, pt.encode(terms, weights)
 
 
+@lru_cache(maxsize=1024)  # keyed by the caller's partition, so bounded
 def monomial(la):
-    """m_la in the p-basis, by back-substitution on the p-to-m transition in degree |la|."""
-    la = pt.check_partition(la)
-    return _monomial_basis(pt.size(la))[la]
+    """m_la in the p-basis, solved from the rows of the p_rho with rho >= la."""
+    return _from_monomials([(pt.check_partition(la), 1)])
 
 
-@lru_cache(maxsize=32)  # keyed by the caller's degree, so bounded
-def _monomial_basis(d):
-    """All m_la for |la| = d, by back-substitution on p_la = sum_mu <p_la, h_mu> m_mu.
+def _from_monomials(target, den=1):
+    """sum_nu t_nu m_nu / den in the p-basis, for the (nu, int t_nu) pairs of target,
+    all nu of one degree d.
 
-    m and h are Hall-dual; <p_la, h_mu> vanishes unless mu >= la in dominance
-    order, which the descending lexicographic order of partitions_of(d) refines,
-    so each m_mu with mu != la is known when m_la is solved for.  The pairings
-    are ints, and each m_mu is read back in int from its canonical form.
+    With p_rho = sum_mu L_rho,mu m_mu, the coefficient c_rho of p_rho solves
+    L_rho,rho c_rho = t_rho - sum_sigma c_sigma L_sigma,rho.  L_sigma,rho vanishes
+    unless rho >= sigma in dominance, which ascending lexicographic order refines, so
+    the c_rho are found in that order, from the finest up, reading only the rows of
+    the rho met with a nonzero right side.  Where the pivot L_rho,rho = prod_i m_i(rho)!
+    does not divide, the int denominator den is widened.
     """
-    parts = pt.partitions_of(d)  # descending lexicographic
-    pairing = {la: {} for la in parts}  # pairing[la][mu] = <p_la, h_mu>
-    z = {la: pt.z_int(la) for la in parts}
-    for mu, (dh, terms) in _complete_products_int(d).items():
-        for la, n in terms:
-            pairing[la][mu] = n * z[la] // dh
-    out = {}
-    for la in parts:
-        row = pairing[la]
-        below = [(-c, out[mu]) for mu, c in row.items() if mu != la]
-        out[la] = combine([(1, SymFunc._ints({la: 1})), *below], row[la])
-    return out
+    d = pt.size(target[0][0])
+    w, row_of, out = pt.code_weights(d), _rows(d), {}
+    left = dict(pt.encode(target, w))  # left[mu] = t_mu - sum_sigma c_sigma L_sigma,mu
+    for code, rho in pt.encode(((rho, rho) for rho in reversed(pt.partitions_of(d))), w):
+        x = left.get(code)
+        if x:
+            row = row_of(rho)
+            if x % row[code]:
+                widen = row[code] // gcd(x, row[code])
+                den, x = den * widen, x * widen
+                left = {mu: widen * y for mu, y in left.items()}
+                out = {sigma: widen * c for sigma, c in out.items()}
+            c = out[rho] = x // row[code]
+            for mu, y in row.items():
+                left[mu] = left.get(mu, 0) - c * y
+    return SymFunc._ints(out, den)
 
 
-def _complete_products_int(d):
-    """{mu: (prod_i mu_i!, int terms of h_mu)} for every mu |- d, in the order of
-    partitions_of(d).  Each h_mu is one int product h_{mu_1} h_{mu[1:]}, the
-    second factor read from a table, local to this call, of the tails of mu;
-    inside, partitions are keyed by their codes, decoded once at the end."""
-    weights = pt.code_weights(d)
-    h = {j: _coded_complete(j, weights) for j in range(1, d + 1)}
-    table = {(): (1, ((0, 1),))}
-    for mu in pt.partitions_of(d):
-        for i in range(len(mu) - 1, -1, -1):
-            if mu[i:] not in table:
-                d_first, first = h[mu[i]]
-                d_rest, rest = table[mu[i + 1 :]]
-                out = {}
-                _product_into(out, 1, first, rest, operator.add)
-                table[mu[i:]] = d_first * d_rest, out.items()
-    la_of = pt.code_table(weights, (d,))
-    out = {}
-    for mu in pt.partitions_of(d):
-        dh, terms = table[mu]
-        out[mu] = dh, tuple((la_of[key], c) for key, c in terms)
+def _rows(top):
+    """row(rho), the row {code of mu: L_rho,mu} of p_rho = sum_mu L_rho,mu m_mu, |rho| <= top
+    (L_rho,mu = <p_rho, h_mu>, Macdonald I.6; codes under code_weights(top)), built by
+    _row_step on the rows of the suffixes of rho, which a table local to this call keeps."""
+    w, rows, mults = [0, *pt.code_weights(top)[1:]], {(): {0: 1}}, {0: {0: 0}}
+
+    def row(rho):
+        for i in range(len(rho) - 1, -1, -1):
+            if rho[i:] not in rows:
+                rows[rho[i:]] = _row_step(rho[i:], rows, w, mults)
+        return rows[rho]
+
+    return row
+
+
+def _row_step(rho, rows, w, mults):
+    """The row of p_rho from that of rho[1:], by p_k m_mu = sum_nu r m_nu with k = rho[0]:
+    nu is mu with one part a raised to a + k, or with a part k added (a = 0), and r is
+    the multiplicity of a + k in nu.  Under the code weights w, w[0] = 0; mults maps each
+    code to {part: multiplicity} and the entry 0: 0 for a = 0, and gains each new nu."""
+    k, out = rho[0], {}
+    get = out.get
+    for mu, c in rows[rho[1:]].items():
+        m = mults[mu]
+        for a in m:
+            nu, r = mu + w[a + k] - w[a], m.get(a + k, 0) + 1
+            out[nu] = get(nu, 0) + c * r
+            if nu not in mults:
+                n = mults[nu] = {**m, a + k: r}
+                if a and n.pop(a) > 1:  # one part a fewer
+                    n[a] = m[a] - 1
     return out
 
 
@@ -259,17 +275,14 @@ def schur_expand(f):
 
 
 def monomial_expand(f):
-    """Coefficients {la: c_la} with f = sum c_la m_la.
-
-    The m and h bases are Hall-dual, so c_la = <f, h_la>.
-    """
-    out = {}
-    for d in sorted({pt.size(la) for la in f.nums}):
-        for la, (dh, terms) in _complete_products_int(d).items():
-            c = hall(f, SymFunc._ints(dict(terms), dh))
-            if c:
-                out[la] = c
-    return out
+    """Coefficients {la: c_la} with f = sum c_la m_la: c_la = sum_rho f_rho L_rho,la,
+    summed in int over the rows (_rows) of f's own p_rho."""
+    w, row, out = pt.code_weights(f.degree()), _rows(f.degree()), {}
+    for rho, n in f.nums.items():
+        for mu, y in row(rho).items():
+            out[mu] = out.get(mu, 0) + n * y
+    la_of = pt.code_table(w, sorted(pt.code_sizes(out, w)))
+    return rational({la: out[code] for code, la in la_of.items() if code in out}, f.den)
 
 
 # -- Jack polynomials ---------------------------------------------------------
@@ -315,7 +328,8 @@ def _jack(la, alpha):
     when alpha > 0.  Each u is a series mod t^K, its int coefficients over one common
     denominator den, widened when a division needs it.  Where g0 = 0 the sum must have
     no constant term, or P_la has a pole at alpha, and it is shifted down one order; K
-    is one more than the number of such nu, so every constant term stays exact.
+    is one more than the number of such nu, so every constant term stays exact.  The
+    constant terms, over den, go to the p-basis through _from_monomials.
     """
     a, b = alpha.numerator, alpha.denominator
     d = pt.size(la)
@@ -359,8 +373,7 @@ def _jack(la, alpha):
                 s, out, x = [widen * z for z in s], [widen * z for z in out], widen * x
             out.append(x // g0)
         u[key] = out
-    basis = _monomial_basis(d)
-    return combine([(u[key][0], basis[nu]) for key, nu in coded], den)
+    return _from_monomials([(nu, u[key][0]) for key, nu in coded], den)
 
 
 def _b_eps(mu, a, b):

@@ -78,6 +78,10 @@ def test_symfunc_checks_name_their_residual(monkeypatch):
     assert ck.check_schur_orthonormality(2)["detail"] == "(),(): residual 1"
     assert ck.check_jack_at_one(2)["detail"] == f"(1,): residual {_leading(-SymFunc.p(1))}"
     assert ck.check_gr24_integrals()["detail"] == "(1, 1, 1, 1): residual 2"
+    # the m-expansion reads no pairing: double every row of the p-to-m transition,
+    # so that s_(1) = p_1 = 2 m_(1) leaves the residual 1
+    step = sf._row_step
+    monkeypatch.setattr(sf, "_row_step", lambda *args: {mu: 2 * n for mu, n in step(*args).items()})
     report = ck.check_schur_monomial_triangularity(2)
     assert report["detail"] == "(1,) coefficient of m_(1,): residual 1"
 

@@ -1,12 +1,13 @@
 """The integer-accumulating kernels against their Fraction-accumulating forms.
 
-The library's products, Hall pairings, complete symmetric functions h_j and
-h_mu, Jacobi-Trudi minors, Hecke modes, lattice field modes, the monomial
-basis, the Virasoro recursion, the descendent Virasoro operators and
-every operator that acts one key at a time through ``LinComb._map`` (p_{-n}
-and skewing, the Grassmannian L_n, R_n and Calogero-Sutherland operators, the
-lattice creation, annihilation and Virasoro modes, the ch_0 substitution,
-and the readers ``to_symfunc`` and ``_va_to_gr`` between element types)
+The library's products, Hall pairings, complete symmetric functions h_j,
+Jacobi-Trudi minors, Hecke modes, lattice field modes, the rows of the
+p-to-m transition and the monomial basis, the Virasoro recursion, the
+descendent Virasoro operators and every operator that acts one key at a
+time through ``LinComb._map`` (p_{-n} and skewing, the Grassmannian L_n, R_n
+and Calogero-Sutherland operators, the lattice creation, annihilation and
+Virasoro modes, the ch_0 substitution, and the readers ``to_symfunc`` and
+``_va_to_gr`` between element types)
 put their input over one denominator (``lincomb.integral``), sum in int and
 build one Fraction per output key (``lincomb.rational``).  The reference
 implementations below are the earlier forms of the same kernels, which add
@@ -767,9 +768,8 @@ def _outcome(basis, d, alpha):
 
 def test_monomial_basis_matches_fraction_accumulation():
     for d in range(11):
-        got = sf._monomial_basis(d)
-        assert list(got) == list(ref_monomial_basis(d)), d
-        for la, m in got.items():
+        for la in pt.partitions_of(d):
+            m = sf.monomial(la)
             assert m == ref_monomial_basis(d)[la], la
             _assert_clean(m)
 
@@ -904,17 +904,21 @@ def test_z_int_is_z_factor():
             assert type(z) is int and z == want == pt.z_factor(la), la
 
 
-def test_complete_products_match_fraction_products():
+def test_p_rows_are_hall_pairings_with_h_products():
+    # the row of p_rho is {mu: <p_rho, h_mu>}, h_mu a Fraction product of the h_j
     for d in range(10):
-        got = sf._complete_products_int(d)
-        assert list(got) == list(pt.partitions_of(d)), d
-        for mu, (dh, terms) in got.items():
-            want = SymFunc.one()
+        pairings = {}
+        for mu in pt.partitions_of(d):
+            h = SymFunc.one()
             for part in mu:
-                want = ref_product(want, ref_complete(part), pt.merge)
-            assert dh == prod(map(factorial, mu)), mu
-            assert all(type(n) is int for _, n in terms), mu
-            assert SymFunc._wrap(rational(dict(terms), dh)) == want, mu
+                h = ref_product(h, ref_complete(part), pt.merge)
+            for rho, c in h.terms.items():
+                pairings.setdefault(rho, {})[mu] = c * pt.z_factor(rho)
+        row_of, la_of = sf._rows(d), pt.code_table(pt.code_weights(d), (d,))
+        for rho in pt.partitions_of(d):
+            row = row_of(rho)
+            assert all(type(n) is int and n > 0 for n in row.values()), rho
+            assert {la_of[code]: n for code, n in row.items()} == pairings[rho], rho
 
 
 def test_lowering_part_matches_fraction_accumulation():

@@ -20,8 +20,7 @@ coded as coloured partitions, add codes instead of merging tuples; the
 vertex-operator translation of the field modes, the chain and the Hecke modes runs
 on those codes, in ``partitions.translate_codes``.  ``lincomb._product_into`` is the
 one product loop: the creation half, the creation series, the Hecke modes, the
-Jacobi-Trudi minors, the products of complete functions and ``LinComb._product``
-all call it.
+Jacobi-Trudi minors and ``LinComb._product`` all call it.
 A check's outcome has one form:
 ``checks._verdict`` alone builds the report dict, no other function outside the
 JSON writers of ``cli`` and ``serialize`` builds a dict keyed by field names, and
@@ -50,7 +49,6 @@ INTEGER_KERNELS = {
     "_product",
     "hall_deformed",
     "_complete_int",
-    "_complete_products_int",
     "_det_of_completes",
     "_coded_complete",
     "_translated_mode",
@@ -70,14 +68,15 @@ INTEGER_KERNELS = {
     "_creation_series",
     "_wall_crossing",
     "translate_codes",
-    "_monomial_basis",
+    "_from_monomials",
+    "_row_step",
+    "monomial_expand",
     "_jack",
     "integrals_by_recursion",
     "_virasoro",
     "l_wt0",
     "to_symfunc",
     "_va_to_gr",
-    "combine",
 }
 PER_TERM_FRACTION = {"Fraction", "add_to", "add_all"}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -251,7 +250,6 @@ PRODUCT_LOOP_CALLERS = {
     "_creation_series",
     "_translated_mode",
     "_det_of_completes",
-    "_complete_products_int",
     "LinComb._product",
 }
 

@@ -389,10 +389,27 @@ def test_values_survive_clearing_every_cache():
         assert get() == warm[name], name
 
 
+def test_the_m_basis_reads_only_the_rows_it_needs(monkeypatch):
+    steps = []
+    step = sf._row_step
+    monkeypatch.setattr(sf, "_row_step", lambda rho, *args: steps.append(rho) or step(rho, *args))
+    # a 3-term f of degree 11: each suffix of its own partitions, once, and no other row
+    support = random.Random(23).sample(pt.partitions_of(11), 3)
+    sf.monomial_expand(SymFunc({la: i + 1 for i, la in enumerate(support)}))
+    assert sorted(steps) == sorted({la[i:] for la in support for i in range(len(la))})
+    # m_la reads the row of each p_rho it contains, and of no other rho |- 11
+    steps.clear()
+    sf.monomial.cache_clear()
+    m = sf.monomial((4, 3, 2, 2))
+    read = [rho for rho in steps if pt.size(rho) == 11]
+    assert len(read) == len(set(read)) and set(read) == set(m.nums)
+    assert len(read) < len(pt.partitions_of(11))
+
+
 def test_every_package_cache_is_bounded():
     # the keys are degrees, partitions and quivers a caller picks, so no cache may grow without end
     caches = _package_caches()
-    assert {c.__name__ for c in caches} >= {"partitions_of", "elementary", "_monomial_basis"}
+    assert {c.__name__ for c in caches} >= {"partitions_of", "elementary", "monomial"}
     unbounded = [c.__name__ for c in caches if c.cache_info().maxsize is None]
     assert not unbounded, unbounded
     assert pt.partitions_of.cache_info().maxsize >= 4096
