@@ -431,6 +431,10 @@ def check_hecke_identities(max_deg=5, max_idx=4):
             yield f"(2) n={n}", hecke_adjoint(n, g, h)
         for la in [(2, 1), (3, 2), (2, 2, 1), (4, 3, 1)]:
             yield f"(4) la={la}", hecke_schur_chain(la)
+        for n in range(-max_idx, max_idx + 1):  # (3) at m = n + 1: H_n H_{n+1} = 0
+            yield f"(3) n={n} m={n + 1}", hecke_braid(n, n + 1, _random_symfunc(rng, max_deg))
+        for la in (la for d in range(1, max_deg + 1) for la in pt.partitions_of(d)):
+            yield f"(4) la={la}", hecke_schur_chain(la)
 
     return _verdict("hecke_commutation", cases(), f"|n|,|m| <= {max_idx}, deg <= {max_deg}")
 

@@ -105,20 +105,11 @@ def cmd_schur(args):
     f = sf.schur(args.partition)
     if args.basis == "p":
         _emit(args, sz.symfunc_to_text(f), sz.symfunc_to_json(f))
-    elif args.basis == "m":
-        pairs = _sorted_coeff_map(sf.monomial_expand(f))
-        _emit(
-            args,
-            _coeff_map_text(pairs, "m"),
-            [[sz.rational_to_json(c), list(la)] for la, c in pairs],
-        )
     else:
-        pairs = _sorted_coeff_map(sf.schur_expand(f))
-        _emit(
-            args,
-            _coeff_map_text(pairs, "s"),
-            [[sz.rational_to_json(c), list(la)] for la, c in pairs],
-        )
+        expand, symbol = (sf.monomial_expand, "m") if args.basis == "m" else (sf.schur_expand, "s")
+        pairs = _sorted_coeff_map(expand(f))
+        rows = [[sz.rational_to_json(c), list(la)] for la, c in pairs]
+        _emit(args, _coeff_map_text(pairs, symbol), rows)
     return 0
 
 

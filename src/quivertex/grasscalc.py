@@ -74,8 +74,7 @@ def _translated_mode(n, weight, f):
     out = {}
     for m, (dm, h_terms) in h.items():
         _product_into(out, d_h // dm, h_terms, pieces[m], operator.add)
-    la_of = pt.code_table(weights, pt.code_sizes(out, weights))
-    return SymFunc._ints({la_of[key]: c for key, c in out.items()}, f.den * d_h)
+    return SymFunc._ints(dict(pt.decode(out.items(), weights)), f.den * d_h)
 
 
 # -- the Grassmannian class ---------------------------------------------------
@@ -144,16 +143,15 @@ def _wall_crossing(lattice, alpha, steps):
                 return zero
             top = max(top, degree)
     weights, rank = pt.code_weights(top, lattice.rank), lattice.rank
-    top = (len(weights) - 1) // rank  # the largest top of the width, as in field_mode
     state, den = [(0, 1)], 1  # the codes of the Fock monomials, int coefficients over den
     for e, B_row, sign, shift in plan:
         translated = pt.translate_codes(state, weights, B_row, shift)
         lift = factorial(max(translated, default=shift) - shift)
-        coded = lv._created(e, sign * lift, shift, translated, top)
+        coded = lv._created(e, sign * lift, shift, translated, weights)
         g = gcd(den * lift, *coded.values())
         state, den = [(code, c // g) for code, c in coded.items() if c], den * lift // g
     den *= prod(factorial(count) for _, count in steps)
-    return zero._like_ints({(beta, fock): c for fock, c in pt._decode(state, weights, rank)}, den)
+    return zero._like_ints({(beta, fock): c for fock, c in pt.decode(state, weights, rank)}, den)
 
 
 def _va_to_gr(x, N, k):

@@ -232,9 +232,7 @@ def field_mode(lattice, alpha, n, x):
         by_beta.setdefault(beta, []).append((fock, c))
         degree = max(degree, sum([k for _, k in fock]))
     shifts, rank = [1 + n + sum(map(mul, B_row, beta)) for beta in by_beta], lattice.rank
-    # degree D leaves as D - shift; the series serve the largest top T of the code width
-    weights = pt.code_weights(degree - min([0, *shifts]), rank)
-    top = (len(weights) - 1) // rank
+    weights = pt.code_weights(degree - min([0, *shifts]), rank)  # degree D leaves as D - shift
     components, largest = [], 0  # [(gamma, sign, shift, {m: [(code, int coefficient over d)]})]
     for (beta, focks), shift in zip(by_beta.items(), shifts):
         translated = pt.translate_codes(pt.encode(focks, weights, rank), weights, B_row, shift)
@@ -245,17 +243,18 @@ def field_mode(lattice, alpha, n, x):
     lift = factorial(largest)
     out = {}
     for gamma, sign, shift, translated in components:
-        coded = _created(alpha, sign * lift, shift, translated, top)
-        out.update(((gamma, fock), c) for fock, c in pt._decode(coded.items(), weights, rank))
+        coded = _created(alpha, sign * lift, shift, translated, weights)
+        out.update(((gamma, fock), c) for fock, c in pt.decode(coded.items(), weights, rank))
     return x._like_ints(out, x.den * lift)
 
 
-def _created(alpha, scale, shift, translated, top):
+def _created(alpha, scale, shift, translated, weights):
     """The creation half of a field mode of e^alpha on one component: {code: int}, the sum
     over the powers m of translated (partitions.translate_codes, m >= shift) of its
-    terms at z^{-m} times scale / p! times p! S_p, p = m - shift, under
-    code_weights(top, len(alpha)); scale is divisible by every p!, and zeros stay."""
-    coded = {}
+    terms at z^{-m} times scale / p! times p! S_p, p = m - shift, under weights (code_weights
+    of len(alpha) colours; the series serve the largest top of its width, so every top of
+    one width shares them); scale is divisible by every p!, and zeros stay."""
+    top, coded = (len(weights) - 1) // len(alpha), {}
     for m, annihilated in translated.items():
         p = m - shift
         _product_into(coded, scale // factorial(p), annihilated, _creation_series(alpha, p, top), add)

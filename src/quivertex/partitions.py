@@ -3,7 +3,8 @@
 The empty tuple () is the unique partition of 0.  All other modules use
 these tuples directly as dictionary keys; inside, the kernels that multiply
 p-monomials in bulk, and the field modes their Fock monomials, key them by an int
-code instead; this module owns it (``code_weights``, ``translate_codes``).
+code instead; this module owns it (``code_weights``, ``encode``, ``decode``,
+``translate_codes``).
 """
 
 from fractions import Fraction
@@ -150,19 +151,10 @@ def encode(pairs, weights, colours=0):
     return [(sum(map(w, la)), x) for la, x in pairs]
 
 
-def code_sizes(codes, weights):
-    """{|la|} over the given codes, each read as code mod B."""
-    mask = (1 << weights[1].bit_length() - 1) - 1  # w_1 = 1 + B
-    return {c & mask for c in codes}
-
-
-def code_table(weights, degrees):
-    """{code: la} for every partition of each of the degrees."""
-    return dict(encode(((la, la) for d in degrees for la in partitions_of(d)), weights))
-
-
-def _decode(pairs, weights, colours):
-    """[(la, x)] for each (code, x) of pairs with x != 0, la the coloured partition of code."""
+def decode(pairs, weights, colours=0):
+    """[(la, x)] for each (code, x) of pairs with x != 0, la the partition of code under
+    weights, read off its nonzero digits from the highest: descending as it comes, or with
+    colours the sorted coloured partition of (colour, part) pairs that encode takes."""
     b = weights[1].bit_length() - 1
     out = []
     for code, x in pairs:
@@ -171,11 +163,12 @@ def _decode(pairs, weights, colours):
             la = []
             while code:
                 s = code.bit_length() - 1
-                s -= s % b  # the highest nonzero digit, d = s / b
+                s -= s % b  # the highest nonzero digit, of part k and colour i
                 r = code >> s
                 code ^= r << s
-                la += [(s // b % colours, s // b // colours + 1)] * r
-            out.append((tuple(sorted(la)), x))
+                d = s // b  # colours (k - 1) + i
+                la += [(d % colours, d // colours + 1) if colours else d + 1] * r
+            out.append((tuple(sorted(la)) if colours else tuple(la), x))
     return out
 
 

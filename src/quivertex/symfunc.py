@@ -141,8 +141,7 @@ def _det_of_completes(rows):
 
     d, terms = minor(0, tuple(range(n)))
     del minor  # it holds itself, its memo and h in a cycle: free them now, not at the next gc
-    la_of = pt.code_table(weights, pt.code_sizes((key for key, _ in terms), weights))
-    return SymFunc._ints({la_of[key]: c for key, c in terms}, d)
+    return SymFunc._ints(dict(pt.decode(terms, weights)), d)
 
 
 def _coded_complete(j, weights):
@@ -281,8 +280,7 @@ def monomial_expand(f):
     for rho, n in f.nums.items():
         for mu, y in row(rho).items():
             out[mu] = out.get(mu, 0) + n * y
-    la_of = pt.code_table(w, sorted(pt.code_sizes(out, w)))
-    return rational({la: out[code] for code, la in la_of.items() if code in out}, f.den)
+    return rational(dict(pt.decode(out.items(), w)), f.den)
 
 
 # -- Jack polynomials ---------------------------------------------------------

@@ -663,7 +663,7 @@ def test_creation_series_is_integral():
                 assert all(type(c) is int and c for _, c in got)
                 weights = pt.code_weights(top, len(alpha))
                 scaled = {
-                    fock: Fraction(c, factorial(p)) for fock, c in pt._decode(got, weights, len(alpha))
+                    fock: Fraction(c, factorial(p)) for fock, c in pt.decode(got, weights, len(alpha))
                 }
                 assert scaled == dict(ref_creation_series(alpha, p)), (alpha, p, top)
 
@@ -682,12 +682,12 @@ def _translated(terms, weights, row):
     """translate_codes on a term dict {fock: c}, read back as {m: {fock: c}}."""
     colours = len(row)
     coded = pt.encode(terms.items(), weights, colours)
-    assert dict(pt._decode(coded, weights, colours)) == {f: c for f, c in terms.items() if c}
+    assert dict(pt.decode(coded, weights, colours)) == {f: c for f, c in terms.items() if c}
     out = {}
     for m, pieces in pt.translate_codes(coded, weights, row).items():
         codes = [code for code, _ in pieces]
         assert len(set(codes)) == len(codes), (m, pieces)  # equal keys were summed
-        out[m] = dict(pt._decode(pieces, weights, colours))
+        out[m] = dict(pt.decode(pieces, weights, colours))
     return out
 
 
@@ -914,11 +914,11 @@ def test_p_rows_are_hall_pairings_with_h_products():
                 h = ref_product(h, ref_complete(part), pt.merge)
             for rho, c in h.terms.items():
                 pairings.setdefault(rho, {})[mu] = c * pt.z_factor(rho)
-        row_of, la_of = sf._rows(d), pt.code_table(pt.code_weights(d), (d,))
+        row_of, weights = sf._rows(d), pt.code_weights(d)
         for rho in pt.partitions_of(d):
             row = row_of(rho)
             assert all(type(n) is int and n > 0 for n in row.values()), rho
-            assert {la_of[code]: n for code, n in row.items()} == pairings[rho], rho
+            assert dict(pt.decode(row.items(), weights)) == pairings[rho], rho
 
 
 def test_lowering_part_matches_fraction_accumulation():

@@ -72,16 +72,19 @@ def test_partition_code_adds_under_union_and_keeps_the_size(case):
     w = pt.code_weights(top)
     (union, _), (a, _), (b, _) = pt.encode([(pt.merge(la, mu), 0), (la, 0), (mu, 0)], w)
     assert union == a + b
-    assert pt.code_sizes([a, b], w) == {pt.size(la), pt.size(mu)}
+    mask = (1 << w[1].bit_length() - 1) - 1  # the low digit, w_1 = 1 + B, holds the size
+    assert [pt.size(la) for la, _ in pt.decode([(a, 1), (b, 1)], w)] == [a & mask, b & mask]
+    assert pt.decode([(union, 1)], w) == [(pt.merge(la, mu), 1)]
 
 
-def test_partition_code_table_inverts_the_code():
+def test_partition_code_decode_inverts_the_code():
     for top in CODE_TOPS:
         w = pt.code_weights(top)
-        table = pt.code_table(w, range(top + 1))
         everything = [la for d in range(top + 1) for la in pt.partitions_of(d)]
-        assert len(table) == len(everything), top  # no two partitions share a code
-        assert all(table[key] == la for key, la in pt.encode(zip(everything, everything), w)), top
+        pairs = list(zip(everything, range(1, len(everything) + 1)))
+        coded = pt.encode(pairs, w)
+        assert len({code for code, _ in coded}) == len(pairs), top  # no two share a code
+        assert pt.decode(coded, w) == pairs, top
 
 
 def test_ring_operations():
@@ -404,6 +407,31 @@ def test_the_m_basis_reads_only_the_rows_it_needs(monkeypatch):
     read = [rho for rho in steps if pt.size(rho) == 11]
     assert len(read) == len(set(read)) and set(read) == set(m.nums)
     assert len(read) < len(pt.partitions_of(11))
+
+
+def test_a_cold_op_decodes_once_and_lists_no_partitions_of_its_degree(monkeypatch):
+    # each op reads its output codes back by one partitions.decode, not by a table
+    # over the partitions of its degree
+    chain = SymFunc.one()
+    for n in (7, 5, 3):  # the 4 x 4 rectangle chain of H^sym, up to its last step
+        chain = gc.hecke_sym(n, chain)
+    support = random.Random(23).sample(pt.partitions_of(14), 3)
+    f = SymFunc({la: i + 1 for i, la in enumerate(support)})
+    ops = {
+        20: lambda: sf.schur((4, 4, 4, 4, 4)),
+        16: lambda: gc.hecke_sym(1, chain),
+        14: lambda: sf.monomial_expand(f),
+    }
+    caches, decodes, listed = _package_caches(), [], []  # caches: before partitions_of is wrapped
+    decode, partitions_of = pt.decode, pt.partitions_of
+    monkeypatch.setattr(pt, "decode", lambda *args: decodes.append(args) or decode(*args))
+    monkeypatch.setattr(pt, "partitions_of", lambda n: listed.append(n) or partitions_of(n))
+    for degree, op in ops.items():
+        for cache in caches:
+            cache.cache_clear()
+        decodes.clear()
+        listed.clear()
+        assert op() and len(decodes) == 1 and degree not in listed, (degree, len(decodes), listed)
 
 
 def test_every_package_cache_is_bounded():

@@ -201,7 +201,7 @@ def test_translation_entries_are_distinct_and_match_partition_exponentials():
         for m in range(degree + 1):
             piece = pieces.get(m, [])
             assert len({code for code, _ in piece}) == len(piece), fock
-            kept = pt._decode(piece, weights, lat.rank)
+            kept = pt.decode(piece, weights, lat.rank)
             got = lv.VAElem(lat, {(beta, k): c for k, c in kept})
             assert got == ref_exp_annihilation(lat, alpha, m, x), (lat, alpha, fock, m)
 
@@ -294,7 +294,7 @@ def test_framed_class_dies_midway_as_bracket_by_bracket():
 
 def test_a_framed_class_decodes_once(monkeypatch):
     calls = []
-    decode = pt._decode
-    monkeypatch.setattr(pt, "_decode", lambda *args: calls.append(args) or decode(*args))
+    decode = pt.decode
+    monkeypatch.setattr(pt, "decode", lambda *args: calls.append(args) or decode(*args))
     got = gc.framed_class(qv.builtin("linear(3)"), [3, 0, 0], [2, 2, 1])
     assert got and len(calls) == 1
