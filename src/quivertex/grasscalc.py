@@ -16,7 +16,7 @@ from . import latticeva as lv
 from . import partitions as pt
 from . import quiver as qv
 from . import symfunc as sf
-from .lincomb import _product_into, integer, rational
+from .lincomb import integer, rational
 from .symfunc import SymFunc
 
 
@@ -63,18 +63,12 @@ def hecke_sym(n, f):
 
 
 def _translated_mode(n, weight, f):
-    """sum_m h_{n+m} [z^{-m}] f(p_k - weight z^{-k}), summed in int over d_f lcm_m d_h(n+m);
-    inside, partitions are keyed by their codes (partitions.code_weights), translated
-    as codes, multiplied by adding codes and decoded once, at the end."""
-    weights = pt.code_weights(f.degree() + max(n, 0))
-    pieces = pt.translate_codes(pt.encode(f.nums.items(), weights), weights, (weight,), -n)
-    # a piece that cancelled to zero is absent, and needs no h_{n+m}, costly to build and cache
-    h = {m: sf._coded_complete(n + m, weights) for m in pieces}
-    d_h = lcm(*(dm for dm, _ in h.values()))
-    out = {}
-    for m, (dm, h_terms) in h.items():
-        _product_into(out, d_h // dm, h_terms, pieces[m], operator.add)
-    return SymFunc._ints(dict(pt.decode(out.items(), weights)), f.den * d_h)
+    """sum_m h_{n+m} [z^{-m}] f(p_k - weight z^{-k}), the one-step partitions.vertex_chain
+    whose creation half multiplies by h_{n+m}, the series of alpha = (1,); inside,
+    partitions are keyed by their codes (partitions.code_weights), decoded once."""
+    weights, step = pt.code_weights(f.degree() + max(n, 0)), ((1,), (weight,), -n, 1, None)
+    d, terms = pt.vertex_chain(pt.encode(f.nums.items(), weights), weights, [step])
+    return SymFunc._ints(dict(pt.decode(terms, weights)), f.den * d)
 
 
 # -- the Grassmannian class ---------------------------------------------------
@@ -127,9 +121,9 @@ def _wall_crossing(lattice, alpha, steps):
 
     The state stays on one component beta, of Fock degree D, and the bracket with e_i
     takes it to beta + e_i at degree D - 1 - B(e_i, beta); so the chain is planned first
-    (a negative degree is zero), then runs as field_mode on one component, on the codes of
-    one code_weights, over one reduced denominator, and is decoded once, at the end."""
-    plan, beta, degree, top = [], alpha, 0, 0  # [(e_i, B row of e_i, -sign, shift)]
+    (a negative degree is zero), as the steps of one partitions.vertex_chain on the codes
+    of one code_weights, and is decoded once, at the end."""
+    plan, beta, degree, top = [], alpha, 0, 0  # [(e_i, B row of e_i, shift, -sign, None)]
     zero = lv.VAElem(lattice)
     for i, count in steps:
         e = lattice.basis_vector(i)
@@ -137,19 +131,13 @@ def _wall_crossing(lattice, alpha, steps):
         for _ in range(count):
             shift = 1 + sum(map(operator.mul, B_row, beta))
             sign = 1 if sum(map(operator.mul, b_row, beta)) % 2 else -1
-            plan.append((e, B_row, sign, shift))
+            plan.append((e, B_row, shift, sign, None))
             beta, degree = tuple(map(operator.add, beta, e)), degree - shift
             if degree < 0:
                 return zero
             top = max(top, degree)
     weights, rank = pt.code_weights(top, lattice.rank), lattice.rank
-    state, den = [(0, 1)], 1  # the codes of the Fock monomials, int coefficients over den
-    for e, B_row, sign, shift in plan:
-        translated = pt.translate_codes(state, weights, B_row, shift)
-        lift = factorial(max(translated, default=shift) - shift)
-        coded = lv._created(e, sign * lift, shift, translated, weights)
-        g = gcd(den * lift, *coded.values())
-        state, den = [(code, c // g) for code, c in coded.items() if c], den * lift // g
+    den, state = pt.vertex_chain([(0, 1)], weights, plan)
     den *= prod(factorial(count) for _, count in steps)
     return zero._like_ints({(beta, fock): c for fock, c in pt.decode(state, weights, rank)}, den)
 

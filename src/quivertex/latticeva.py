@@ -17,7 +17,7 @@ from math import factorial
 from operator import add, mul
 
 from . import partitions as pt
-from .lincomb import LinComb, _product_into, integer
+from .lincomb import LinComb, integer
 
 
 class Lattice:
@@ -221,9 +221,9 @@ def field_mode(lattice, alpha, n, x):
     Per beta-component: sign (-1)^{b(alpha,beta)}, target gamma = alpha + beta and
     monomial shift by B(alpha,beta), read off the cached rows of alpha.  Its
     annihilation exponential, (e_i)_{-k} -> (e_i)_{-k} - B(alpha, e_i) z^{-k}, is
-    partitions.translate_codes on the codes of x, and its power p is multiplied once
-    by the integer series p! S_p, lifted by P!/p! to the common denominator d P!
-    (d that of x, P the largest p); each output code is decoded once.
+    partitions.translate_codes on the codes of x, and partitions.create_codes multiplies
+    its power p once by the integer series p! S_p, lifted by P!/p! to the common
+    denominator d P! (d that of x, P the largest p); each output code is decoded once.
     """
     alpha = lattice.vector(alpha)
     B_row, b_row = _rows(lattice, alpha)
@@ -243,22 +243,9 @@ def field_mode(lattice, alpha, n, x):
     lift = factorial(largest)
     out = {}
     for gamma, sign, shift, translated in components:
-        coded = _created(alpha, sign * lift, shift, translated, weights)
+        coded = pt.create_codes(alpha, sign * lift, shift, translated, weights)
         out.update(((gamma, fock), c) for fock, c in pt.decode(coded.items(), weights, rank))
     return x._like_ints(out, x.den * lift)
-
-
-def _created(alpha, scale, shift, translated, weights):
-    """The creation half of a field mode of e^alpha on one component: {code: int}, the sum
-    over the powers m of translated (partitions.translate_codes, m >= shift) of its
-    terms at z^{-m} times scale / p! times p! S_p, p = m - shift, under weights (code_weights
-    of len(alpha) colours; the series serve the largest top of its width, so every top of
-    one width shares them); scale is divisible by every p!, and zeros stay."""
-    top, coded = (len(weights) - 1) // len(alpha), {}
-    for m, annihilated in translated.items():
-        p = m - shift
-        _product_into(coded, scale // factorial(p), annihilated, _creation_series(alpha, p, top), add)
-    return coded
 
 
 @lru_cache(maxsize=1024)
@@ -268,27 +255,6 @@ def _rows(lattice, alpha):
     basis = [lattice.basis_vector(i) for i in range(lattice.rank)]
     forms = (lattice.pairing, lattice.sign_exponent)
     return tuple(tuple(form(alpha, e) for e in basis) for form in forms)
-
-
-@lru_cache(maxsize=1024)
-def _creation_series(alpha, p, top):
-    """p! S_p, S_p the z^p coefficient of exp(sum_{j>0} alpha_(-j)/j z^j), as
-    (code, int coefficient) pairs under code_weights(top, len(alpha)), which field_mode reads.
-
-    Differentiating in z gives q S_q = sum_{j=1}^{q} alpha_(-j) S_{q-j}; q! S_q is built
-    for q = 1, ..., p in a table local to the call, with no recursion, so a large p
-    cannot exhaust the stack.  B plays no part, so the lattice is not in the cache key.
-    """
-    weights, rank = pt.code_weights(top, len(alpha)), len(alpha)
-    created = {j: pt.encode(((((i, j),), a) for i, a in enumerate(alpha) if a), weights, rank)
-               for j in range(1, p + 1)}  # alpha_(-j), coded
-    table = [[(0, 1)]]
-    for q in range(1, p + 1):
-        out = {}
-        for j in range(1, q + 1):
-            _product_into(out, factorial(q - 1) // factorial(q - j), table[q - j], created[j], add)
-        table.append([(code, c) for code, c in out.items() if c])
-    return tuple(table[p])
 
 
 def primary_check(lattice, x, h):

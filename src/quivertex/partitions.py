@@ -3,15 +3,16 @@
 The empty tuple () is the unique partition of 0.  All other modules use
 these tuples directly as dictionary keys; inside, the kernels that multiply
 p-monomials in bulk, and the field modes their Fock monomials, key them by an int
-code instead; this module owns it (``code_weights``, ``encode``, ``decode``,
-``translate_codes``).
+code instead; this module owns it (``code_weights``, ``encode``, ``decode``) and the
+vertex operators on it (``translate_codes``, ``create_codes``, ``vertex_chain``).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, gcd
+from operator import add
 
-from .lincomb import integer
+from .lincomb import _product_into, integer
 
 
 def _bad_part(p):
@@ -172,22 +173,23 @@ def decode(pairs, weights, colours=0):
     return out
 
 
-def translate_codes(terms, weights, row, least=0):
-    """{m: [(code, c)]}, m >= least and c != 0, with sum c0 prod_f (f - row[i_f] z^{-k_f})
-    = sum c z^{-m} (the monomial of code) + (powers below least), for coded terms
+def translate_codes(terms, weights, row, least=0, most=None):
+    """{m: [(code, c)]}, least <= m <= most and c != 0, with sum c0 prod_f (f - row[i_f]
+    z^{-k_f}) = sum c z^{-m} (the monomial of code) + (other powers), for coded terms
     (code, c0) under weights, f running over the factors (e_i)_(-k) of each.
 
-    This is exp(-sum_k w a_(k) z^{-k}/k), shared by the field modes and the Hecke
-    operators.  A digit of multiplicity r has the r + 1 choices binom(r, s) (-w)^s.  A
-    term, keyed by code B + m, waits in the bucket of its highest digit with w != 0
-    not yet translated, then goes to that of the next, where equal keys are summed.
+    This is exp(-sum_k w a_(k) z^{-k}/k), the annihilation half of the field modes and
+    of vertex_chain.  A digit of multiplicity r has the r + 1 choices binom(r, s) (-w)^s.
+    A term, keyed by code B + m, waits in the bucket of its highest digit with w != 0
+    not yet translated, then goes to that of the next, where equal keys are summed; m
+    only grows, so a term past most is dropped.
     """
     b, colours = weights[1].bit_length() - 1, len(row)
     mask, span = (1 << b) - 1, b * colours  # a digit, the digits of one part in every colour
     # in a key, the digits of the colours with w != 0 (those of the code, one digit up)
     live = -1 if all(row) else sum(mask << b * (i + 2) for i, w in enumerate(row) if w) * (
         ((1 << b * (len(weights) - 1)) - 1) // ((1 << span) - 1))  # once for every part
-    buckets, done = {}, {}
+    buckets, done, most = {}, {}, mask if most is None else most
     for code, c in terms:
         if code & mask < least:  # m is at most the degree of the term
             continue
@@ -200,21 +202,67 @@ def translate_codes(terms, weights, row, least=0):
         w, shift, below = row[(d - 1) % colours], b * (d + 1), live & ((1 << b * (d + 1)) - 1)
         step = (weights[d] & mask) - (weights[d] << b)  # one copy substituted
         for key, c in buckets.pop(d).items():
-            if c:
+            if c and key & mask <= most:
                 e = ((key & below).bit_length() - 1) // b - 1  # the next live digit
                 into = done if e < 1 else buckets.get(e) or buckets.setdefault(e, {})
                 get = into.get
-                for t in _choices(key >> shift & mask, w):
+                for t in _choices(key >> shift & mask, w, most):
                     into[key] = get(key, 0) + c * t
                     key += step
     out = {}
     for key, c in done.items():
-        if c and key & mask >= least:
+        if c and least <= key & mask <= most:
             out.setdefault(key & mask, []).append((key >> b, c))
     return out
 
 
 @lru_cache(maxsize=1024)
-def _choices(r, w):
-    """binom(r, s) (-w)^s for s = 0, ..., r, for a factor of weight w and multiplicity r."""
-    return tuple(comb(r, s) * (-w) ** s for s in range(r + 1))
+def _choices(r, w, most):
+    """binom(r, s) (-w)^s for s = 0, ..., min(r, most), for a factor of weight w and
+    multiplicity r: s copies substituted add at least s to m."""
+    return tuple(comb(r, s) * (-w) ** s for s in range(min(r, most) + 1))
+
+
+def create_codes(alpha, scale, shift, translated, weights):
+    """The creation half of a vertex operator of alpha: {code: int}, the sum over the
+    powers m of translated (translate_codes, m >= shift) of its terms at z^{-m} times
+    scale / p! times p! S_p, p = m - shift, under weights (code_weights of len(alpha)
+    colours; the series serve the largest top of its width, so every top of one width
+    shares them); scale is divisible by every p!, and zeros stay."""
+    top, coded = (len(weights) - 1) // len(alpha), {}
+    for m, piece in translated.items():
+        p = m - shift
+        _product_into(coded, scale // factorial(p), piece, _creation_series(alpha, p, top), add)
+    return coded
+
+
+@lru_cache(maxsize=1024)
+def _creation_series(alpha, p, top):
+    """p! S_p, S_p the z^p coefficient of exp(sum_{j>0} alpha_(-j)/j z^j), as (code, int
+    coefficient) pairs under code_weights(top, len(alpha)), by p S_p = sum_{j=1}^{p}
+    alpha_(-j) S_{p-j}: the series below p come from this cache, asked for in ascending
+    order, so each is built once and no call nests more than two deep."""
+    if not p:
+        return ((0, 1),)
+    weights, colours, out = code_weights(top, len(alpha)), len(alpha), {}
+    for j in range(p, 0, -1):  # p - j ascends
+        created = [(weights[colours * (j - 1) + i + 1], a) for i, a in enumerate(alpha) if a]
+        lower = _creation_series(alpha, p - j, top)
+        _product_into(out, factorial(p - 1) // factorial(p - j), created, lower, add)
+    return tuple((code, c) for code, c in out.items() if c)
+
+
+def vertex_chain(terms, weights, steps):
+    """(d, [(code, c)]): the coded int terms (code, c0) under weights run through each step
+    (alpha, row, shift, sign, most) in turn, every c over d: sign times the z^{-shift}
+    coefficient of exp(sum_j alpha_(-j) z^j / j) exp(-sum_k row a_(k) z^{-k} / k), as
+    translate_codes up to most (None: no bound), past which the caller knows it to vanish,
+    create_codes with one lift (largest p)!, and the gcd divided out of d and the terms."""
+    den = 1
+    for alpha, row, shift, sign, most in steps:
+        translated = translate_codes(terms, weights, row, shift, most)
+        lift = factorial(max(translated, default=shift) - shift)
+        coded = create_codes(alpha, sign * lift, shift, translated, weights)
+        g = gcd(den * lift, *coded.values())
+        terms, den = [(code, c // g) for code, c in coded.items() if c], den * lift // g
+    return den, terms

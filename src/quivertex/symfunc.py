@@ -4,17 +4,18 @@ Everything is stored in the power-sum basis: a SymFunc is a sparse map
 from partitions la to the rational coefficient of p_la.  The Hall pairing
 is diagonal in this basis, and all Virasoro / Hecke / vertex operators
 used elsewhere are simple there, which is why p is the canonical basis
-and e, h, m, s and Jack polynomials are conversions.
+and e, h, m, s and Jack polynomials are conversions; s_la is a chain of
+Hecke vertex operators on the int codes of ``partitions``.
 """
 
 import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial, gcd, lcm
+from math import gcd
 
 from . import partitions as pt
-from .lincomb import LinComb, _product_into, rational
+from .lincomb import LinComb, rational
 
 
 class SymFunc(LinComb):
@@ -87,67 +88,21 @@ def elementary(j):
 
 @lru_cache(maxsize=256)  # keyed by the caller's degree, so bounded
 def complete(j):
-    """h_j = sum_{la |- j} p_la / z_la in the p-basis."""
-    d, terms = _complete_int(j)
-    return SymFunc._ints(dict(terms), d)
-
-
-@lru_cache(maxsize=256)  # keyed by the caller's degree, so bounded
-def _complete_int(j):
-    """(j!, ((la, j!/z_la), ...)): h_j over the denominator j!, which every z_la
-    divides (j!/z_la is the size of the class of cycle type la); h_{<0} = 0."""
-    if j < 0:
-        return 1, ()
-    d = factorial(j)
-    return d, tuple((la, d // pt.z_int(la)) for la in pt.partitions_of(j))
+    """h_j = s_(j) = sum_{la |- j} p_la / z_la in the p-basis; h_{<0} = 0."""
+    return SymFunc.zero() if j < 0 else schur((j,) if j else ())
 
 
 @lru_cache(maxsize=1024)  # keyed by the caller's partition, so bounded
 def schur(la):
-    """s_la by the Jacobi-Trudi determinant det(h_{la_i - i + j})."""
+    """s_la = H_{la_1} ... H_{la_l}(1), H_n the Hecke operator of grasscalc.hecke
+    (Macdonald I.5 Ex. 29): one partitions.vertex_chain of H_{la_l} first, on the codes
+    of code_weights(|la|), decoded once.  Before H_{la_i} the state is s_mu, mu = (la_{i+1},
+    ...), whose translation has no power above ell(mu): its pieces are (-1)^m e_m^perp s_mu."""
     la = pt.check_partition(la)
-    n = len(la)
-    rows = tuple(tuple(la[i] - i + j for j in range(n)) for i in range(n))
-    return _det_of_completes(rows)
-
-
-def _det_of_completes(rows):
-    """Determinant of (h_{rows[i][j]})_{ij} by cofactor expansion.
-
-    Minors are memoized on (row offset, surviving columns) as (d, int terms)
-    over their own denominator d; entries with a negative index are h_{<0} = 0.
-    Inside, la is keyed by its code (partitions.code_weights), so that a product
-    of p-monomials adds keys; the keys are decoded once, at the end.
-    """
-    n = len(rows)
-    weights = pt.code_weights(sum(max(*row, 0) for row in rows))
-    h = {i: _coded_complete(i, weights) for i in {i for r in rows for i in r}}
-
-    @lru_cache(maxsize=None)
-    def minor(i, cols):
-        if i == n:
-            return 1, [(0, 1)]
-        pieces = []  # (sign, denominator, h terms, minor terms)
-        for pos, j in enumerate(cols):
-            d_h, h_terms = h[rows[i][j]]
-            if h_terms:
-                d_sub, sub = minor(i + 1, cols[:pos] + cols[pos + 1 :])
-                pieces.append((-1 if pos % 2 else 1, d_h * d_sub, h_terms, sub))
-        d = lcm(*(dp for _, dp, _, _ in pieces))
-        out = {}
-        for sign, dp, h_terms, sub in pieces:
-            _product_into(out, sign * (d // dp), h_terms, sub, operator.add)
-        return d, [(key, c) for key, c in out.items() if c]
-
-    d, terms = minor(0, tuple(range(n)))
-    del minor  # it holds itself, its memo and h in a cycle: free them now, not at the next gc
+    weights = pt.code_weights(pt.size(la))
+    steps = [((1,), (1,), -q, 1, i) for i, q in enumerate(reversed(la))]
+    d, terms = pt.vertex_chain([(0, 1)], weights, steps)
     return SymFunc._ints(dict(pt.decode(terms, weights)), d)
-
-
-def _coded_complete(j, weights):
-    """_complete_int(j) with each partition replaced by its code under weights."""
-    d, terms = _complete_int(j)
-    return d, pt.encode(terms, weights)
 
 
 @lru_cache(maxsize=1024)  # keyed by the caller's partition, so bounded

@@ -5,10 +5,14 @@ one Fraction per term, as the library once did, so that the two agree only
 if every rescaling in the library is right.
 """
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from math import comb
 
+from quivertex import partitions as pt
 from quivertex.lincomb import integral
+from quivertex.symfunc import SymFunc
 
 
 def add_all(out, terms, c=1):
@@ -51,3 +55,30 @@ def expand_translation(factors, weight):
         ]
         out = [(m + dm, kept + tail, c * dc) for m, kept, c in out for dm, dc, tail in picks]
     return out
+
+
+def jacobi_trudi(la):
+    """s_la = det(h_{la_i - i + j}) by cofactor expansion along the rows, each minor
+    memoized on its surviving columns, with h_j = sum_{mu |- j} p_mu / z_mu (h_{<0} = 0)
+    and one Fraction per term: the reference for the library's Hecke-chain schur."""
+    n = len(la)
+
+    @lru_cache(maxsize=None)
+    def h(j):
+        return {mu: 1 / pt.z_factor(mu) for mu in pt.partitions_of(j)}
+
+    @lru_cache(maxsize=None)
+    def minor(i, cols):
+        if i == n:
+            return {(): Fraction(1)}
+        out = {}
+        for pos, j in enumerate(cols):
+            entry = h(la[i] - i + j)
+            if entry:
+                sub = minor(i + 1, cols[:pos] + cols[pos + 1 :])
+                for mu, a in entry.items():
+                    product = {pt.merge(mu, nu): b for nu, b in sub.items()}
+                    add_all(out, product, -a if pos % 2 else a)
+        return out
+
+    return SymFunc(minor(0, tuple(range(n))))

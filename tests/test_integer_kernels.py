@@ -1,7 +1,7 @@
 """The integer-accumulating kernels against their Fraction-accumulating forms.
 
 The library's products, Hall pairings, complete symmetric functions h_j,
-Jacobi-Trudi minors, Hecke modes, lattice field modes, the rows of the
+Schur functions, Hecke modes, lattice field modes, the rows of the
 p-to-m transition and the monomial basis, the Virasoro recursion, the
 descendent Virasoro operators and every operator that acts one key at a
 time through ``LinComb._map`` (p_{-n} and skewing, the Grassmannian L_n, R_n
@@ -16,6 +16,8 @@ kernel, so the two agree only if every rescaling is right.  The inputs carry lar
 so a missed lift changes the result.  The Jack polynomials, from the
 Laplace-Beltrami recursion, are held to the Gram-Schmidt basis where it exists
 and, at every alpha, to an interpolation oracle that also locates their poles.
+The Schur functions, Hecke chains in the library, are held to the Jacobi-Trudi
+determinant (``fraction_reference.jacobi_trudi``).
 """
 
 import random
@@ -34,7 +36,7 @@ from quivertex import symfunc as sf
 from quivertex.lincomb import add_to, coerce, integral, rational
 from quivertex.symfunc import SymFunc
 
-from fraction_reference import add_all, expand_translation, like
+from fraction_reference import add_all, expand_translation, jacobi_trudi, like
 
 DENOMINATORS = (1, 2, 6, 7919, 104729, 2**61 - 1)
 ALPHAS = (1, Fraction(-1), Fraction(-7, 3), Fraction(104729, 7919), Fraction(1, 2**61 - 1))
@@ -240,26 +242,6 @@ def ref_va_to_gr(x, N, k):
             parts.append(mode)
         add_to(out, tuple(sorted(parts, reverse=True)), c)
     return gc.GrElem(N, k, SymFunc._wrap(out))
-
-
-def ref_det_of_completes(rows):
-    n = len(rows)
-
-    @lru_cache(maxsize=None)
-    def minor(i, cols):
-        if i == n:
-            return SymFunc.one()
-        out = {}
-        for pos, j in enumerate(cols):
-            idx = rows[i][j]
-            if idx < 0:
-                continue
-            sub = minor(i + 1, cols[:pos] + cols[pos + 1 :])
-            for la, c in ref_product(sf.complete(idx), sub, pt.merge).terms.items():
-                add_to(out, la, c if pos % 2 == 0 else -c)
-        return SymFunc._wrap(out)
-
-    return minor(0, tuple(range(n)))
 
 
 def ref_translated_mode(n, weight, f):
@@ -626,19 +608,15 @@ def test_hall_pairings_match_fraction_accumulation():
     assert sf.hall(f, g) == 0 and type(sf.hall(f, g)) is Fraction
 
 
-def test_jacobi_trudi_minors_match_fraction_accumulation():
+def test_schur_matches_the_fraction_jacobi_trudi_determinant():
+    # every shape of degree <= 9, then seeded shapes of degree 10-14
     rng = random.Random(311)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        rows = tuple(tuple(rng.randint(-1, 5) for _ in range(n)) for _ in range(n))
-        got = sf._det_of_completes(rows)
-        assert got == ref_det_of_completes(rows), rows
+    shapes = [la for d in range(10) for la in pt.partitions_of(d)]
+    shapes += [rng.choice(pt.partitions_of(d)) for d in range(10, 15) for _ in range(2)]
+    for la in shapes:
+        got = sf.schur(la)
+        assert got == jacobi_trudi(la), la
         _assert_clean(got)
-    for la in pt.partitions_of(6):
-        rows = tuple(tuple(la[i] - i + j for j in range(len(la))) for i in range(len(la)))
-        assert sf.schur(la) == ref_det_of_completes(rows), la
-    # equal rows: every term of the expansion cancels
-    assert not sf._det_of_completes(((2, 3), (2, 3))).terms
 
 
 def test_hecke_modes_match_fraction_accumulation():
@@ -659,13 +637,20 @@ def test_creation_series_is_integral():
     for alpha in ((1,), (2, -1), (0, 3, -2)):
         for p in range(7):
             for top in (p, 14):  # the codes of every width at least p's
-                got = lv._creation_series(alpha, p, top)
+                got = pt._creation_series(alpha, p, top)
                 assert all(type(c) is int and c for _, c in got)
                 weights = pt.code_weights(top, len(alpha))
                 scaled = {
                     fock: Fraction(c, factorial(p)) for fock, c in pt.decode(got, weights, len(alpha))
                 }
                 assert scaled == dict(ref_creation_series(alpha, p)), (alpha, p, top)
+
+
+def test_creation_series_is_built_once_per_degree():
+    # the series below p come from the cache, each built once, in ascending order
+    pt._creation_series.cache_clear()
+    pt._creation_series((1,), 40, 40)
+    assert pt._creation_series.cache_info().misses == 41
 
 
 def ref_translation(terms, row):
@@ -678,13 +663,13 @@ def ref_translation(terms, row):
     return {m: piece for m, piece in out.items() if piece}
 
 
-def _translated(terms, weights, row):
+def _translated(terms, weights, row, least=0, most=None):
     """translate_codes on a term dict {fock: c}, read back as {m: {fock: c}}."""
     colours = len(row)
     coded = pt.encode(terms.items(), weights, colours)
     assert dict(pt.decode(coded, weights, colours)) == {f: c for f, c in terms.items() if c}
     out = {}
-    for m, pieces in pt.translate_codes(coded, weights, row).items():
+    for m, pieces in pt.translate_codes(coded, weights, row, least, most).items():
         codes = [code for code, _ in pieces]
         assert len(set(codes)) == len(codes), (m, pieces)  # equal keys were summed
         out[m] = dict(pt.decode(pieces, weights, colours))
@@ -698,6 +683,21 @@ def _fock(rng, colours, budget):
         fock.append((rng.randrange(colours), k))
         budget -= k
     return fock
+
+
+def test_translate_codes_keeps_the_powers_in_its_window():
+    # a term past most is dropped as soon as its power passes it, since m only grows
+    rng = random.Random(337)
+    for _ in range(100):
+        colours = rng.randint(1, 2)
+        row = tuple(rng.choice((1, -1, 2)) for _ in range(colours))
+        weights = pt.code_weights(9, colours)
+        terms = {tuple(sorted(_fock(rng, colours, rng.randint(0, 9)))): rng.choice((-2, 1, 3))
+                 for _ in range(rng.randint(1, 5))}
+        least = rng.randint(0, 4)
+        most = rng.randint(least, 9)
+        want = {m: piece for m, piece in ref_translation(terms, row).items() if least <= m <= most}
+        assert _translated(terms, weights, row, least, most) == want, (row, terms, least, most)
 
 
 def test_translate_codes_matches_per_monomial_expansion():
@@ -886,14 +886,11 @@ def test_descendent_operators_on_coprime_denominators_and_zero():
     assert not dc.l_wt0(q, dc.DescendentPoly.zero()).terms
 
 
-def test_complete_int_is_h_over_factorial():
+def test_complete_is_the_sum_of_p_over_z():
     for j in range(-2, 13):
-        d, terms = sf._complete_int(j)
-        assert d == (factorial(j) if j >= 0 else 1), j
-        assert all(type(n) is int and n > 0 for _, n in terms), j
-        assert [la for la, _ in terms] == list(pt.partitions_of(j)), j
-        assert SymFunc._wrap(rational(dict(terms), d)) == ref_complete(j), j
-        assert sf.complete(j) == ref_complete(j), j
+        got = sf.complete(j)
+        assert got == ref_complete(j), j
+        _assert_clean(got)
 
 
 def test_z_int_is_z_factor():

@@ -249,12 +249,14 @@ def test_is_primary_rejects_inhomogeneous():
 
 
 def test_creation_series_needs_no_deep_stack():
-    # p! S_p is built bottom-up in one call; one that recursed p deep ended
+    # p! S_p reads the series below p from its cache, asked for in ascending order, so
+    # no call nests more than two deep; one that recursed p deep ended
     # `quivertex gr-class 1 1200 --via wallcross` in a RecursionError
+    pt._creation_series.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 30)
     try:
-        series = lv._creation_series((0, 1), 40, 40)
+        series = pt._creation_series((0, 1), 40, 40)
     finally:
         sys.setrecursionlimit(limit)
     assert len(series) == len(pt.partitions_of(40))

@@ -13,14 +13,15 @@ outside ``lincomb`` only ``serialize`` calls ``add_to`` or ``_wrap``.
 Every memo is an ``lru_cache``, which a cold start can clear, or local to one
 call: no module-level name holds a dict, set or list display, except the list
 of fast checks.  The int code of a partition has one owner,
-``partitions.code_weights``, and the products in ``symfunc`` and ``grasscalc``,
-and those of ``latticeva._created``, the creation half that ``latticeva.field_mode``
-and the wall-crossing chain ``grasscalc._wall_crossing`` share, on Fock monomials
-coded as coloured partitions, add codes instead of merging tuples; the
-vertex-operator translation of the field modes, the chain and the Hecke modes runs
-on those codes, in ``partitions.translate_codes``.  ``lincomb._product_into`` is the
-one product loop: the creation half, the creation series, the Hecke modes, the
-Jacobi-Trudi minors and ``LinComb._product`` all call it.
+``partitions.code_weights``, and so do the vertex operators on it: the products
+of ``partitions.create_codes``, the creation half, add codes instead of merging
+tuples, after ``partitions.translate_codes``, the annihilation half.
+``latticeva.field_mode`` runs the two halves, and ``partitions.vertex_chain`` runs
+them step after step for ``symfunc.schur``, the Hecke modes
+(``grasscalc._translated_mode``) and the wall-crossing chain
+(``grasscalc._wall_crossing``), which call nothing else of them.
+``lincomb._product_into`` is the one product loop, with three callers: the
+creation half, the creation series and ``LinComb._product``.
 A check's outcome has one form:
 ``checks._verdict`` alone builds the report dict, no other function outside the
 JSON writers of ``cli`` and ``serialize`` builds a dict keyed by field names, and
@@ -48,9 +49,7 @@ INTEGER_KERNELS = {
     "_map",
     "_product",
     "hall_deformed",
-    "_complete_int",
-    "_det_of_completes",
-    "_coded_complete",
+    "schur",
     "_translated_mode",
     "_lowering_part",
     "_raising_part",
@@ -64,8 +63,9 @@ INTEGER_KERNELS = {
     "virasoro",
     "substitute_ch0",
     "field_mode",
-    "_created",
+    "create_codes",
     "_creation_series",
+    "vertex_chain",
     "_wall_crossing",
     "translate_codes",
     "_from_monomials",
@@ -226,12 +226,13 @@ def test_only_partitions_builds_partition_codes():
 
 
 def test_field_mode_products_add_codes():
-    # the field modes and the wall-crossing chain multiply only through _created,
-    # whose one product loop is keyed by add
+    # the field modes and the vertex chain multiply only through create_codes, whose
+    # one product loop is keyed by add; schur, the Hecke modes and the wall-crossing
+    # chain reach the two halves only through vertex_chain
     defs = {
         node.name: node
         for path in SOURCES
-        if path.stem in ("latticeva", "grasscalc")
+        if path.stem in ("partitions", "symfunc", "latticeva", "grasscalc")
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(node, ast.FunctionDef)
     }
@@ -239,17 +240,18 @@ def test_field_mode_products_add_codes():
     def calls(name, callee):
         return [c for c in ast.walk(defs[name]) if isinstance(c, ast.Call) and _called_name(c) == callee]
 
-    keys = [ast.unparse(call.args[-1]) for call in calls("_created", "_product_into")]
+    keys = [ast.unparse(call.args[-1]) for call in calls("create_codes", "_product_into")]
     assert keys == ["add"], keys
-    for name in ("field_mode", "_wall_crossing"):
-        assert calls(name, "_created") and not calls(name, "_product_into"), name
+    for name in ("field_mode", "vertex_chain"):
+        assert calls(name, "create_codes") and not calls(name, "_product_into"), name
+    for name in ("schur", "_translated_mode", "_wall_crossing"):
+        assert calls(name, "vertex_chain"), name
+        assert not any(calls(name, f) for f in ("translate_codes", "create_codes", "_product_into"))
 
 
 PRODUCT_LOOP_CALLERS = {
-    "_created",
+    "create_codes",
     "_creation_series",
-    "_translated_mode",
-    "_det_of_completes",
     "LinComb._product",
 }
 
@@ -275,7 +277,7 @@ def test_one_product_loop_serves_every_product():
             ):
                 callers.add(name)
     assert defined == ["lincomb.py"], defined
-    assert not (missing := sorted(PRODUCT_LOOP_CALLERS - callers)), missing
+    assert callers == PRODUCT_LOOP_CALLERS, sorted(callers ^ PRODUCT_LOOP_CALLERS)
 
 
 # Public names kept with no caller in src/ or perfbench/, each named in README.md:

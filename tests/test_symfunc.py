@@ -132,6 +132,15 @@ def test_schur_small():
     assert sf.schur((2, 2)) == s22
 
 
+def test_many_part_shapes():
+    # shapes longer than check_involution_on_schur reaches: a chain of many Hecke steps
+    for n in range(1, 21):
+        assert sf.schur((1,) * n) == sf.elementary(n), n
+    for la in ((2,) * 10, (3, 2, 2, 2) + (1,) * 7, (4, 3, 2) + (1,) * 9):
+        assert len(la) >= 10 and pt.size(la) <= 20
+        assert sf.schur(pt.conjugate(la)) == sf.involution(sf.schur(la)), la
+
+
 def test_hall_pairing():
     assert sf.hall(p(2), p(2)) == 2
     assert sf.hall(sf.schur((2,)), sf.schur((1, 1))) == 0
@@ -384,7 +393,7 @@ def test_values_survive_clearing_every_cache():
         get()
     warm = {name: get() for name, get in requests.items()}
     caches = _package_caches()
-    assert {c.__name__ for c in caches} >= {"schur", "complete", "_complete_int", "partitions_of"}
+    assert {c.__name__ for c in caches} >= {"schur", "complete", "_creation_series", "partitions_of"}
     for cache in caches:
         cache.cache_clear()
     assert all(c.cache_info().currsize == 0 for c in caches)
