@@ -16,7 +16,7 @@ from . import latticeva as lv
 from . import partitions as pt
 from . import quiver as qv
 from . import symfunc as sf
-from .lincomb import integer, rational
+from .lincomb import coerce, integer, rational
 from .symfunc import SymFunc
 
 
@@ -74,10 +74,15 @@ def _translated_mode(n, weight, f):
 # -- the Grassmannian class ---------------------------------------------------
 
 
+def _check_gr(k, N):
+    """ValueError unless k and N are ints with 0 <= k <= N."""
+    if not 0 <= integer(k) <= integer(N):
+        raise ValueError("need 0 <= k <= N")
+
+
 def gr_class_schur(k, N):
     """[Gr(k,N)] = Q^N q^k (x) (-1)^{k(N-k)} s_{(N-k)^k}."""
-    if not 0 <= k <= N:
-        raise ValueError("need 0 <= k <= N")
+    _check_gr(k, N)
     sign = -1 if (k * (N - k)) % 2 else 1
     return GrElem(N, k, sf.schur(pt.rectangle(N - k, k)).scale(sign))
 
@@ -86,8 +91,7 @@ def gr_class_wallcross(k, N):
     """[Gr(k,N)], the framed class of linear(1) at f = (N), d = (k), run from e^{(N,0)}
     on grassmannian_lattice() = framed_lattice(linear(1), [1]): there B and b pair e_1
     with N e_inf as they pair it with e_inf at f = (N), so no quiver is built per call."""
-    if not 0 <= k <= N:
-        raise ValueError("need 0 <= k <= N")
+    _check_gr(k, N)
     return _va_to_gr(_wall_crossing(lv.grassmannian_lattice(), (N, 0), [(1, k)]), N, k)
 
 
@@ -249,8 +253,7 @@ def constraint_check(k, N, n_max):
       sum_j (n+j) p_j d/dp_{n+j} + sum_{a+b=n} ab d/dp_a d/dp_b + (2k-N) n d/dp_n.
     Every residual vanishes when the constraints hold.
     """
-    if not 0 <= k <= N:
-        raise ValueError("need 0 <= k <= N")
+    _check_gr(k, N)
     s = sf.schur(pt.rectangle(N - k, k))
     pairs = [("L_0", s - s.homogeneous_part(k * (N - k)))]
     for n in range(1, n_max + 1):
@@ -273,56 +276,63 @@ def gr_integral(k, N, f):
 
 
 def integrals_by_recursion(k, N, normalization):
-    """All <p_la, f> for |la| = k(N-k), from the Virasoro identities alone.
+    """All <p_la, f> for |la| = d = k(N-k), from the Virasoro identities alone.
 
-    Only the dual Virasoro operators and one normalization <p_1^d, f> are
-    used; the recursion runs over the order comparing (length, number of
-    ones) and never consults the Schubert class.
+    Only the dual Virasoro operators and one normalization <p_1^d, f>, an int or a
+    Fraction, are used; the Schubert class is never consulted.  The partitions of d
+    are grouped into levels (length, number of ones) and the levels walked in
+    descending order, each in the order of partitions_of, the order of the output.
+    For la with m ones and smallest part t > 1, gr_virasoro_dual(t - 1) of p_tilde,
+    tilde = la with one t lowered to 1, holds p_la with coefficient m + 1, the pivot
+    (a ValueError if it is not), and otherwise terms with one part j > 1 raised (the
+    length of la, m + 1 ones) or with one or two parts added (longer): every value
+    it reads is of an earlier level.
     """
-    if not 0 <= k <= N:
-        raise ValueError("need 0 <= k <= N")
-    normalization = Fraction(normalization)
+    _check_gr(k, N)
+    normalization = coerce(normalization)
     d = k * (N - k)
     if d == 0:
         return {(): normalization}
-    order = sorted(
-        pt.partitions_of(d),
-        key=lambda la: (-pt.length(la), -pt.multiplicity(la, 1)),
-    )
+    levels = {}
+    for la in pt.partitions_of(d):
+        levels.setdefault((len(la), pt.multiplicity(la, 1)), []).append(la)
     # inside, partitions are keyed by their codes (partitions.code_weights): raising
     # a part j to j + n adds w[j + n] - w[j], and a union adds codes
     w = pt.code_weights(d)
-    coded = pt.encode(zip(order, order), w)
     linear = 2 * k - N
     # every value is an int over the common denominator den, widened when a pivot needs it
     den = normalization.denominator
-    table = {d * w[1]: normalization.numerator}
-    for key, la in coded:
-        if key in table:
+    table, coded = {d * w[1]: normalization.numerator}, []
+    for (_, m), level in sorted(levels.items(), reverse=True):
+        level = pt.encode(zip(level, level), w)
+        coded += level
+        if m == d:  # p_1^d, the normalization
             continue
-        m = la.count(1)
-        t = la[-m - 1]  # smallest part > 1
-        n = t - 1
-        # gr_virasoro_dual(n) on p_tilde, tilde = la with one part t lowered to 1
-        tilde = key - w[t] + w[1]
-        mult = {j: la.count(j) for j in set(la)}
-        mult[t] -= 1
-        mult[1] = m + 1
-        g = {tilde - w[j] + w[j + n]: j * r for j, r in mult.items() if r}
-        for a in range(1, n):
-            mu = tilde + w[a] + w[n - a]
-            g[mu] = g.get(mu, 0) + 1
-        g[tilde + w[n]] = linear
-        lead = g.get(key, 0)
-        if lead != m + 1:
-            raise ValueError(f"recursion pivot for {la} is {lead}, expected {m + 1}")
-        total = sum(c * table[mu] for mu, c in g.items() if mu != key)
-        if total % lead:
-            widen = lead // gcd(total, lead)
-            den *= widen
-            table = {mu: widen * x for mu, x in table.items()}
-            total *= widen
-        table[key] = -total // lead
+        for key, la in level:
+            t = la[-m - 1]  # smallest part > 1
+            n = t - 1
+            # gr_virasoro_dual(n) of p_tilde, summed into total, its p_la term into lead;
+            # the parts of tilde are those of la > 1 less one t, then m + 1 ones
+            parts, tilde = la[: -m - 1] + (1,) * (m + 1), key - w[t] + w[1]
+            lead = total = 0
+            for j in set(parts):  # each distinct part raised, weighted j times its count
+                r = j * parts.count(j)
+                mu = tilde - w[j] + w[j + n]
+                if mu == key:
+                    lead += r
+                else:
+                    total += r * table[mu]
+            for a in range(1, n):
+                total += table[tilde + w[a] + w[n - a]]
+            total += linear * table[tilde + w[n]]
+            if lead != m + 1:
+                raise ValueError(f"recursion pivot for {la} is {lead}, expected {m + 1}")
+            if total % lead:
+                widen = lead // gcd(total, lead)
+                den *= widen
+                table = {mu: widen * x for mu, x in table.items()}
+                total *= widen
+            table[key] = -total // lead
     values, zero = rational(table, den), Fraction(0)
     return {la: values.get(key, zero) for key, la in coded}
 

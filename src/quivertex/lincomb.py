@@ -58,8 +58,17 @@ def integral(terms):
 
 
 def rational(int_terms, d):
-    """{key: Fraction(n, d)} for each nonzero n of an int term dict."""
-    return {key: Fraction(n, d) for key, n in int_terms.items() if n}
+    """{key: Fraction(n, d)} for each nonzero n of an int term dict, one Fraction per
+    distinct n, shared by every key it is the value of (a Fraction is immutable)."""
+    out, shared = {}, {}
+    get = shared.get
+    for key, n in int_terms.items():
+        if n:
+            c = get(n)
+            if c is None:
+                c = shared[n] = Fraction(n, d)
+            out[key] = c
+    return out
 
 
 def _product_into(out, s, t1, t2, key):

@@ -42,7 +42,7 @@ def length(la):
 
 def multiplicity(la, i):
     """Number of parts of la equal to i."""
-    return sum(1 for p in la if p == i)
+    return la.count(i)
 
 
 def conjugate(la):

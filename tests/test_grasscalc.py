@@ -155,6 +155,24 @@ def test_gr_class_schur_values():
         gc.gr_class_schur(3, 2)
 
 
+GR_ENTRY_POINTS = (
+    gc.gr_class_schur,
+    gc.gr_class_wallcross,
+    lambda k, N: gc.gr_integral(k, N, p(1)),
+    lambda k, N: gc.constraint_check(k, N, 2),
+    lambda k, N: gc.integrals_by_recursion(k, N, 1),
+)
+
+
+@pytest.mark.parametrize("entry", GR_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "k, N", [(1.5, 3), (1, 3.0), (1.0, 3), ("1", 3), (True, 3), (-1, 3), (4, 3)]
+)
+def test_grassmannian_arguments_are_checked_ints(entry, k, N):
+    with pytest.raises(ValueError):
+        entry(k, N)
+
+
 def test_gr_class_wallcross_small():
     assert gc.gr_class_wallcross(0, 4) == GrElem(4, 0, SymFunc.one())
     # single bracket: sign fixed by the Schubert class as (-1)^(N-1)
@@ -447,6 +465,14 @@ def test_integrals_by_recursion_small():
     }
     zero_table = gc.integrals_by_recursion(2, 4, F(0))
     assert all(v == 0 for v in zero_table.values())
+
+
+@pytest.mark.parametrize("norm", [0.5, 0.1, "1", "1/3", None])
+def test_recursion_normalization_is_rational(norm):
+    with pytest.raises(TypeError):
+        gc.integrals_by_recursion(1, 3, norm)
+    table = gc.integrals_by_recursion(1, 3, 3)
+    assert table == {(1, 1): 3, (2,): 3} and all(type(v) is F for v in table.values())
 
 
 def test_integrals_by_recursion_matches_schur_pairing():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivertex.descendent import DescendentPoly
+from quivertex.lincomb import rational
 from quivertex.latticeva import Lattice, VAElem, grassmannian_lattice
 from quivertex.symfunc import SymFunc
 
@@ -92,3 +93,13 @@ def test_map_sums_int_images_over_one_denominator():
     y = x._map(lambda key: [(key, 2), (((0, 1), ()), 1)], den=2)
     assert y.lattice is lat and type(y) is VAElem
     assert y.terms == {((1, 0), ((0, 1),)): Fraction(1, 3), ((0, 1), ()): Fraction(1, 6)}
+
+
+def test_rational_shares_one_fraction_per_numerator():
+    nums = {"a": 6, "b": 0, "c": -4, "d": 6, "e": 10**30, "f": 10**30, "g": -4}
+    got = rational(nums, 4)
+    big = 10**30 // 4
+    assert got == {"a": Fraction(3, 2), "c": -1, "d": Fraction(3, 2), "e": big, "f": big, "g": -1}
+    assert list(got) == ["a", "c", "d", "e", "f", "g"]
+    assert got["a"] is got["d"] and got["c"] is got["g"] and got["e"] is got["f"]
+    assert all(type(v) is Fraction for v in got.values())
