@@ -72,14 +72,14 @@ class DescendentPoly(LinComb):
 
 @lru_cache(maxsize=256)
 def _t_terms(quiver, n, framing=None):
-    """T_n, or T_n^{f->*} under a framing, as (monomial, int) pairs; () for n < 0.
-    Plain T_n checks the quiver at every n, so l_op raises at n = -1 too."""
+    """T_n, or T_n^{f->*} under a framing (its entries in vertex order), as (monomial, int)
+    pairs; () for n < 0.  Plain T_n checks the quiver at every n, so l_op raises at n = -1 too."""
     if framing is not None:
         if n < 0:
             return ()
         out = dict(_t_terms(quiver, n))
-        for v in quiver.vertices:
-            out[((n, v),)] = out.get(((n, v),), 0) - factorial(n) * framing[v]
+        for v, x in zip(quiver.vertices, framing):
+            out[((n, v),)] = out.get(((n, v),), 0) - factorial(n) * x
         return tuple((mono, c) for mono, c in out.items() if c)
     if not quiver.is_quasi_smooth():
         raise qv.QuiverError(
@@ -111,7 +111,7 @@ def _virasoro(out, n, terms, t):
 
 def _operator(n, f, quiver=None, framing=None):
     """R_n f, plus T_n f (T_n^{f->*} f under a framing) when a quiver is given."""
-    if n < -1:
+    if integer(n) < -1:
         raise ValueError("R_n is defined for n >= -1")
     out = {}
     _virasoro(out, n, f.nums.items(), () if quiver is None else _t_terms(quiver, n, framing))
@@ -128,12 +128,13 @@ def r_op(quiver, n, f):
 
 def t_element(quiver, n):
     """T_n = sum_{a+b=n} a! b! sum_{v,w} chi(v,w) ch_a(v) ch_b(w); zero for n = -1."""
-    return DescendentPoly._ints(dict(_t_terms(quiver, n)))
+    return DescendentPoly._ints(dict(_t_terms(quiver, integer(n))))
 
 
 def framed_t_element(quiver, framing, n):
     """T_n^{f->*} = T_n - n! sum_v f_v ch_n(v)."""
-    return DescendentPoly._ints(dict(_t_terms(quiver, n, framing)))
+    framing = qv.FramingVector(quiver, framing).values
+    return DescendentPoly._ints(dict(_t_terms(quiver, integer(n), framing)))
 
 
 def l_op(quiver, n, f):
@@ -142,8 +143,9 @@ def l_op(quiver, n, f):
 
 
 def l_op_framed(quiver, framing, n, f):
-    """Framed Virasoro operator L_n^{f->*} = R_n + multiplication by T_n^{f->*}."""
-    return _operator(n, f, quiver, framing)
+    """Framed Virasoro operator L_n^{f->*} = R_n + multiplication by T_n^{f->*}; the
+    framing is a `FramingVector` or the entries of one, as in `quiver.framed_quiver`."""
+    return _operator(n, f, quiver, qv.FramingVector(quiver, framing).values)
 
 
 def l_wt0(quiver, f):

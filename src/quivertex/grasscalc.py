@@ -1,10 +1,11 @@
 """Grassmannian calculus on symmetric functions.
 
 Schubert reduction, Hecke operators, the Grassmannian Virasoro operators
-and constraints, the framed wall-crossing class of every acyclic quiver (the
-Grassmannian class is its one-vertex case), descendent integrals, the cubic
-Calogero-Sutherland operator, and Virasoro Fock representations with their
-Jack singular vectors.  Everything is exact over Q.
+and constraints, the framed wall-crossing class of every quiver, relations
+included (the Grassmannian class Gr(k,N) is the class of A_1 = linear(1) at
+framing N and dimension k), descendent integrals, the cubic Calogero-Sutherland
+operator, and Virasoro Fock representations with their Jack singular vectors.
+Everything is exact over Q.
 """
 
 import operator
@@ -66,7 +67,7 @@ def _translated_mode(n, weight, f):
     """sum_m h_{n+m} [z^{-m}] f(p_k - weight z^{-k}), the one-step partitions.vertex_chain
     whose creation half multiplies by h_{n+m}, the series of alpha = (1,); inside,
     partitions are keyed by their codes (partitions.code_weights), decoded once."""
-    weights, step = pt.code_weights(f.degree() + max(n, 0)), ((1,), (weight,), -n, 1, None)
+    weights, step = pt.code_weights(f.degree() + max(integer(n), 0)), ((1,), (weight,), -n, 1, None)
     d, terms = pt.vertex_chain(pt.encode(f.nums.items(), weights), weights, [step])
     return SymFunc._ints(dict(pt.decode(terms, weights)), f.den * d)
 
@@ -87,52 +88,51 @@ def gr_class_schur(k, N):
     return GrElem(N, k, sf.schur(pt.rectangle(N - k, k)).scale(sign))
 
 
+_A1 = qv.builtin("linear(1)")
+
+
 def gr_class_wallcross(k, N):
-    """[Gr(k,N)], the framed class of linear(1) at f = (N), d = (k), run from e^{(N,0)}
-    on grassmannian_lattice() = framed_lattice(linear(1), [1]): there B and b pair e_1
-    with N e_inf as they pair it with e_inf at f = (N), so no quiver is built per call."""
+    """[Gr(k,N)], the framed class of A_1 = linear(1) at f = (N), d = (k), read as a
+    GrElem: the Fock state prod (e_1)_{-la_i} is p_la."""
     _check_gr(k, N)
-    return _va_to_gr(_wall_crossing(lv.grassmannian_lattice(), (N, 0), [(1, k)]), N, k)
+    if not k:  # Gr(0,N) is a point, also at N = 0, where (0) is no framing
+        return GrElem(N, 0, SymFunc.one())
+    x = framed_class(_A1, (N,), (k,))  # a key is (beta, fock); fock ascends, la descends
+    return GrElem(N, k, x._map(lambda t: [(tuple([j for _, j in t[1]][::-1]), 1)], 1, SymFunc()))
 
 
 def framed_lattice(quiver, f):
     """The lattice of the framed quiver, in the basis (e_inf, the vertices in order):
-    M = euler_matrix(framed_quiver(quiver, f)) with the framing vertex's diagonal
-    entry set to 0, B = M + M^T and sign datum b = M^T."""
-    M = qv.euler_matrix(qv.framed_quiver(quiver, f))
-    M[0][0] = 0
+    M = [[0, -f], [0, euler_matrix(quiver)]] borders the Euler matrix with the framing
+    pairing chi(e_inf, e_v) = -f_v, B = M + M^T and sign datum b = M^T."""
+    f = qv.FramingVector(quiver, f)
+    M = [[0] + [-x for x in f.values]] + [[0] + row for row in qv.euler_matrix(quiver)]
     Mt = [list(col) for col in zip(*M)]
     return lv.Lattice(B=[[a + b for a, b in zip(*rows)] for rows in zip(M, Mt)], b=Mt)
 
 
 def framed_class(quiver, f, d):
-    """The wall-crossing class of the framed moduli space M^f_d of an acyclic quiver, a
-    VAElem on e^{(1,d)} of framed_lattice(quiver, f): from e^{e_inf}, apply -e^{e_v}_(0)
-    d_v times at each vertex v in topological order, and scale by 1/prod_v d_v!.  Mode k
-    of vertex v is p_k^(v): the integral of prod_v p_{mu^(v)} over M^f_d is the
-    coefficient of its Fock monomial times prod_v z_{mu^(v)}."""
+    """The wall-crossing class of the framed moduli space M^f_d of a quiver, a VAElem on
+    e^{(1,d)} of framed_lattice(quiver, f): from e^{e_inf}, apply -e^{e_v}_(0) d_v times
+    at each vertex v in topological order, and scale by 1/prod_v d_v!.  Mode k of vertex
+    v is p_k^(v): the integral of prod_v p_{mu^(v)} over M^f_d is the coefficient of its
+    Fock monomial times prod_v z_{mu^(v)}.  The quiver may be a dg quiver: its degree -1
+    arrows, the relations, enter only through the Euler form.
+
+    The state stays on one component beta, of Fock degree D, and the bracket with e_v
+    takes it to beta + e_v at degree D - 1 - B(e_v, beta); so the chain is planned first
+    (a negative degree is zero), as the steps of one partitions.vertex_chain on the codes
+    of one code_weights, and is decoded once, at the end."""
     d = qv.DimVector(quiver, d)
     if any(x < 0 for x in d.values):
         raise qv.QuiverError("negative_dimension", "dimension vector entries must be nonnegative")
     lattice = framed_lattice(quiver, f)
-    steps = [(1 + quiver.vertex_index(v), d[v]) for v in quiver.topological_order]
-    return _wall_crossing(lattice, lattice.basis_vector(0), steps)
-
-
-def _wall_crossing(lattice, alpha, steps):
-    """e^alpha followed, for each (basis index i, count c) in steps in turn, by c
-    brackets -e^{e_i}_(0), scaled by 1/prod c!.
-
-    The state stays on one component beta, of Fock degree D, and the bracket with e_i
-    takes it to beta + e_i at degree D - 1 - B(e_i, beta); so the chain is planned first
-    (a negative degree is zero), as the steps of one partitions.vertex_chain on the codes
-    of one code_weights, and is decoded once, at the end."""
-    plan, beta, degree, top = [], alpha, 0, 0  # [(e_i, B row of e_i, shift, -sign, None)]
+    plan, beta, degree, top = [], lattice.basis_vector(0), 0, 0  # plan: vertex_chain steps
     zero = lv.VAElem(lattice)
-    for i, count in steps:
-        e = lattice.basis_vector(i)
+    for v in quiver.topological_order:
+        e = lattice.basis_vector(1 + quiver.vertex_index(v))
         B_row, b_row = lv._rows(lattice, e)
-        for _ in range(count):
+        for _ in range(d[v]):
             shift = 1 + sum(map(operator.mul, B_row, beta))
             sign = 1 if sum(map(operator.mul, b_row, beta)) % 2 else -1
             plan.append((e, B_row, shift, sign, None))
@@ -142,24 +142,8 @@ def _wall_crossing(lattice, alpha, steps):
             top = max(top, degree)
     weights, rank = pt.code_weights(top, lattice.rank), lattice.rank
     den, state = pt.vertex_chain([(0, 1)], weights, plan)
-    den *= prod(factorial(count) for _, count in steps)
+    den *= prod(map(factorial, d.values))
     return zero._like_ints({(beta, fock): c for fock, c in pt.decode(state, weights, rank)}, den)
-
-
-def _va_to_gr(x, N, k):
-    """Read a VAElem supported on e^{(N,k)} with q-direction modes as a GrElem:
-    the Fock state prod (q)_{-la_i} is p_la."""
-
-    def image(key):
-        alpha, fock = key
-        if alpha != (N, k):
-            raise ValueError(f"unexpected lattice component {alpha}")
-        la = tuple([mode for i, mode in reversed(fock) if i == 1])  # fock ascends, la descends
-        if len(la) != len(fock):
-            raise ValueError("Fock monomial leaves the q-direction")
-        return [(la, 1)]
-
-    return GrElem(N, k, x._map(image, like=SymFunc()))
 
 
 # -- Virasoro operators on the Grassmannian state space -----------------------
@@ -229,7 +213,7 @@ def _l0(k, N, f):
 
 def gr_virasoro(n, x):
     """L_n on the component Q^N q^k (x) f of the homology-side state space."""
-    if n < 0:
+    if integer(n) < 0:
         raise ValueError("gr_virasoro is defined for n >= 0")
     if n == 0:
         return GrElem(x.N, x.k, _l0(x.k, x.N, x.f))
@@ -238,7 +222,7 @@ def gr_virasoro(n, x):
 
 def gr_virasoro_dual(n, N, k, f):
     """The Hall-adjoint operator on the cohomology side of the (N,k) component."""
-    if n < 0:
+    if integer(n) < 0:
         raise ValueError("gr_virasoro_dual is defined for n >= 0")
     if n == 0:
         return _l0(k, N, f)
@@ -256,7 +240,7 @@ def constraint_check(k, N, n_max):
     _check_gr(k, N)
     s = sf.schur(pt.rectangle(N - k, k))
     pairs = [("L_0", s - s.homogeneous_part(k * (N - k)))]
-    for n in range(1, n_max + 1):
+    for n in range(1, integer(n_max) + 1):
         pairs.append((f"L_{n}", _lowering_part(n, 2 * k - N, s)))
     return pairs
 
@@ -266,6 +250,7 @@ def constraint_check(k, N, n_max):
 
 def reduce_cohomology(k, N, f):
     """Schur coefficients of f surviving in H*(Gr(k,N)): la inside (N-k)^k."""
+    _check_gr(k, N)
     box = pt.rectangle(N - k, k)
     return {la: c for la, c in sf.schur_expand(f).items() if pt.contains(box, la)}
 
@@ -356,7 +341,7 @@ def calogero_sutherland(f):
 def r_n_symfunc(n, f):
     """The derivation with R_n(p_j) = j p_{j+n} (descendent R_n read through
     the dictionary p_j = j! ch_j), for n >= 1."""
-    if n < 1:
+    if integer(n) < 1:
         raise ValueError("needs n >= 1")
     return f._map(lambda la: _r_n_image(n, la))
 
@@ -368,9 +353,10 @@ def geometricity_check(k, N, n, deg_max):
     an image lies in the ideal exactly when its Schubert reduction is empty.
     Returns (generator, Schubert reduction of its image) pairs.
     """
-    if n < 1:
+    _check_gr(k, N)
+    if integer(n) < 1:
         raise ValueError("needs n >= 1")
-    gens = [(f"e{j}", sf.elementary(j)) for j in range(k + 1, deg_max + 1)]
+    gens = [(f"e{j}", sf.elementary(j)) for j in range(k + 1, integer(deg_max) + 1)]
     gens += [(f"h{j}", sf.complete(j)) for j in range(N - k + 1, deg_max + 1)]
     return [(name, reduce_cohomology(k, N, r_n_symfunc(n, g))) for name, g in gens]
 
@@ -419,7 +405,7 @@ class FockParams:
 def fock_virasoro(params, n, f):
     """L_n, n >= 1, on the Fock representation:
     (beta^2/2) sum_{s+t=n} p_{-s} p_{-t} + sum_{s>0} p_s p_{-s-n} + c_n p_{-n}."""
-    if n < 1:
+    if integer(n) < 1:
         raise ValueError("fock_virasoro is defined for n >= 1")
     return _lowering_part(n, params.linear_coefficient(n), f, quad_coeff=params.beta_sq / 2)
 

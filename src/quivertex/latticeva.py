@@ -143,7 +143,7 @@ class VAElem(LinComb):
 
 def create(lattice, v, k, x):
     """Left multiplication by v_{-k}, extended over the lattice basis."""
-    if k < 1:
+    if integer(k) < 1:
         raise ValueError("creation mode must be >= 1")
     created = [((i, k), vi) for i, vi in enumerate(lattice.vector(v)) if vi]
     return x._map(
@@ -154,7 +154,7 @@ def create(lattice, v, k, x):
 def annihilate_mode(lattice, v, k, x):
     """The mode v_{(k)} for k >= 0: zero mode is diagonal, positive modes
     contract against matching creation factors via [v_(k), w_(-l)] = k d_{kl} B(v,w)."""
-    if k < 0:
+    if integer(k) < 0:
         raise ValueError("annihilation mode must be >= 0")
     row = _rows(lattice, lattice.vector(v))[0]
     if k == 0:
@@ -187,7 +187,7 @@ def virasoro(lattice, n, x):
     k (n - k) B(e_i, e_j).  On e^alpha, L_{-1} creates alpha_{-1}, L_0 is
     B(alpha, alpha)/2 and L_{n>0} vanishes.
     """
-    if n < -1:
+    if integer(n) < -1:
         raise ValueError("only L_n with n >= -1 is defined")
     B = lattice.B
 
@@ -225,7 +225,7 @@ def field_mode(lattice, alpha, n, x):
     its power p once by the integer series p! S_p, lifted by P!/p! to the common
     denominator d P! (d that of x, P the largest p); each output code is decoded once.
     """
-    alpha = lattice.vector(alpha)
+    alpha, n = lattice.vector(alpha), integer(n)
     B_row, b_row = _rows(lattice, alpha)
     by_beta, degree = {}, 0  # beta -> [(fock, int coefficient over d)]; the Fock degree
     for (beta, fock), c in x.nums.items():

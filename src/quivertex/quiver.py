@@ -85,13 +85,17 @@ class DgQuiver:
 
 
 class _VertexMap:
-    """Dense vector of values indexed by a quiver's ordered vertices."""
+    """Dense vector of values indexed by a quiver's ordered vertices, read from a list in
+    vertex order, a dict over vertices, or a vertex map over the same vertices."""
 
     __slots__ = ("quiver", "values")
 
     def __init__(self, quiver, entries):
         self.quiver = quiver
         vals = [0] * len(quiver.vertices)
+        if isinstance(entries, _VertexMap):
+            _check_same_quiver(self, entries)
+            entries = entries.values
         if isinstance(entries, dict):
             for v, x in entries.items():
                 vals[quiver.vertex_index(str(v))] = integer(x)
@@ -187,8 +191,7 @@ FRAMING_VERTEX = "inf"
 def framed_quiver(quiver, f):
     """Attach a framing vertex with f_v degree-0 arrows into each vertex v; f is a
     `FramingVector` or the entries of one (a list in vertex order, or a dict)."""
-    if not isinstance(f, FramingVector):
-        f = FramingVector(quiver, f)
+    f = FramingVector(quiver, f)
     if FRAMING_VERTEX in quiver.vertices:
         raise QuiverError("duplicate_vertex", f"vertex {FRAMING_VERTEX!r} already present")
     arrows = [(FRAMING_VERTEX, v, 0) for v in quiver.vertices for _ in range(f[v])]

@@ -15,7 +15,7 @@ from itertools import accumulate
 from math import gcd
 
 from . import partitions as pt
-from .lincomb import LinComb, rational
+from .lincomb import LinComb, integer, rational
 
 
 class SymFunc(LinComb):
@@ -184,7 +184,7 @@ def hall(f, g):
 
 def annihilate(n, f):
     """p_{-n} = n * d/dp_n, the Hall adjoint of multiplication by p_n."""
-    if n < 1:
+    if integer(n) < 1:
         raise ValueError("annihilation index must be >= 1")
     return f._map(lambda la: [(pt.remove_one(la, n), n * la.count(n))] if n in la else ())
 

@@ -173,6 +173,39 @@ def test_grassmannian_arguments_are_checked_ints(entry, k, N):
         entry(k, N)
 
 
+GR_STATE = lv.VAElem(lv.grassmannian_lattice(), {((2, 1), ((1, 1),)): 1})
+NOT_INT_MODES = {
+    "r_n_symfunc": lambda: gc.r_n_symfunc(1.5, p(1)),
+    "create": lambda: lv.create(GR_STATE.lattice, (0, 1), 1.5, GR_STATE),
+    "gr_virasoro": lambda: gc.gr_virasoro(1.5, GrElem(2, 1, p(1))),
+    "gr_virasoro at 0.0": lambda: gc.gr_virasoro(0.0, GrElem(2, 1, p(1))),
+    "fock_virasoro": lambda: gc.fock_virasoro(FockParams(2, 1, 1), 1.5, p(1)),
+    "annihilate": lambda: sf.annihilate(1.5, p(1)),
+    "virasoro": lambda: lv.virasoro(GR_STATE.lattice, 1.5, GR_STATE),
+    "field_mode": lambda: lv.field_mode(GR_STATE.lattice, (0, 1), 1.5, GR_STATE),
+    "annihilate_mode": lambda: lv.annihilate_mode(GR_STATE.lattice, (0, 1), 1.5, GR_STATE),
+    "hecke": lambda: gc.hecke(1.5, p(1)),
+    "hecke_sym": lambda: gc.hecke_sym("1", p(1)),
+    "l_op": lambda: dc.l_op(A1, 1.5, dc.DescendentPoly.ch(1, "1")),
+    "l_op_framed": lambda: dc.l_op_framed(A1, [2], 1.5, dc.DescendentPoly.ch(1, "1")),
+    "r_op": lambda: dc.r_op(A1, 1.5, dc.DescendentPoly.ch(1, "1")),
+    "t_element": lambda: dc.t_element(A1, 1.5),
+    "framed_t_element": lambda: dc.framed_t_element(A1, [2], 1.5),
+    "gr_virasoro_dual": lambda: gc.gr_virasoro_dual(1.5, 2, 1, p(1)),
+    "constraint_check": lambda: gc.constraint_check(1, 2, 1.5),
+    "geometricity_check": lambda: gc.geometricity_check(1, 2, 1.5, 3),
+    "geometricity_check degree": lambda: gc.geometricity_check(1, 2, 1, 3.0),
+    "geometricity_check k": lambda: gc.geometricity_check(1.0, 2, 1, 3),
+    "reduce_cohomology": lambda: gc.reduce_cohomology(1.5, 3, p(1)),
+}
+
+
+@pytest.mark.parametrize("call", NOT_INT_MODES.values(), ids=NOT_INT_MODES)
+def test_mode_indices_are_checked_ints(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_gr_class_wallcross_small():
     assert gc.gr_class_wallcross(0, 4) == GrElem(4, 0, SymFunc.one())
     # single bracket: sign fixed by the Schubert class as (-1)^(N-1)
@@ -294,6 +327,70 @@ def test_framed_class_input():
     assert x == lv.VAElem.group_element(x.lattice, (1, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "name, framings",
+    [
+        ("beilinson_p2", ([1, 0, 0], [2, 1, 0], [0, 0, 3])),
+        ("p1xp1", ([2, 0, 0, 0], [1, 1, 0, 0])),
+        ("kronecker(3)", ([1, 0], [2, 3])),
+        ("linear(1)", ([1], [4])),
+        ("linear(2)", ([2, 0], [1, 1])),
+        ("linear(3)", ([3, 0, 0], [0, 1, 2])),
+    ],
+)
+def test_framed_lattice_borders_the_euler_matrix(name, framings):
+    # the lattice of the framed quiver, its framing vertex's diagonal entry set to 0
+    quiver = qv.builtin(name)
+    for f in framings:
+        M = qv.euler_matrix(qv.framed_quiver(quiver, f))
+        M[0][0] = 0
+        Mt = [list(col) for col in zip(*M)]
+        want = lv.Lattice(B=[[a + b for a, b in zip(*rows)] for rows in zip(M, Mt)], b=Mt)
+        assert gc.framed_lattice(quiver, f) == want, (name, f)
+
+
+def test_framed_entry_points_read_the_vertex_maps_of_the_library():
+    a2, ch = qv.builtin("linear(2)"), dc.DescendentPoly.ch(2, "1")
+    f, d = qv.FramingVector(a2, [2, 1]), qv.DimVector(a2, [1, 1])
+    want = gc.framed_class(a2, [2, 1], [1, 1])
+    assert want and gc.framed_class(a2, f, d) == want
+    assert gc.framed_class(a2, {"1": 2, "2": 1}, {"1": 1, "2": 1}) == want
+    assert gc.framed_lattice(a2, f) == gc.framed_lattice(a2, [2, 1])
+    for framing in ([2, 1], {"1": 2, "2": 1}, f):
+        assert dc.l_op_framed(a2, framing, 1, ch) == dc.l_op_framed(a2, f, 1, ch), framing
+        assert dc.framed_t_element(a2, framing, 1) == dc.framed_t_element(a2, f, 1), framing
+    assert dc.l_op_framed(a2, [2, 1], 1, ch) != dc.l_op(a2, 1, ch)
+    # a map over other vertices, fewer or more, is no map over these
+    for other in (qv.FramingVector(A1, [2]), qv.FramingVector(qv.builtin("linear(3)"), [2, 1, 0])):
+        for call in (
+            lambda: gc.framed_lattice(a2, other),
+            lambda: gc.framed_class(a2, other, [1, 1]),
+            lambda: gc.framed_class(a2, [2, 1], qv.DimVector(other.quiver, other.values)),
+            lambda: dc.l_op_framed(a2, other, 1, ch),
+            lambda: dc.framed_t_element(a2, other, 1),
+            lambda: qv.framed_quiver(a2, other),
+        ):
+            with pytest.raises(qv.QuiverError) as info:
+                call()
+            assert info.value.code == "index_mismatch", other
+
+
+def test_a_vertex_named_inf_can_be_framed():
+    # framed_lattice borders the Euler matrix, so no vertex is added to the quiver
+    inf = qv.DgQuiver(["inf"], [])
+    with pytest.raises(qv.QuiverError):
+        qv.framed_quiver(inf, [3])
+    got = gc.framed_class(inf, [3], [2])
+    assert got and got == gc.framed_class(A1, [3], [2])
+
+
+def _gr_state(lattice, N, k, f):
+    """Q^N q^k (x) f in the lattice vertex algebra: p_la is the Fock state prod (q)_{-la_i}."""
+    return lv.VAElem(
+        lattice, {((N, k), tuple((1, part) for part in la)): c for la, c in f.terms.items()}
+    )
+
+
 def test_field_modes_match_symmetrized_hecke_series():
     # Y(q, z) on Q^N q^k (x) f is (-1)^(N-k) z^(2k-N) H^sym(z) f: the mode-n
     # coefficient must be (-1)^(N-k) H^sym_{N-2k-1-n} f for every n
@@ -302,15 +399,12 @@ def test_field_modes_match_symmetrized_hecke_series():
     for N in range(0, 4):
         for k in range(0, 3):
             f = _random_symfunc(rng, 3)
-            x = lv.VAElem(
-                lattice,
-                {((N, k), tuple((1, part) for part in la)): c for la, c in f.terms.items()},
-            )
+            x = _gr_state(lattice, N, k, f)
             sign = -1 if (N - k) % 2 else 1
             for n in range(-4, 4):
-                got = gc._va_to_gr(lv.field_mode(lattice, (0, 1), n, x), N, k + 1)
-                expected = GrElem(N, k + 1, gc.hecke_sym(N - 2 * k - 1 - n, f).scale(sign))
-                assert got == expected, (N, k, n)
+                got = lv.field_mode(lattice, (0, 1), n, x)
+                expected = gc.hecke_sym(N - 2 * k - 1 - n, f).scale(sign)
+                assert got == _gr_state(lattice, N, k + 1, expected), (N, k, n)
 
 
 def test_gr_class_is_primary_state():
@@ -337,14 +431,10 @@ def test_raw_bracket_matches_symmetrized_hecke_display():
     for N in range(0, 5):
         for k in range(0, 3):
             f = _random_symfunc(rng, 3)
-            x = lv.VAElem(
-                lattice,
-                {((N, k), tuple((1, part) for part in la)): c for la, c in f.terms.items()},
-            )
-            got = gc._va_to_gr(lv.field_mode(lattice, (0, 1), 0, x), N, k + 1)
+            got = lv.field_mode(lattice, (0, 1), 0, _gr_state(lattice, N, k, f))
             sign = -1 if (N - k) % 2 else 1
-            expected = GrElem(N, k + 1, gc.hecke_sym(N - 2 * k - 1, f).scale(sign))
-            assert got == expected, (N, k)
+            expected = gc.hecke_sym(N - 2 * k - 1, f).scale(sign)
+            assert got == _gr_state(lattice, N, k + 1, expected), (N, k)
 
 
 def test_gr_virasoro_l0():

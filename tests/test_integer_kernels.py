@@ -7,7 +7,7 @@ descendent Virasoro operators and every operator that acts one key at a
 time through ``LinComb._map`` (p_{-n} and skewing, the Grassmannian L_n, R_n
 and Calogero-Sutherland operators, the lattice creation, annihilation and
 Virasoro modes, the ch_0 substitution, and the readers ``to_symfunc`` and
-``_va_to_gr`` between element types)
+``gr_class_wallcross`` between element types)
 put their input over one denominator (``lincomb.integral``), sum in int and
 build one Fraction per output key (``lincomb.rational``).  The reference
 implementations below are the earlier forms of the same kernels, which add
@@ -230,10 +230,10 @@ def ref_to_symfunc(f, ch0_value):
     return SymFunc._wrap(out)
 
 
-def ref_va_to_gr(x, N, k):
+def ref_framed_to_gr(x, N, k):
     out = {}
     for (alpha, fock), c in x.terms.items():
-        if alpha != (N, k):
+        if alpha != (1, k):
             raise ValueError(f"unexpected lattice component {alpha}")
         parts = []
         for i, mode in fock:
@@ -1042,21 +1042,12 @@ def test_to_symfunc_matches_fraction_accumulation():
     assert _error(dc.to_symfunc, two_vertices, 1) == _error(ref_to_symfunc, two_vertices, 1)
 
 
-def test_va_to_gr_matches_fraction_accumulation():
-    rng = random.Random(367)
-    lat = lv.grassmannian_lattice()
-    for _ in range(80):
-        N = rng.randint(0, 6)
-        k = rng.randint(0, N)
-        terms = {}
-        for _ in range(rng.randint(0, 4)):
-            modes = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
-            terms[((N, k), tuple((1, m) for m in modes))] = _coefficient(rng)
-        x = lv.VAElem(lat, terms)
-        got = gc._va_to_gr(x, N, k)
-        assert got == ref_va_to_gr(x, N, k), x
-        _assert_clean(got.f)
-    good = ((2, 1), ((1, 2),))
-    for bad in (((1, 1), ((1, 2),)), ((2, 1), ((0, 1), (1, 2)))):  # foreign component, p-mode
-        x = lv.VAElem(lat, {good: Fraction(1, 7919), bad: 3})
-        assert _error(gc._va_to_gr, x, 2, 1) == _error(ref_va_to_gr, x, 2, 1), bad
+def test_gr_class_wallcross_matches_fraction_accumulation():
+    # the wall-crossing ladder: Gr(k,N) is the framed class of A_1 at f = (N), d = (k)
+    a1 = qv.builtin("linear(1)")
+    for N in range(1, 9):
+        for k in range(0, N + 1):
+            got = gc.gr_class_wallcross(k, N)
+            assert got == ref_framed_to_gr(gc.framed_class(a1, [N], [k]), N, k), (k, N)
+            _assert_clean(got.f)
+    assert gc.gr_class_wallcross(0, 0) == gc.GrElem(0, 0, SymFunc.one())

@@ -6,9 +6,9 @@ and invariants are raised as exceptions, never asserted, since ``python -O``
 strips ``assert`` statements.  The integer kernels sum in int over one
 denominator and store int numerators, so no loop in them makes a Fraction
 per term and none reads ``.terms``, whose values are Fractions built on read.
-The readers between element types (``to_symfunc``, ``_va_to_gr``) are int
-kernels too.  Fractions cross into the int core only at the public
-constructor and the parsers: ``.terms`` is read only by ``sorted_terms``, and
+The readers between element types (``to_symfunc``, and ``gr_class_wallcross``,
+which reads the A_1 framed class as a Grassmannian class) are int kernels too.
+Fractions cross into the int core only at the public constructor and the parsers: ``.terms`` is read only by ``sorted_terms``, and
 outside ``lincomb`` only ``serialize`` calls ``add_to`` or ``_wrap``.
 Every memo is an ``lru_cache``, which a cold start can clear, or local to one
 call: no module-level name holds a dict, set or list display, except the list
@@ -19,7 +19,7 @@ tuples, after ``partitions.translate_codes``, the annihilation half.
 ``latticeva.field_mode`` runs the two halves, and ``partitions.vertex_chain`` runs
 them step after step for ``symfunc.schur``, the Hecke modes
 (``grasscalc._translated_mode``) and the wall-crossing chain
-(``grasscalc._wall_crossing``), which call nothing else of them.
+(``grasscalc.framed_class``), which call nothing else of them.
 ``lincomb._product_into`` is the one product loop, with three callers: the
 creation half, the creation series and ``LinComb._product``.
 A check's outcome has one form:
@@ -66,7 +66,7 @@ INTEGER_KERNELS = {
     "create_codes",
     "_creation_series",
     "vertex_chain",
-    "_wall_crossing",
+    "framed_class",
     "translate_codes",
     "_from_monomials",
     "_row_step",
@@ -76,7 +76,7 @@ INTEGER_KERNELS = {
     "_virasoro",
     "l_wt0",
     "to_symfunc",
-    "_va_to_gr",
+    "gr_class_wallcross",
 }
 PER_TERM_FRACTION = {"Fraction", "add_to", "add_all"}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -244,7 +244,7 @@ def test_field_mode_products_add_codes():
     assert keys == ["add"], keys
     for name in ("field_mode", "vertex_chain"):
         assert calls(name, "create_codes") and not calls(name, "_product_into"), name
-    for name in ("schur", "_translated_mode", "_wall_crossing"):
+    for name in ("schur", "_translated_mode", "framed_class"):
         assert calls(name, "vertex_chain"), name
         assert not any(calls(name, f) for f in ("translate_codes", "create_codes", "_product_into"))
 

@@ -256,23 +256,43 @@ def _planned_top(lattice, alpha, steps):
     return top
 
 
+def _random_framed_quiver(rng):
+    """A dg quiver on 1..3 vertices, listed in random order, with 0..2 arrows of each
+    degree 0 and -1 from each vertex to each later one; a framing, not zero; and d."""
+    names = [str(i) for i in range(rng.randint(1, 3))]
+    arrows = [
+        (v, w, deg)
+        for i, v in enumerate(names)
+        for w in names[i + 1 :]
+        for deg in (0, -1)
+        for _ in range(rng.randint(0, 2))
+    ]
+    rng.shuffle(names)
+    f = [0] * len(names)
+    while not any(f):
+        f = [rng.randint(0, 3) for _ in names]
+    return qv.DgQuiver(names, arrows), f, [rng.randint(0, 3) for _ in names]
+
+
 def test_wall_crossing_chain_matches_bracket_by_bracket():
     rng = random.Random(227)
     seen, died = set(), set()
     done = 0
     while done < 300:
-        lat = _random_lattice(rng)
-        alpha = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
-        steps = [(rng.randrange(lat.rank), rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+        quiver, f, d = _random_framed_quiver(rng)
+        lat = gc.framed_lattice(quiver, f)
+        alpha = lat.basis_vector(0)
+        index = [quiver.vertex_index(v) for v in quiver.topological_order]
+        steps = [(1 + i, d[i]) for i in index]
         # the references run each bracket on its own; keep their Fock degrees small
         if _planned_top(lat, alpha, steps) > 8:
             continue
-        got = gc._wall_crossing(lat, alpha, steps)
+        got = gc.framed_class(quiver, f, d)
         want = _bracket_by_bracket(lat, alpha, steps, died)
-        assert (got.den, got.nums) == (want.den, want.nums), (lat, alpha, steps)
+        assert (got.den, got.nums) == (want.den, want.nums), (quiver, f, d)
         assert got.lattice == lat
         seen.add("nonzero" if got else "zero")
-        if any(count == 0 for _, count in steps):
+        if 0 in d:
             seen.add("count 0")
         done += 1
     assert seen == {"nonzero", "zero", "count 0"}, seen
