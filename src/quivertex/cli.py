@@ -8,6 +8,8 @@ The subcommands are described once, in ``_COMMANDS``.  A call builds the
 parser of the command it names first alone, as building every subparser was
 most of the cost of a small request; help, or an argv that names no known
 command first, gets every command's parser.  Output and errors read the same.
+The check suites, ``checks``, load only with the four commands that run them:
+virasoro-bracket, gr-constraints, singular and selftest.
 """
 
 import argparse
@@ -18,7 +20,6 @@ import sys
 from functools import partial
 from itertools import product
 
-from . import checks as ck
 from . import descendent as dc
 from . import grasscalc as gc
 from . import partitions as pt
@@ -135,6 +136,7 @@ def cmd_euler(args):
 
 
 def cmd_virasoro_bracket(args):
+    from . import checks as ck
     if args.max_n < -1 or args.max_deg < 0:
         raise ValueError("virasoro-bracket needs --max-n >= -1 and --max-deg >= 0")
     quiver = _load_quiver(args.quiver)
@@ -171,6 +173,7 @@ def cmd_gr_integral(args):
 
 
 def cmd_gr_constraints(args):
+    from . import checks as ck
     if args.max_n < 0:
         raise ValueError("gr-constraints needs --max-n >= 0")
     s_rect = f"s_{pt.rectangle(args.N - args.k, args.k)}"
@@ -203,6 +206,7 @@ def cmd_cs(args):
 
 
 def cmd_singular(args):
+    from . import checks as ck
     params = gc.FockParams(args.beta2, args.r, args.s)
     reports = []
     for v in gc.JACK_VARIANTS:
@@ -217,6 +221,7 @@ def cmd_singular(args):
 
 
 def cmd_selftest(args):
+    from . import checks as ck
     return _emit_reports(args, ck.run_selftest(args.suite))
 
 

@@ -10,6 +10,7 @@ Everything is exact over Q.
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from math import factorial, gcd, lcm, prod
 
@@ -104,9 +105,14 @@ def gr_class_wallcross(k, N):
 def framed_lattice(quiver, f):
     """The lattice of the framed quiver, in the basis (e_inf, the vertices in order):
     M = [[0, -f], [0, euler_matrix(quiver)]] borders the Euler matrix with the framing
-    pairing chi(e_inf, e_v) = -f_v, B = M + M^T and sign datum b = M^T."""
-    f = qv.FramingVector(quiver, f)
-    M = [[0] + [-x for x in f.values]] + [[0] + row for row in qv.euler_matrix(quiver)]
+    pairing chi(e_inf, e_v) = -f_v, B = M + M^T and sign datum b = M^T.  One lattice
+    is shared by every call on an equal quiver and framing."""
+    return _framed_lattice(quiver, qv.FramingVector(quiver, f).values)
+
+
+@lru_cache(maxsize=256)  # keyed by the caller's quiver and framing, so bounded
+def _framed_lattice(quiver, f):
+    M = [[0] + [-x for x in f]] + [[0] + row for row in qv.euler_matrix(quiver)]
     Mt = [list(col) for col in zip(*M)]
     return lv.Lattice(B=[[a + b for a, b in zip(*rows)] for rows in zip(M, Mt)], b=Mt)
 

@@ -18,9 +18,11 @@ class QuiverError(ValueError):
 
 
 class DgQuiver:
-    """Ordered vertices, graded arrows (src, tgt, deg <= 0), and a topological_order."""
+    """Ordered vertices, graded arrows (src, tgt, deg <= 0), and a topological_order.
+    Two quivers are equal when their vertices agree in order and their arrows as a
+    multiset; that key and its hash are built once, as caches hash a quiver per call."""
 
-    __slots__ = ("vertices", "arrows", "_index", "topological_order")
+    __slots__ = ("vertices", "arrows", "_index", "topological_order", "_key", "_hash")
 
     def __init__(self, vertices, arrows):
         self.arrows = tuple((str(s), str(t), d) for s, t, d in arrows)
@@ -31,6 +33,8 @@ class DgQuiver:
         if len(self._index) != len(self.vertices):
             raise QuiverError("duplicate_vertex", "vertex identifiers must be unique")
         self.validate()
+        self._key = (self.vertices, tuple(sorted(self.arrows)))
+        self._hash = hash(self._key)
 
     def validate(self):
         """Check finiteness, endpoint sanity, degree signs, and acyclicity."""
@@ -74,14 +78,10 @@ class DgQuiver:
         return f"DgQuiver(vertices={list(self.vertices)}, arrows={len(self.arrows)})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DgQuiver)
-            and self.vertices == other.vertices
-            and sorted(self.arrows) == sorted(other.arrows)
-        )
+        return isinstance(other, DgQuiver) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.vertices, tuple(sorted(self.arrows))))
+        return self._hash
 
 
 class _VertexMap:

@@ -251,6 +251,32 @@ def test_out_of_memory_in_the_wall_crossing_is_malformed_input():
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 
+def _fresh_interpreter(*args):
+    """Run sys.executable on args with this checkout's package first on its path."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+def test_the_check_suites_load_only_with_the_commands_that_run_them():
+    # neither the package nor the CLI imports quivertex.checks; a command that checks does
+    code = (
+        "import sys; import quivertex; a = 'quivertex.checks' in sys.modules; "
+        "from quivertex import cli; b = 'quivertex.checks' in sys.modules; "
+        "cli.main(['schur', '2']); c = 'quivertex.checks' in sys.modules; "
+        "cli.main(['gr-constraints', '1', '2', '--max-n', '0']); "
+        "print(a, b, c, 'quivertex.checks' in sys.modules)"
+    )
+    done = _fresh_interpreter("-c", code)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "False False False True"
+    done = _fresh_interpreter("-m", "quivertex.cli", "gr-constraints", "2", "4")
+    want = "".join(f"PASS L_{n}\n" for n in range(7)) + "PASS overall\n"
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
+
 def test_results_of_any_size_print_in_full(capsys):
     # <p_1^9000, p_1^9000> = 9000!, 31,682 digits, past Python's default int/str limit
     code, out, err = run(capsys, "hall", "p1^9000", "p1^9000")

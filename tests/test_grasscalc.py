@@ -349,6 +349,20 @@ def test_framed_lattice_borders_the_euler_matrix(name, framings):
         assert gc.framed_lattice(quiver, f) == want, (name, f)
 
 
+def test_framed_lattices_are_shared_and_their_cache_bounded():
+    # the cache serves every form of one framing, and an equal quiver built anew;
+    # a cold start clears it, and the lattice built again is equal
+    a2 = qv.builtin("linear(2)")
+    lattice = gc.framed_lattice(a2, [2, 1])
+    for f in ({"1": 2, "2": 1}, qv.FramingVector(a2, [2, 1])):
+        assert gc.framed_lattice(a2, f) is lattice
+    assert gc.framed_lattice(qv.builtin("linear(2)"), [2, 1]) is lattice
+    assert gc.framed_lattice(a2, [1, 2]) != lattice
+    gc._framed_lattice.cache_clear()
+    assert gc.framed_lattice(a2, [2, 1]) == lattice
+    assert gc._framed_lattice.cache_info().maxsize is not None
+
+
 def test_framed_entry_points_read_the_vertex_maps_of_the_library():
     a2, ch = qv.builtin("linear(2)"), dc.DescendentPoly.ch(2, "1")
     f, d = qv.FramingVector(a2, [2, 1]), qv.DimVector(a2, [1, 1])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from quivertex import descendent as dc
 from quivertex import quiver as qv
 from quivertex.quiver import DgQuiver, DimVector, FramingVector, QuiverError
 
@@ -237,3 +238,20 @@ def test_framing_vector_validation():
         FramingVector(q, [0])
     with pytest.raises(QuiverError):
         FramingVector(q, [-1])
+
+
+def test_quivers_compare_by_vertices_and_arrow_multiset():
+    arrows = qv.builtin("beilinson_p2").arrows
+    shuffled = list(arrows)
+    random.Random(5).shuffle(shuffled)
+    q, q2 = DgQuiver(["1", "2", "3"], arrows), DgQuiver(["1", "2", "3"], shuffled)
+    assert q2.arrows != q.arrows and q2 == q and hash(q2) == hash(q)
+    # equal quivers share one cached T_n: the second read is a hit
+    terms = dc._t_terms(q, 3)
+    misses = dc._t_terms.cache_info().misses
+    assert dc._t_terms(q2, 3) is terms and dc._t_terms.cache_info().misses == misses
+    # one arrow's degree, or the vertex order, tells quivers apart
+    assert arrows[-1] == ("1", "3", -1)
+    assert DgQuiver(["1", "2", "3"], arrows[:-1] + (("1", "3", 0),)) != q
+    assert DgQuiver(["2", "1", "3"], arrows) != q
+    assert q != (q.vertices, tuple(sorted(q.arrows)))
