@@ -8,7 +8,8 @@ The subcommands are described once, in ``_COMMANDS``.  A call builds the
 parser of the command it names first alone, as building every subparser was
 most of the cost of a small request; help, or an argv that names no known
 command first, gets every command's parser.  Output and errors read the same.
-The check suites, ``checks``, load only with the four commands that run them:
+A result prints through ``_print``, which builds only the form asked for.  The
+check suites, ``checks``, load only with the four commands that run them:
 virasoro-bracket, gr-constraints, singular and selftest.
 """
 
@@ -17,6 +18,7 @@ import json
 import random
 import re
 import sys
+from fractions import Fraction
 from functools import partial
 from itertools import product
 
@@ -77,6 +79,17 @@ def _emit(args, text, payload):
         print(text)
 
 
+def _print(args, value):
+    """Print a SymFunc, GrElem, Fraction or int as text, or as JSON: only the form asked for."""
+    text, to_json = {
+        sf.SymFunc: (sz.symfunc_to_text, sz.symfunc_to_json),
+        gc.GrElem: (sz.grelem_to_text, sz.grelem_to_json),
+        Fraction: (sz.rational_to_text, sz.rational_to_json),
+        int: (str, int),
+    }[type(value)]
+    print(json.dumps(to_json(value), indent=2) if args.json else text(value))
+
+
 def _coeff_map_text(pairs, symbol):
     return sz.signed_sum_text(
         pairs, lambda la: f"{symbol}({','.join(str(x) for x in la)})" if la else ""
@@ -105,7 +118,7 @@ def _emit_reports(args, reports, all_ok=None):
 def cmd_schur(args):
     f = sf.schur(args.partition)
     if args.basis == "p":
-        _emit(args, sz.symfunc_to_text(f), sz.symfunc_to_json(f))
+        _print(args, f)
     else:
         expand, symbol = (sf.monomial_expand, "m") if args.basis == "m" else (sf.schur_expand, "s")
         pairs = _sorted_coeff_map(expand(f))
@@ -115,14 +128,12 @@ def cmd_schur(args):
 
 
 def cmd_hall(args):
-    value = sf.hall(args.f, args.g)
-    _emit(args, sz.rational_to_text(value), sz.rational_to_json(value))
+    _print(args, sf.hall(args.f, args.g))
     return 0
 
 
 def cmd_jack(args):
-    f = sf.jack(args.partition, args.alpha)
-    _emit(args, sz.symfunc_to_text(f), sz.symfunc_to_json(f))
+    _print(args, sf.jack(args.partition, args.alpha))
     return 0
 
 
@@ -130,8 +141,7 @@ def cmd_euler(args):
     quiver = _load_quiver(args.quiver)
     d1 = _dimvector_arg(quiver, args.d1)
     d2 = _dimvector_arg(quiver, args.d2)
-    value = qv.euler_sym(quiver, d1, d2) if args.sym else qv.euler_form(quiver, d1, d2)
-    _emit(args, str(value), value)
+    _print(args, qv.euler_sym(quiver, d1, d2) if args.sym else qv.euler_form(quiver, d1, d2))
     return 0
 
 
@@ -158,17 +168,13 @@ def cmd_virasoro_bracket(args):
 
 
 def cmd_gr_class(args):
-    if args.via == "wallcross":
-        x = gc.gr_class_wallcross(args.k, args.N)
-    else:
-        x = gc.gr_class_schur(args.k, args.N)
-    _emit(args, sz.grelem_to_text(x), sz.grelem_to_json(x))
+    via = gc.gr_class_wallcross if args.via == "wallcross" else gc.gr_class_schur
+    _print(args, via(args.k, args.N))
     return 0
 
 
 def cmd_gr_integral(args):
-    value = gc.gr_integral(args.k, args.N, args.f)
-    _emit(args, sz.rational_to_text(value), sz.rational_to_json(value))
+    _print(args, gc.gr_integral(args.k, args.N, args.f))
     return 0
 
 
@@ -194,14 +200,12 @@ def cmd_gr_recursion(args):
 
 def cmd_hecke(args):
     op = gc.hecke_sym if args.sym else gc.hecke
-    f = op(args.n, args.f)
-    _emit(args, sz.symfunc_to_text(f), sz.symfunc_to_json(f))
+    _print(args, op(args.n, args.f))
     return 0
 
 
 def cmd_cs(args):
-    f = gc.calogero_sutherland(args.f)
-    _emit(args, sz.symfunc_to_text(f), sz.symfunc_to_json(f))
+    _print(args, gc.calogero_sutherland(args.f))
     return 0
 
 

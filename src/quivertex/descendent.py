@@ -5,20 +5,20 @@ is a sorted tuple of (k, vertex) pairs.  The quotient setting ch_0(v) = d_v
 is realized by substitution at evaluation time, never as a separate type.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, perm, prod
 
 from . import quiver as qv
-from .lincomb import LinComb, coerce, integer
+from .lincomb import Algebra, coerce, integer
 from .symfunc import SymFunc
 
 
-class DescendentPoly(LinComb):
+class DescendentPoly(Algebra):
     """Sparse polynomial over monomials in the ch_k(vertex) symbols."""
 
     __slots__ = ()
+    _merge = staticmethod(lambda m1, m2: tuple(sorted(m1 + m2)))
 
     def _check_key(self, mono):
         m = tuple(sorted((integer(k), str(v)) for k, v in mono))
@@ -28,26 +28,11 @@ class DescendentPoly(LinComb):
         return m
 
     @staticmethod
-    def zero():
-        return DescendentPoly()
-
-    @staticmethod
-    def one():
-        return DescendentPoly({(): 1})
-
-    @staticmethod
     def ch(k, v):
         """The generator ch_k(v)."""
         if k < 0:
             return DescendentPoly.zero()
         return DescendentPoly({((k, str(v)),): 1})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return self._product(other, lambda m1, m2: tuple(sorted(m1 + m2)))
-
-    __rmul__ = __mul__
 
     def ch_weight(self):
         """Largest total ch-index of any monomial; -1 for zero."""

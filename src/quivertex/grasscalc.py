@@ -12,13 +12,13 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 
 from . import latticeva as lv
 from . import partitions as pt
 from . import quiver as qv
 from . import symfunc as sf
-from .lincomb import coerce, integer, rational
+from .lincomb import coerce, integer, integral, rational
 from .symfunc import SymFunc
 
 
@@ -168,10 +168,7 @@ def _lowered(la):
 def _lowering_part(n, linear_coeff, f, quad_coeff=1):
     """sum_j p_j p_{-n-j} + quad_coeff sum_{a+b=n} p_{-a} p_{-b} + linear_coeff p_{-n},
     n >= 1, summed in int over d_f times the common denominator of the two coefficients."""
-    linear, quad = Fraction(linear_coeff), Fraction(quad_coeff)
-    d_c = lcm(linear.denominator, quad.denominator)
-    linear = linear.numerator * (d_c // linear.denominator)
-    quad = quad.numerator * (d_c // quad.denominator)
+    d_c, ((_, linear), (_, quad)) = integral({0: Fraction(linear_coeff), 1: Fraction(quad_coeff)})
 
     def image(la):
         lowered = _lowered(la)

@@ -68,7 +68,7 @@ class Lattice:
         return (0,) * self.rank
 
     def __repr__(self):
-        return f"Lattice(rank={self.rank}, B={self.B})"
+        return f"Lattice(B={self.B}, b={self.b})"
 
     def __eq__(self, other):
         return isinstance(other, Lattice) and self.B == other.B and self.b == other.b
@@ -117,12 +117,7 @@ class VAElem(LinComb):
         return VAElem(lattice, {(tuple(alpha), ()): 1})
 
     def __eq__(self, other):
-        return (
-            isinstance(other, VAElem)
-            and self.lattice == other.lattice
-            and self.den == other.den
-            and self.nums == other.nums
-        )
+        return isinstance(other, VAElem) and self.lattice == other.lattice and super().__eq__(other)
 
     def __hash__(self):
         return hash((self.lattice, self.den, frozenset(self.nums.items())))
@@ -141,8 +136,15 @@ class VAElem(LinComb):
         return f"VAElem({entries or '0'})"
 
 
+def _check_lattice(lattice, x):
+    """ValueError unless x lies on lattice, which the operators below act by."""
+    if lattice is not x.lattice and lattice != x.lattice:
+        raise ValueError(f"operator on {lattice!r} applied to an element of {x.lattice!r}")
+
+
 def create(lattice, v, k, x):
     """Left multiplication by v_{-k}, extended over the lattice basis."""
+    _check_lattice(lattice, x)
     if integer(k) < 1:
         raise ValueError("creation mode must be >= 1")
     created = [((i, k), vi) for i, vi in enumerate(lattice.vector(v)) if vi]
@@ -154,6 +156,7 @@ def create(lattice, v, k, x):
 def annihilate_mode(lattice, v, k, x):
     """The mode v_{(k)} for k >= 0: zero mode is diagonal, positive modes
     contract against matching creation factors via [v_(k), w_(-l)] = k d_{kl} B(v,w)."""
+    _check_lattice(lattice, x)
     if integer(k) < 0:
         raise ValueError("annihilation mode must be >= 0")
     row = _rows(lattice, lattice.vector(v))[0]
@@ -187,6 +190,7 @@ def virasoro(lattice, n, x):
     k (n - k) B(e_i, e_j).  On e^alpha, L_{-1} creates alpha_{-1}, L_0 is
     B(alpha, alpha)/2 and L_{n>0} vanishes.
     """
+    _check_lattice(lattice, x)
     if integer(n) < -1:
         raise ValueError("only L_n with n >= -1 is defined")
     B = lattice.B
@@ -225,6 +229,7 @@ def field_mode(lattice, alpha, n, x):
     its power p once by the integer series p! S_p, lifted by P!/p! to the common
     denominator d P! (d that of x, P the largest p); each output code is decoded once.
     """
+    _check_lattice(lattice, x)
     alpha, n = lattice.vector(alpha), integer(n)
     B_row, b_row = _rows(lattice, alpha)
     by_beta, degree = {}, 0  # beta -> [(fock, int coefficient over d)]; the Fock degree

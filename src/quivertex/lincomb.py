@@ -13,9 +13,10 @@ Fractions cross into this int core at one boundary: the public constructor
 (``coerce``, ``add_to``, ``integral``), ``_wrap`` for a parser's dict of
 Fractions, and ``rational`` for a table of int numerators read out.  A
 subclass supplies ``_check_key`` (key validation for the public constructor,
-whose integer fields take only ints, through ``integer``); an algebra also
-defines ``__mul__`` through ``_product`` with the product of two basis keys,
-and its empty key ``()`` is the unit, so the constant c is ``{(): c}``.  An operator that acts one key at a time is
+whose integer fields take only ints, through ``integer``).  An ``Algebra``
+(SymFunc, DescendentPoly) also supplies ``_merge``, the product of two basis
+keys, and inherits ``zero``, ``one`` and ``*``; its empty key ``()`` is the
+unit, so the constant c is ``{(): c}``.  An operator that acts one key at a time is
 ``_map`` with the int image of a single key; with ``like`` it also reads one
 element type as another, so the image must emit that type's canonical keys.
 """
@@ -182,3 +183,24 @@ class LinComb:
 
     def __bool__(self):
         return bool(self.nums)
+
+
+class Algebra(LinComb):
+    """A LinComb whose basis keys multiply to one key, ``_merge(k1, k2)``, with unit ``()``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls):
+        return cls._ints({})
+
+    @classmethod
+    def one(cls):
+        return cls._ints({(): 1})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return self._product(other, self._merge)
+
+    __rmul__ = __mul__

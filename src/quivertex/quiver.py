@@ -3,8 +3,12 @@
 A plain quiver is the degree-0 special case; a quasi-smooth dg quiver has
 arrow degrees in {0, -1}.  Relations are never modeled as path-algebra
 elements: only the count and endpoints of the degree -1 arrows enter any
-computation here, since that is all the Euler form consumes.
+computation here, since that is all the Euler form consumes.  Acyclicity, over
+arrows of every degree, is checked by the stdlib ``graphlib``, whose order, ties
+broken by the listings of vertices and arrows, is ``DgQuiver.topological_order``.
 """
+
+from graphlib import CycleError, TopologicalSorter
 
 from .lincomb import integer
 
@@ -43,23 +47,13 @@ class DgQuiver:
                 raise QuiverError("dangling_endpoint", f"arrow {s}->{t} leaves the vertex set")
             if d > 0:
                 raise QuiverError("positive_degree", f"arrow {s}->{t} has degree {d} > 0")
-        # Kahn's algorithm on the full arrow set (all degrees).
-        indeg = {v: 0 for v in self.vertices}
+        sorter = TopologicalSorter(dict.fromkeys(self.vertices, ()))
         for s, t, _ in self.arrows:
-            indeg[t] += 1
-        queue = [v for v in self.vertices if indeg[v] == 0]
-        order = []
-        while queue:
-            v = queue.pop()
-            order.append(v)
-            for s, t, _ in self.arrows:
-                if s == v:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        queue.append(t)
-        if len(order) != len(self.vertices):
-            raise QuiverError("cycle", "quiver has an oriented cycle")
-        self.topological_order = tuple(order)
+            sorter.add(t, s)
+        try:
+            self.topological_order = tuple(sorter.static_order())
+        except CycleError:
+            raise QuiverError("cycle", "quiver has an oriented cycle") from None
 
     def vertex_index(self, v):
         try:

@@ -15,8 +15,7 @@ from .symfunc import SymFunc
 
 
 def rational_to_text(c):
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    return str(Fraction(c))
 
 
 def rational_from_text(s):
@@ -101,8 +100,6 @@ def symfunc_from_text(s):
     s = s.strip()
     if not s:
         raise ValueError("empty symmetric-function expression")
-    if s == "0":
-        return SymFunc.zero()
     pieces = _TERM_SPLIT.split(s)
     # pieces = [first, sign, term, sign, term, ...]; an empty first means a leading sign
     out = {}

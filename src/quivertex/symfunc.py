@@ -15,26 +15,19 @@ from itertools import accumulate
 from math import gcd
 
 from . import partitions as pt
-from .lincomb import LinComb, integer, rational
+from .lincomb import Algebra, integer, rational
 
 
-class SymFunc(LinComb):
+class SymFunc(Algebra):
     """Sparse rational linear combination of power-sum monomials p_la."""
 
     __slots__ = ()
+    _merge = staticmethod(pt.merge)
 
     def _check_key(self, la):
         return pt.check_partition(la)
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero():
-        return SymFunc()
-
-    @staticmethod
-    def one():
-        return SymFunc({(): Fraction(1)})
 
     @staticmethod
     def p(n):
@@ -47,13 +40,6 @@ class SymFunc(LinComb):
     def p_monomial(la):
         """p_la = prod_i p_{la_i}."""
         return SymFunc({pt.check_partition(la): Fraction(1)})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return self._product(other, pt.merge)
-
-    __rmul__ = __mul__
 
     # -- structure queries -------------------------------------------------
 

@@ -121,3 +121,17 @@ def test_framed_class_check_names_the_mode_that_a_scaled_term_breaks(monkeypatch
     report = ck.check_framed_class_is_primary()
     assert not report["ok"]
     assert re.fullmatch(r"Gr\(2,4\) L_[1-9]\d*: residual .+", report["detail"]), report["detail"]
+
+
+def test_geometricity_grid_names_the_smallest_schur_coefficient(monkeypatch):
+    r_n = gc.r_n_symfunc
+    # p_1^2 = s_2 + s_11 leaves the ideal wherever the box holds (2) or (1, 1)
+    outside = SymFunc.p_monomial((1, 1)).scale(3)
+    monkeypatch.setattr(gc, "r_n_symfunc", lambda n, f: r_n(n, f) + outside)
+    report = ck.check_geometricity_grid()
+    assert not report["ok"]
+    assert report["detail"] == "k=1 N=3 n=1 e2: residual 3 * (2,)"
+    # in the box (2, 2) the coefficients come in partitions_of order, (2) before (1, 1)
+    residual = dict(gc.geometricity_check(2, 4, 1, 4))["e3"]
+    assert list(residual.items()) == [((2,), 3), ((1, 1), 3)]
+    assert ck._verdict("g", [("e3", residual)])["detail"] == "e3: residual 3 * (1, 1)"

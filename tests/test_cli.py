@@ -178,12 +178,18 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_input_error_exit_code(capsys):
+def test_input_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "gr-class", "3", "2")
     assert code == 2
     assert err.startswith("error:")
     code, _, err = run(capsys, "euler", "/nonexistent.json", "1", "1")
     assert code == 2
+    path = tmp_path / "degree_minus_two.json"
+    arrows = [{"src": "1", "tgt": "2", "deg": -2}]
+    path.write_text(json.dumps({"vertices": ["1", "2"], "arrows": arrows}))
+    for argv in (("euler", str(path), "1,x", "1,0"), ("virasoro-bracket", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error"), argv
 
 
 def test_quiver_error_carries_machine_code(tmp_path, capsys):

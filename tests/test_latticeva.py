@@ -260,3 +260,30 @@ def test_creation_series_needs_no_deep_stack():
     finally:
         sys.setrecursionlimit(limit)
     assert len(series) == len(pt.partitions_of(40))
+
+
+@pytest.mark.parametrize(
+    "apply",
+    (
+        lambda lat, x: lv.create(lat, (1,) * lat.rank, 1, x),
+        lambda lat, x: lv.annihilate_mode(lat, (1,) * lat.rank, 0, x),
+        lambda lat, x: lv.virasoro(lat, 0, x),
+        lambda lat, x: lv.translate(lat, x),
+        lambda lat, x: lv.primary_check(lat, x, 1),
+        lambda lat, x: lv.field_mode(lat, (1,) * lat.rank, 0, x),
+    ),
+    ids=("create", "annihilate_mode", "virasoro", "translate", "primary_check", "field_mode"),
+)
+def test_operators_refuse_an_element_of_another_lattice(apply):
+    # L_0 x is 3 x on BOX and 4 x on (Z, 4); a mixed call returned 4 x as an element of BOX
+    x = lv.create(BOX, (1,), 2, VAElem.group_element(BOX, (1,)))
+    for other in (Lattice(B=[[4]], b=[[2]]), DEGEN):
+        with pytest.raises(ValueError) as e:
+            apply(other, x)
+        assert str(e.value) == f"operator on {other!r} applied to an element of {BOX!r}"
+    assert apply(Lattice(B=[[2]], b=[[1]]), x) == apply(BOX, x)  # an equal lattice is the same
+
+
+def test_lattices_with_one_form_and_two_sign_data_read_apart():
+    B = [[0, 1], [1, 0]]
+    assert repr(Lattice(B, [[0, 1], [0, 0]])) != repr(Lattice(B, [[0, 0], [1, 0]]))
