@@ -303,7 +303,7 @@ def check_lattice_virasoro_bracket(max_fock=5):
     def cases():
         rng = random.Random(151)
         degenerate = lv.Lattice(B=[[2, 2], [2, 2]], b=[[1, 2], [0, 1]])
-        for lat in (lv.grassmannian_lattice(), degenerate):
+        for lat in (gc.framed_lattice(qv.builtin("linear(1)"), (1,)), degenerate):
             elems = [_random_vaelem(lat, rng, max_fock) for _ in range(3)]
             for n, m, x in product(range(-1, 4), range(-1, 4), elems):
                 yield f"n={n} m={m}", bracket_residual(partial(lv.virasoro, lat), n, m, x, sign=-1)
@@ -314,7 +314,7 @@ def check_lattice_virasoro_bracket(max_fock=5):
 def check_field_translation_covariance():
     def cases():
         rng = random.Random(157)
-        lat = lv.grassmannian_lattice()
+        lat = gc.framed_lattice(qv.builtin("linear(1)"), (1,))
         alpha = (0, 1)
         for _ in range(4):
             x = _random_vaelem(lat, rng, max_fock=3)
@@ -349,7 +349,7 @@ def check_lattice_annihilation_dictionary(max_deg=6):
 def check_vacuum_field_identity():
     def cases():
         rng = random.Random(163)
-        lat = lv.grassmannian_lattice()
+        lat = gc.framed_lattice(qv.builtin("linear(1)"), (1,))
         for _ in range(4):
             x = _random_vaelem(lat, rng, 4)
             for n in range(-3, 3):

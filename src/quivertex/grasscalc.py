@@ -11,7 +11,6 @@ Everything is exact over Q.
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from math import factorial, gcd, prod
 
 from . import latticeva as lv
@@ -155,58 +154,29 @@ def framed_class(quiver, f, d):
 # -- Virasoro operators on the Grassmannian state space -----------------------
 
 
-def _lowered(la):
-    """(q, m, rest) with p_{-q} p_la = m p_rest, for each distinct part q of la."""
-    out, i = [], 0
-    for q, group in groupby(la):  # i is the first index of part q
-        r = len(tuple(group))
-        out.append((q, r * q, la[:i] + la[i + 1 :]))
-        i += r
-    return out
-
-
 def _lowering_part(n, linear_coeff, f, quad_coeff=1):
     """sum_j p_j p_{-n-j} + quad_coeff sum_{a+b=n} p_{-a} p_{-b} + linear_coeff p_{-n},
-    n >= 1, summed in int over d_f times the common denominator of the two coefficients."""
+    n >= 1, the symfunc._heisenberg table over the parts of f, summed in int over d_f
+    times the common denominator of the two coefficients."""
     d_c, ((_, linear), (_, quad)) = integral({0: Fraction(linear_coeff), 1: Fraction(quad_coeff)})
-
-    def image(la):
-        lowered = _lowered(la)
-        mult = {q: m for q, m, _ in lowered}  # q times the multiplicity of q in la
-        out = []
-        for q, m, rest in lowered:
-            p = n - q
-            if p < 0:
-                out.append((pt.merge(rest, (-p,)), m * d_c))
-            elif p == 0:
-                out.append((rest, m * linear))
-            elif m2 := mult.get(p, 0) - (q if p == q else 0):  # p times its multiplicity in rest
-                i = rest.index(p)
-                out.append((rest[:i] + rest[i + 1 :], m * m2 * quad))
-        return out
-
-    return f._map(image, d_c)
+    parts = set().union(*f.nums)
+    ops = [((q,), (q - n,), d_c) for q in parts if q > n]
+    ops.append(((n,), (), linear))
+    # the ordered pairs (a, b) and (b, a) are one row (a, b), a > b, of weight 2
+    ops += [((a, n - a), (), quad * (1 if 2 * a == n else 2)) for a in parts if n <= 2 * a < 2 * n]
+    return sf._heisenberg(f, ops, d_c)
 
 
 def _raising_part(n, linear_coeff, f):
-    """sum_j p_{n+j} p_{-j} + sum_{a+b=n} p_a p_b + linear_coeff p_n, n >= 1,
-    summed in int over d_f times the denominator of linear_coeff."""
+    """sum_j p_{n+j} p_{-j} + sum_{a+b=n} p_a p_b + linear_coeff p_n, n >= 1, the
+    symfunc._heisenberg table over the parts of f, summed in int over d_f times the
+    denominator of linear_coeff."""
     linear = Fraction(linear_coeff)
     d_c = linear.denominator
-
-    def image(la):
-        out = [(mu, d_c * m) for mu, m in _r_n_image(n, la)]
-        out += [(pt.merge(la, (a, n - a)), d_c) for a in range(1, n)]
-        out.append((pt.merge(la, (n,)), linear.numerator))
-        return out
-
-    return f._map(image, d_c)
-
-
-def _r_n_image(n, la):
-    """[(mu, x)] with R_n p_la = sum x p_mu: one distinct part j of la raised to j + n,
-    weighted by j times its multiplicity; distinct parts reach distinct mu."""
-    return [(pt.merge(rest, (j + n,)), m) for j, m, rest in _lowered(la)]
+    ops = [((j,), (j + n,), d_c) for j in set().union(*f.nums)]
+    ops += [((), pt.merge((a,), (n - a,)), d_c) for a in range(1, n)]
+    ops.append(((), (n,), linear.numerator))
+    return sf._heisenberg(f, ops, d_c)
 
 
 def _l0(k, N, f):
@@ -329,24 +299,20 @@ def integrals_by_recursion(k, N, normalization):
 
 
 def calogero_sutherland(f):
-    """The cubic operator (1/2)(sum p_a p_b p_{-a-b} + p_{a+b} p_{-a} p_{-b})."""
-
-    def image(la):
-        out = []
-        for q, m, rest in _lowered(la):
-            out += [(pt.merge(rest, (a, q - a)), m) for a in range(1, q)]
-            out += [(pt.merge(rest2, (q + a,)), m * m2) for a, m2, rest2 in _lowered(rest)]
-        return out
-
-    return f._map(image, 2)
+    """The cubic operator (1/2)(sum p_a p_b p_{-a-b} + p_{a+b} p_{-a} p_{-b}), the
+    symfunc._heisenberg table over the parts of f; a pair a != b counts twice."""
+    parts = set().union(*f.nums)
+    ops = [((q,), (a, q - a), 1 if 2 * a == q else 2) for q in parts for a in range(-(-q // 2), q)]
+    ops += [((a, b), (a + b,), 1 if a == b else 2) for a in parts for b in parts if b <= a]
+    return sf._heisenberg(f, ops, 2)
 
 
 def r_n_symfunc(n, f):
     """The derivation with R_n(p_j) = j p_{j+n} (descendent R_n read through
-    the dictionary p_j = j! ch_j), for n >= 1."""
+    the dictionary p_j = j! ch_j), for n >= 1: the symfunc._heisenberg rows p_{j+n} p_{-j}."""
     if integer(n) < 1:
         raise ValueError("needs n >= 1")
-    return f._map(lambda la: _r_n_image(n, la))
+    return sf._heisenberg(f, [((j,), (j + n,), 1) for j in set().union(*f.nums)])
 
 
 def geometricity_check(k, N, n, deg_max):

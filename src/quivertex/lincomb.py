@@ -163,12 +163,6 @@ class LinComb:
                 out[k] = get(k, 0) + c * x
         return (self if like is None else like)._like_ints(out, self.den * den)
 
-    def _product(self, other, key):
-        """The bilinear product in which basis keys k1, k2 multiply to key(k1, k2)."""
-        out = {}
-        _product_into(out, 1, self.nums.items(), other.nums.items(), key)
-        return self._like_ints(out, self.den * other.den)
-
     def __eq__(self, other):
         if type(other) is type(self):
             return self.den == other.den and self.nums == other.nums
@@ -201,6 +195,8 @@ class Algebra(LinComb):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        return self._product(other, self._merge)
+        out = {}
+        _product_into(out, 1, self.nums.items(), other.nums.items(), self._merge)
+        return self._like_ints(out, self.den * other.den)
 
     __rmul__ = __mul__

@@ -5,7 +5,9 @@ from partitions la to the rational coefficient of p_la.  The Hall pairing
 is diagonal in this basis, and all Virasoro / Hecke / vertex operators
 used elsewhere are simple there, which is why p is the canonical basis
 and e, h, m, s and Jack polynomials are conversions; s_la is a chain of
-Hecke vertex operators on the int codes of ``partitions``.
+Hecke vertex operators on the int codes of ``partitions``, and an operator
+normal-ordered in the p_n and p_{-n} = n d/dp_n is a table of rows of one
+kernel, ``_heisenberg``.
 """
 
 import operator
@@ -169,10 +171,10 @@ def hall(f, g):
 
 
 def annihilate(n, f):
-    """p_{-n} = n * d/dp_n, the Hall adjoint of multiplication by p_n."""
+    """p_{-n} = n * d/dp_n, the Hall adjoint of multiplication by p_n: one _heisenberg row."""
     if integer(n) < 1:
         raise ValueError("annihilation index must be >= 1")
-    return f._map(lambda la: [(pt.remove_one(la, n), n * la.count(n))] if n in la else ())
+    return _heisenberg(f, [((n,), (), 1)])
 
 
 def involution(f):
@@ -181,24 +183,40 @@ def involution(f):
 
 
 def skew_by(g, f):
-    """g^perp(f), the Hall adjoint of multiplication by g: p_la^perp p_mu is p_{mu - la}
-    times prod_q q^s m!/(m-s)!, s and m the multiplicities of q in la and mu, or 0."""
-    g_terms = g.nums.items()
+    """g^perp(f), the Hall adjoint of multiplication by g: the _heisenberg rows (la, (), n)
+    of the terms n p_la of g, over the denominator of g."""
+    return _heisenberg(f, [(la, (), n) for la, n in g.nums.items()], g.den)
+
+
+def _heisenberg(f, ops, den=1):
+    """sum c p_cre p_ann^perp (f) / den over the int rows (ann, cre, c) of ops, ann and cre
+    partitions: p_ann^perp p_mu is p_{mu - ann} times prod_q q^s m!/(m-s)!, s and m the
+    multiplicities of q in ann and mu, or 0 when ann does not fit in mu.  The rows are
+    grouped by the largest part of ann, 0 for ann = (), and a term p_mu reads only the
+    groups of 0 and of the parts of mu; so every normal-ordered operator in the p_n and
+    p_{-n} is its table of rows, built from the distinct parts of f."""
+    groups = {}
+    for ann, cre, c in ops:
+        groups.setdefault(ann[0] if ann else 0, []).append((ann, cre, c))
 
     def image(mu):
         out = []
-        for la, w in g_terms:
-            rest = list(mu)
-            for q in la:
-                if q not in rest:
-                    break
-                w *= q * rest.count(q)
-                rest.remove(q)
-            else:
-                out.append((tuple(rest), w))
+        for top, rows in groups.items():
+            if top and top not in mu:
+                continue
+            for ann, cre, w in rows:
+                rest = mu
+                for q in ann:
+                    m = rest.count(q)
+                    if not m:
+                        break
+                    w *= q * m
+                    rest = pt.remove_one(rest, q)
+                else:
+                    out.append((pt.merge(rest, cre) if cre else rest, w))
         return out
 
-    return f._map(image, g.den)
+    return f._map(image, den)
 
 
 def schur_expand(f):

@@ -5,9 +5,10 @@ Schur functions, Hecke modes, lattice field modes, the rows of the
 p-to-m transition and the monomial basis, the Virasoro recursion, the
 descendent Virasoro operators and every operator that acts one key at a
 time through ``LinComb._map`` (p_{-n} and skewing, the Grassmannian L_n, R_n
-and Calogero-Sutherland operators, the lattice creation, annihilation and
-Virasoro modes, the ch_0 substitution, and the readers ``to_symfunc`` and
-``gr_class_wallcross`` between element types)
+and Calogero-Sutherland operators, each a table of rows of the one kernel
+``symfunc._heisenberg``, which is held to a product after a skew; the lattice
+creation, annihilation and Virasoro modes, the ch_0 substitution, and the
+readers ``to_symfunc`` and ``gr_class_wallcross`` between element types)
 put their input over one denominator (``lincomb.integral``), sum in int and
 build one Fraction per output key (``lincomb.rational``).  The reference
 implementations below are the earlier forms of the same kernels, which add
@@ -968,6 +969,49 @@ def test_symfunc_operators_that_cancel_store_no_key():
     assert sf.skew_by(g, f).terms == {(1,): -c / (2 * 7919)} == ref_skew_by(g, f).terms
     assert not gc.gr_virasoro(0, gc.GrElem(4, 2, SymFunc({(2, 2): c}))).f.terms  # 4 + 2(2-4) = 0
     assert not sf.skew_by(SymFunc(), f).terms and not sf.skew_by(f, SymFunc()).terms
+
+
+def ref_heisenberg(f, ops, den):
+    """sum c p_cre p_ann^perp (f) / den, as a product after a skew, one Fraction per term."""
+    out = {}
+    for ann, cre, c in ops:
+        skewed = ref_skew_by(SymFunc.p_monomial(ann), f)
+        add_all(out, ref_product(SymFunc.p_monomial(cre), skewed, pt.merge).terms, Fraction(c, den))
+    return SymFunc._wrap(out)
+
+
+def _random_partition(rng, parts, most):
+    return tuple(sorted(rng.choices(parts, k=rng.randint(1, most)), reverse=True))
+
+
+def test_heisenberg_kernel_matches_fraction_accumulation():
+    rng = random.Random(367)
+    nonzero = 0
+    for _ in range(200):
+        f = _symfunc(rng, 8)
+        parts = sorted(set().union(*f.nums) | {rng.randint(1, 6)})  # one part perhaps not in f
+        ops = [((), _random_partition(rng, parts, 2), rng.randint(-3, 3))]  # the identity part
+        for _ in range(rng.randint(1, 4)):
+            ann = _random_partition(rng, parts, 3)
+            ops.append((ann, _random_partition(rng, range(1, 7), 3), rng.choice([-7, -1, 2, 7919])))
+            if rng.random() < 0.5:  # a repeated ann key
+                ops.append((ann, (), rng.randint(-3, 3)))
+        ops.append(((parts[-1],) * 2, (1, 1), 1))  # a multi-part ann and a multi-part cre
+        den = rng.choice(DENOMINATORS)
+        got = sf._heisenberg(f, ops, den)
+        assert got == ref_heisenberg(f, ops, den), (f, ops, den)
+        _assert_clean(got)
+        nonzero += bool(got)
+    assert nonzero >= 150, nonzero
+
+
+def test_calogero_sutherland_of_a_sparse_input():
+    # on p_q only sum p_a p_b p_{-a-b} acts: (q/2) sum_{a=1}^{q-1} p_a p_{q-a}
+    q, terms = 2000, {}
+    for a in range(1, q):
+        key = pt.merge((a,), (q - a,))
+        terms[key] = terms.get(key, 0) + Fraction(q, 2)
+    assert gc.calogero_sutherland(SymFunc.p(q)) == SymFunc(terms)
 
 
 def test_lattice_operators_match_fraction_accumulation():

@@ -21,7 +21,11 @@ them step after step for ``symfunc.schur``, the Hecke modes
 (``grasscalc._translated_mode``) and the wall-crossing chain
 (``grasscalc.framed_class``), which call nothing else of them.
 ``lincomb._product_into`` is the one product loop, with three callers: the
-creation half, the creation series and ``LinComb._product``.
+creation half, the creation series and ``Algebra.__mul__``.  The operators that are
+normal-ordered in the p_n and p_{-n} (``symfunc.annihilate`` and ``skew_by``, the
+lowering and raising parts of ``grasscalc``, ``calogero_sutherland`` and
+``r_n_symfunc``) are each a table of rows through one int kernel,
+``symfunc._heisenberg``.
 A check's outcome has one form:
 ``checks._verdict`` alone builds the report dict, no other function outside the
 JSON writers of ``cli`` and ``serialize`` builds a dict keyed by field names, and
@@ -47,7 +51,7 @@ INTEGER_KERNELS = {
     "__neg__",
     "scale",
     "_map",
-    "_product",
+    "__mul__",
     "hall_deformed",
     "schur",
     "_translated_mode",
@@ -58,6 +62,7 @@ INTEGER_KERNELS = {
     "r_n_symfunc",
     "annihilate",
     "skew_by",
+    "_heisenberg",
     "create",
     "annihilate_mode",
     "virasoro",
@@ -252,7 +257,7 @@ def test_field_mode_products_add_codes():
 PRODUCT_LOOP_CALLERS = {
     "create_codes",
     "_creation_series",
-    "LinComb._product",
+    "Algebra.__mul__",
 }
 
 
