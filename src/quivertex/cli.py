@@ -4,13 +4,13 @@ Every subcommand maps to one library operation or check suite, prints
 deterministic text (or JSON with --json), and exits 0 on success or
 all-pass, 1 on a failed identity, 2 on malformed input.
 
-The subcommands are described once, in ``_COMMANDS``.  A call builds the
-parser of the command it names first alone, as building every subparser was
-most of the cost of a small request; help, or an argv that names no known
-command first, gets every command's parser.  Output and errors read the same.
-A result prints through ``_print``, which builds only the form asked for.  The
-check suites, ``checks``, load only with the four commands that run them:
-virasoro-bracket, gr-constraints, singular and selftest.
+The subcommands are described once, in ``_COMMANDS``: a row gives a handler, or through
+``_value`` the one value that the command prints, which ``_print`` writes as text or
+JSON, building only the form asked for.  A call builds the parser of the command it
+names first alone, as building every subparser was most of the cost of a small request;
+help, or an argv that names no known command first, gets every command's parser.  Output
+and errors read the same.  The check suites, ``checks``, load only with the four commands
+that run them: virasoro-bracket, gr-constraints, singular and selftest.
 """
 
 import argparse
@@ -90,6 +90,16 @@ def _print(args, value):
     print(json.dumps(to_json(value), indent=2) if args.json else text(value))
 
 
+def _value(compute):
+    """The handler of a command that prints the value compute(args) and exits 0."""
+
+    def handler(args):
+        _print(args, compute(args))
+        return 0
+
+    return handler
+
+
 def _coeff_map_text(pairs, symbol):
     return sz.signed_sum_text(
         pairs, lambda la: f"{symbol}({','.join(str(x) for x in la)})" if la else ""
@@ -127,22 +137,10 @@ def cmd_schur(args):
     return 0
 
 
-def cmd_hall(args):
-    _print(args, sf.hall(args.f, args.g))
-    return 0
-
-
-def cmd_jack(args):
-    _print(args, sf.jack(args.partition, args.alpha))
-    return 0
-
-
-def cmd_euler(args):
+def _euler(args):
     quiver = _load_quiver(args.quiver)
-    d1 = _dimvector_arg(quiver, args.d1)
-    d2 = _dimvector_arg(quiver, args.d2)
-    _print(args, qv.euler_sym(quiver, d1, d2) if args.sym else qv.euler_form(quiver, d1, d2))
-    return 0
+    d1, d2 = (_dimvector_arg(quiver, s) for s in (args.d1, args.d2))
+    return qv.euler_sym(quiver, d1, d2) if args.sym else qv.euler_form(quiver, d1, d2)
 
 
 def cmd_virasoro_bracket(args):
@@ -167,17 +165,6 @@ def cmd_virasoro_bracket(args):
     return _emit_reports(args, reports)
 
 
-def cmd_gr_class(args):
-    via = gc.gr_class_wallcross if args.via == "wallcross" else gc.gr_class_schur
-    _print(args, via(args.k, args.N))
-    return 0
-
-
-def cmd_gr_integral(args):
-    _print(args, gc.gr_integral(args.k, args.N, args.f))
-    return 0
-
-
 def cmd_gr_constraints(args):
     from . import checks as ck
     if args.max_n < 0:
@@ -188,24 +175,9 @@ def cmd_gr_constraints(args):
 
 
 def cmd_gr_recursion(args):
-    table = gc.integrals_by_recursion(args.k, args.N, args.norm)
-    pairs = _sorted_coeff_map(table)
-    lines = [
-        f"p[{','.join(str(x) for x in la)}] = {sz.rational_to_text(c)}" for la, c in pairs
-    ]
-    payload = [[list(la), sz.rational_to_json(c)] for la, c in pairs]
-    _emit(args, "\n".join(lines) if lines else "(empty)", payload)
-    return 0
-
-
-def cmd_hecke(args):
-    op = gc.hecke_sym if args.sym else gc.hecke
-    _print(args, op(args.n, args.f))
-    return 0
-
-
-def cmd_cs(args):
-    _print(args, gc.calogero_sutherland(args.f))
+    pairs = _sorted_coeff_map(gc.integrals_by_recursion(args.k, args.N, args.norm))
+    text = "\n".join(f"p[{','.join(map(str, la))}] = {sz.rational_to_text(c)}" for la, c in pairs)
+    _emit(args, text, [[list(la), sz.rational_to_json(c)] for la, c in pairs])
     return 0
 
 
@@ -237,13 +209,14 @@ _COMMANDS = (
     ("schur", "Schur polynomial of a partition", cmd_schur, (
         ("partition", dict(type=_PARTITION, help="e.g. 2,2 (use - for empty)")),
         ("--basis", dict(choices=("p", "m", "schur"), default="p")))),
-    ("hall", "Hall pairing of two symmetric functions", cmd_hall, (
+    ("hall", "Hall pairing of two symmetric functions", _value(lambda a: sf.hall(a.f, a.g)), (
         ("f", dict(type=_SYMFUNC)),
         ("g", dict(type=_SYMFUNC)))),
-    ("jack", "monic Jack polynomial P_la(alpha); fails only at a pole of P_la", cmd_jack, (
+    ("jack", "monic Jack polynomial P_la(alpha); fails only at a pole of P_la",
+     _value(lambda a: sf.jack(a.partition, a.alpha)), (
         ("partition", dict(type=_PARTITION)),
         ("alpha", dict(type=_RATIONAL)))),
-    ("euler", "Euler form of a quiver on two dimension vectors", cmd_euler, (
+    ("euler", "Euler form of a quiver on two dimension vectors", _value(_euler), (
         ("quiver", dict(help="path to a quiver JSON file")),
         ("d1", dict(help="comma-separated integers in vertex order")),
         ("d2", dict()),
@@ -252,10 +225,12 @@ _COMMANDS = (
         ("quiver", dict()),
         ("--max-n", dict(type=int, default=3)),
         ("--max-deg", dict(type=int, default=6)))),
-    ("gr-class", "class of Gr(k,N) in the state space", cmd_gr_class, (
+    ("gr-class", "class of Gr(k,N) in the state space", _value(lambda a: (
+        gc.gr_class_wallcross if a.via == "wallcross" else gc.gr_class_schur)(a.k, a.N)), (
         *_K_N,
         ("--via", dict(choices=("schur", "wallcross"), default="schur")))),
-    ("gr-integral", "descendent integral over Gr(k,N)", cmd_gr_integral, (
+    ("gr-integral", "descendent integral over Gr(k,N)",
+     _value(lambda a: gc.gr_integral(a.k, a.N, a.f)), (
         *_K_N,
         ("f", dict(type=_SYMFUNC)))),
     ("gr-constraints", "Virasoro constraints on s_{(N-k)^k}", cmd_gr_constraints, (
@@ -264,11 +239,12 @@ _COMMANDS = (
     ("gr-recursion", "all degree-d integrals from the Virasoro recursion", cmd_gr_recursion, (
         *_K_N,
         ("--norm", dict(type=_RATIONAL, required=True, help="value of <p_1^d, f>")))),
-    ("hecke", "apply a Hecke operator", cmd_hecke, (
+    ("hecke", "apply a Hecke operator",
+     _value(lambda a: (gc.hecke_sym if a.sym else gc.hecke)(a.n, a.f)), (
         ("n", dict(type=int)),
         ("f", dict(type=_SYMFUNC)),
         ("--sym", dict(action="store_true", help="symmetrized variant")))),
-    ("cs", "apply the Calogero-Sutherland operator", cmd_cs, (
+    ("cs", "apply the Calogero-Sutherland operator", _value(lambda a: gc.calogero_sutherland(a.f)), (
         ("f", dict(type=_SYMFUNC)),)),
     ("singular", "Jack singular-vector check for a Fock module", cmd_singular, (
         ("r", dict(type=int)),

@@ -165,6 +165,52 @@ def test_cs_command(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+GR24_CLASS = [[[1, 12], [1, 1, 1, 1]], [[1, 4], [2, 2]], [[-1, 3], [3, 1]]]
+# each value command's argv: its text and JSON payload at exit 0, or the one stderr
+# line with which it exits 2; "@dg" names a quiver with a degree -1 arrow
+VALUE_GOLDENS = {
+    ("hall", "p1^2 + p2", "1/2*p1^2 - p2"): ("-1", [-1, 1]),
+    ("jack", "2,1", "1/2"): (
+        "2/5*p1^3 - 1/5*p1*p2 - 1/5*p3",
+        [[[2, 5], [1, 1, 1]], [[-1, 5], [2, 1]], [[-1, 5], [3]]],
+    ),
+    ("jack", "2", "-1"): "error: P_(2,) has a pole at alpha=-1 (coefficient of m_(1, 1))",
+    ("euler", "@dg", "2,1", "1,3"): ("-1", -1),
+    ("euler", "@dg", "2,1", "1,3", "--sym"): ("3", 3),
+    **{
+        ("gr-class", "2", "4", *via): (
+            "Q^4 q^2 (x) 1/12*p1^4 + 1/4*p2^2 - 1/3*p1*p3",
+            {"N": 4, "k": 2, "f": GR24_CLASS},
+        )
+        for via in ((), ("--via", "schur"), ("--via", "wallcross"))
+    },
+    ("gr-integral", "2", "4", "p1^4 - 2*p1*p3"): ("4", [4, 1]),
+    ("hecke", "2", "p1"): ("1/3*p1^3 - 1/3*p3", [[[1, 3], [1, 1, 1]], [[-1, 3], [3]]]),
+    ("hecke", "2", "p2", "--sym"): (
+        "-1/12*p1^4 + 1/4*p2^2 - 2/3*p1*p3 - 1/2*p4",
+        [[[-1, 12], [1, 1, 1, 1]], [[1, 4], [2, 2]], [[-2, 3], [3, 1]], [[-1, 2], [4]]],
+    ),
+    ("cs", "p1^2"): ("p2", [[[1, 1], [2]]]),
+    ("gr-recursion", "0", "0", "--norm", "3/2"): ("p[] = 3/2", [[[], [3, 2]]]),
+}
+
+
+@pytest.mark.parametrize("as_json", (False, True), ids=("text", "json"))
+@pytest.mark.parametrize("argv", list(VALUE_GOLDENS), ids=" ".join)
+def test_value_commands_print_their_goldens(tmp_path, capsys, argv, as_json):
+    path = tmp_path / "dg.json"
+    arrows = [{"src": "a", "tgt": "b", "deg": deg} for deg in (0, 0, -1)]
+    path.write_text(json.dumps({"vertices": ["a", "b"], "arrows": arrows}))
+    golden = VALUE_GOLDENS[argv]
+    if isinstance(golden, str):
+        expected = (2, "", golden + "\n")
+    else:
+        text, payload = golden
+        expected = (0, (json.dumps(payload, indent=2) if as_json else text) + "\n", "")
+    argv = [str(path) if token == "@dg" else token for token in argv]
+    assert run(capsys, *(["--json"] if as_json else []), *argv) == expected
+
+
 def test_singular_command(capsys):
     code, out, _ = run(capsys, "singular", "2", "1", "3")
     assert code == 0

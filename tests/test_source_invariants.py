@@ -29,7 +29,9 @@ lowering and raising parts of ``grasscalc``, ``calogero_sutherland`` and
 A check's outcome has one form:
 ``checks._verdict`` alone builds the report dict, no other function outside the
 JSON writers of ``cli`` and ``serialize`` builds a dict keyed by field names, and
-the Grassmannian and primary-state checks return residuals, never text.  Every
+the Grassmannian and primary-state checks return residuals, never text.  A command
+that prints one value is a ``_COMMANDS`` row through ``cli._value``, so ``cli._print``
+is called there and by ``cmd_schur`` alone.  Every
 public def, class, method and property of the package has a caller in ``src/``
 outside its own body and outside ``__init__.py``, or in ``perfbench/``, or is
 called by one that has, or is one of the ``ENTRY_POINTS`` that README.md names;
@@ -190,6 +192,18 @@ def test_only_verdict_and_the_json_writers_build_records():
     assert {scope for scope in builders if scope.split(".")[0] not in ("cli", "serialize")} == {
         "checks._verdict"
     }
+
+
+def test_only_the_value_adapter_and_schur_print_a_value():
+    # each reference to cli._print, by the module-level statement that holds it
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text(encoding="utf-8"))
+    holders = sorted(
+        getattr(statement, "name", "<module>")
+        for statement in tree.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and node.id == "_print"
+    )
+    assert holders == ["_value", "cmd_schur"], holders
 
 
 def test_grasscalc_imports_nothing_from_serialize():
