@@ -84,14 +84,15 @@ def _t_terms(quiver, n, framing=None):
 
 def _virasoro(out, n, terms, t):
     """out += R_n f + T f in int, for int terms [(monomial, c)] of f and t of T."""
+    get = out.get
     for mono, c in terms:
         for i, (k, v) in enumerate(mono):
             if k + n >= 0 and (rise := perm(k + n, n + 1)):  # the rising factorial
                 key = tuple(sorted(mono[:i] + mono[i + 1 :] + ((k + n, v),)))
-                out[key] = out.get(key, 0) + c * rise
+                out[key] = get(key, 0) + c * rise
         for tm, x in t:
             key = tuple(sorted(mono + tm))
-            out[key] = out.get(key, 0) + c * x
+            out[key] = get(key, 0) + c * x
 
 
 def _operator(n, f, quiver=None, framing=None):

@@ -8,7 +8,7 @@ and ``hash`` compare it directly.  ``terms`` is a ``MappingProxyType`` of the
 same coefficients as Fractions, built by ``rational`` on each read and never stored.
 Operators sum int numerators into one fresh dict and wrap it once with
 ``_ints`` (``_like_ints`` keeps the ambient data), which drops zeros and divides
-out the gcd.
+out the gcd: the dict becomes the element's ``nums``; the caller must not keep it.
 Fractions cross into this int core at one boundary: the public constructor
 (``coerce``, ``add_to``, ``integral``), ``_wrap`` for a parser's dict of
 Fractions, and ``rational`` for a table of int numerators read out.  A
@@ -100,8 +100,11 @@ class LinComb:
     @classmethod
     def _ints(cls, nums, d=1):
         """An element holding nums / d, for int numerators and d > 0: zeros are
-        dropped and the gcd of d and the numerators divided out."""
-        nums = {key: n for key, n in nums.items() if n}
+        dropped and the gcd of d and the numerators divided out.  The dict becomes
+        the element's ``nums``; the caller must not keep it.  It is rebuilt only
+        when it holds a zero or the gcd is not 1."""
+        if 0 in nums.values():
+            nums = {key: n for key, n in nums.items() if n}
         g = d
         for n in nums.values():
             if g == 1:

@@ -1,16 +1,19 @@
 """Properties of the shared linear-combination arithmetic, over all three
 element types: SymFunc, DescendentPoly and VAElem."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quivertex import descendent as dc
+from quivertex import quiver as qv
 from quivertex.descendent import DescendentPoly
-from quivertex.lincomb import rational
-from quivertex.latticeva import Lattice, VAElem, grassmannian_lattice
-from quivertex.symfunc import SymFunc
+from quivertex.latticeva import Lattice, VAElem, field_mode, grassmannian_lattice
+from quivertex.lincomb import LinComb, rational
+from quivertex.symfunc import SymFunc, schur
 
 LATTICES = (grassmannian_lattice(), Lattice(B=[[2, 2], [2, 2]], b=[[1, 2], [0, 1]]))
 
@@ -103,3 +106,69 @@ def test_rational_shares_one_fraction_per_numerator():
     assert list(got) == ["a", "c", "d", "e", "f", "g"]
     assert got["a"] is got["d"] and got["c"] is got["g"] and got["e"] is got["f"]
     assert all(type(v) is Fraction for v in got.values())
+
+
+def test_ints_adopts_the_callers_dict():
+    nums = {"a": 3, "b": -5}
+    x = LinComb._ints(nums, 2)
+    assert x.nums is nums and x.den == 2
+    # a zero is dropped and the gcd of d and the numerators divided out
+    y = LinComb._ints({"a": 6, "b": 0, "c": -4}, 10)
+    assert (y.nums, y.den) == ({"a": 3, "c": -2}, 5)
+    z = LinComb._ints({"a": 0}, 7)
+    assert (z.nums, z.den) == ({}, 1)
+
+
+def _snapshot(*elements):
+    return [(x.den, dict(x.nums)) for x in elements]
+
+
+LINEAR2 = qv.builtin("linear(2)")
+F, G = SymFunc({(2, 1): Fraction(1, 3), (1,): 2}), SymFunc({(2, 1): Fraction(2, 3), (3,): 1})
+P = DescendentPoly({((1, "1"), (2, "2")): Fraction(1, 2), ((0, "1"),): 3})
+Q = DescendentPoly({((1, "1"),): Fraction(-1, 4), ((0, "2"), (2, "2")): 1})
+U = VAElem(LATTICES[1], {((1, 0), ((0, 1),)): Fraction(1, 3), ((0, 1), ()): 2})
+V = VAElem(LATTICES[1], {((1, 0), ((0, 1),)): Fraction(2, 3), ((1, 1), ((1, 2),)): 1})
+ONE_VERTEX = DescendentPoly({((0, "1"), (2, "1")): Fraction(1, 2), ((1, "1"),): 1})
+S321 = schur((3, 2, 1))  # the cached value, an operand of what is built from it
+
+# (id, function, operands): the result is function(*operands)
+OWNED = [
+    *(
+        case
+        for name, x, y in (("symfunc", F, G), ("descendent", P, Q), ("vaelem", U, V))
+        for case in (
+            (f"{name} +", operator.add, (x, y)),
+            (f"{name} -", operator.sub, (x, y)),
+            (f"{name} + 0", lambda x: x + x.scale(0), (x,)),
+            (f"{name} unary -", operator.neg, (x,)),
+            (f"{name} scale(1)", lambda x: x.scale(1), (x,)),
+        )
+    ),
+    ("symfunc * one", lambda x: x * SymFunc.one(), (F,)),
+    ("descendent * one", lambda x: x * DescendentPoly.one(), (P,)),
+    ("to_symfunc", lambda x: dc.to_symfunc(x, Fraction(3, 2)), (ONE_VERTEX,)),
+    ("substitute_ch0", lambda x: x.substitute_ch0({"1": 2, "2": 3}), (P,)),
+    ("t_element", lambda: dc.t_element(LINEAR2, 2), ()),
+    ("framed_t_element", lambda: dc.framed_t_element(LINEAR2, (1, 2), 2), ()),
+    ("l_op", lambda x: dc.l_op(LINEAR2, 1, x), (P,)),
+    ("field_mode", lambda x: field_mode(LATTICES[1], (0, 1), 0, x), (U,)),
+    ("cached schur scale(1)", lambda x: x.scale(1), (S321,)),
+    ("schur kernel", lambda _: schur.__wrapped__((3, 2, 1)), (S321,)),
+]
+
+
+@pytest.mark.parametrize(
+    "function, operands", [case[1:] for case in OWNED], ids=[case[0] for case in OWNED]
+)
+def test_results_own_their_numerators(function, operands):
+    # writing into a result's nums changes no operand, no later call and no cached value
+    before = _snapshot(*operands)
+    result = function(*operands)
+    expected = _snapshot(result)
+    for key in list(result.nums):
+        result.nums[key] += 1
+    result.nums[object()] = 1
+    assert _snapshot(*operands) == before
+    assert _snapshot(function(*operands)) == expected
+    assert _snapshot(schur((3, 2, 1))) == _snapshot(schur.__wrapped__((3, 2, 1)))

@@ -2,6 +2,8 @@
 
 Operators sum into one dict (``quivertex.lincomb``), so no line may rebuild
 an element by adding to itself, which copies the partial sum on every term;
+``_ints`` adopts that dict as the element's numerators, so every caller hands
+it a dict built for the one call and read no more;
 and invariants are raised as exceptions, never asserted, since ``python -O``
 strips ``assert`` statements.  The integer kernels sum in int over one
 denominator and store int numerators, so no loop in them makes a Fraction
@@ -407,4 +409,90 @@ def test_fractions_enter_only_at_the_boundary():
                 hits.append(f"{path.name}:{node.lineno}: {_called_name(node)}")
             if isinstance(node, ast.FunctionDef) and node.name in ("add_all", "_like"):
                 hits.append(f"{path.name}:{node.lineno}: defines {node.name}")
+    assert not hits, hits
+
+
+def _fresh_dict(node):
+    """A dict display, a comprehension, a dict(...) call, or a choice between two of them."""
+    if isinstance(node, ast.IfExp):
+        return _fresh_dict(node.body) and _fresh_dict(node.orelse)
+    called = isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    return isinstance(node, (ast.Dict, ast.DictComp)) or called and node.func.id == "dict"
+
+
+def _scope_nodes(fn):
+    """The nodes of fn's own scope: nested defs and lambdas are not entered."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _fresh_bindings(target, value):
+    """The Name targets of one assignment that it binds to a fresh dict."""
+    if isinstance(target, ast.Name) and _fresh_dict(value):
+        yield target
+    elif isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+        if len(target.elts) == len(value.elts):
+            for t, v in zip(target.elts, value.elts):
+                yield from _fresh_bindings(t, v)
+
+
+def _handed_over(arg, fn, call):
+    """arg is a fresh dict, or a name of fn that only ever holds a fresh dict and that
+    no statement reads after call, which no loop of fn repeats; inside _ints and
+    _like_ints themselves, their own nums parameter is passed through."""
+    if _fresh_dict(arg):
+        return True
+    if not (isinstance(arg, ast.Name) and fn is not None):
+        return False
+    params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+    if fn.name in ("_ints", "_like_ints") and arg.id == "nums" and "nums" in params:
+        return True
+    nodes = list(_scope_nodes(fn))
+    fresh = {
+        id(name)
+        for node in nodes
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        for name in _fresh_bindings(target, node.value)
+    }
+    named = [node for node in nodes if isinstance(node, ast.Name) and node.id == arg.id]
+    end = (call.end_lineno, call.end_col_offset)
+    in_loop = any(
+        isinstance(loop, (ast.For, ast.While)) and call in ast.walk(loop) for loop in nodes
+    )
+    return (
+        arg.id not in params
+        and bool(fresh)
+        and all(id(n) in fresh for n in named if isinstance(n.ctx, ast.Store))
+        and not any(isinstance(n.ctx, ast.Load) and (n.lineno, n.col_offset) > end for n in named)
+        and not in_loop
+    )
+
+
+def test_ints_is_handed_a_dict_no_one_keeps():
+    # _ints adopts the dict it is given as the element's nums, so each caller hands it
+    # a dict built for that one call and never read again
+    calls, hits = 0, []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [tree] + [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef))
+        ]
+        for scope in scopes:
+            owner = scope if isinstance(scope, ast.FunctionDef) else None
+            for call in _scope_nodes(scope):
+                if isinstance(call, ast.Call) and _called_name(call) in ("_ints", "_like_ints"):
+                    calls += 1
+                    arg = call.args[0] if call.args else next(
+                        (k.value for k in call.keywords if k.arg == "nums"), None
+                    )
+                    if not _handed_over(arg, owner, call):
+                        hits.append(f"{path.name}:{call.lineno}: {ast.unparse(call)}")
+    assert calls >= 20, calls
     assert not hits, hits
