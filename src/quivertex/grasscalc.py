@@ -65,11 +65,9 @@ def hecke_sym(n, f):
 
 def _translated_mode(n, weight, f):
     """sum_m h_{n+m} [z^{-m}] f(p_k - weight z^{-k}), the one-step partitions.vertex_chain
-    whose creation half multiplies by h_{n+m}, the series of alpha = (1,); inside,
-    partitions are keyed by their codes (partitions.code_weights), decoded once."""
-    weights, step = pt.code_weights(f.degree() + max(integer(n), 0)), ((1,), (weight,), -n, 1, None)
-    d, terms = pt.vertex_chain(pt.encode(f.nums.items(), weights), weights, [step])
-    return SymFunc._ints(dict(pt.decode(terms, weights)), f.den * d)
+    whose creation half multiplies by h_{n+m}, the series of alpha = (1,)."""
+    d, terms = pt.vertex_chain(f.nums.items(), [((1,), (weight,), -integer(n), 1, None)])
+    return SymFunc._ints(dict(terms), f.den * d)
 
 
 # -- the Grassmannian class ---------------------------------------------------
@@ -124,16 +122,13 @@ def framed_class(quiver, f, d):
     Fock monomial times prod_v z_{mu^(v)}.  The quiver may be a dg quiver: its degree -1
     arrows, the relations, enter only through the Euler form.
 
-    The state stays on one component beta, of Fock degree D, and the bracket with e_v
-    takes it to beta + e_v at degree D - 1 - B(e_v, beta); so the chain is planned first
-    (a negative degree is zero), as the steps of one partitions.vertex_chain on the codes
-    of one code_weights, and is decoded once, at the end."""
+    Each bracket is a step of one partitions.vertex_chain: on the one component beta of
+    the state, e_v takes beta to beta + e_v and the Fock degree down by 1 + B(e_v, beta)."""
     d = qv.DimVector(quiver, d)
     if any(x < 0 for x in d.values):
         raise qv.QuiverError("negative_dimension", "dimension vector entries must be nonnegative")
     lattice = framed_lattice(quiver, f)
-    plan, beta, degree, top = [], lattice.basis_vector(0), 0, 0  # plan: vertex_chain steps
-    zero = lv.VAElem(lattice)
+    plan, beta = [], lattice.basis_vector(0)  # plan: vertex_chain steps
     for v in quiver.topological_order:
         e = lattice.basis_vector(1 + quiver.vertex_index(v))
         B_row, b_row = lv._rows(lattice, e)
@@ -141,14 +136,10 @@ def framed_class(quiver, f, d):
             shift = 1 + sum(map(operator.mul, B_row, beta))
             sign = 1 if sum(map(operator.mul, b_row, beta)) % 2 else -1
             plan.append((e, B_row, shift, sign, None))
-            beta, degree = tuple(map(operator.add, beta, e)), degree - shift
-            if degree < 0:
-                return zero
-            top = max(top, degree)
-    weights, rank = pt.code_weights(top, lattice.rank), lattice.rank
-    den, state = pt.vertex_chain([(0, 1)], weights, plan)
+            beta = tuple(map(operator.add, beta, e))
+    den, state = pt.vertex_chain([((), 1)], plan, lattice.rank)
     den *= prod(map(factorial, d.values))
-    return zero._like_ints({(beta, fock): c for fock, c in pt.decode(state, weights, rank)}, den)
+    return lv.VAElem(lattice)._like_ints({(beta, fock): c for fock, c in state}, den)
 
 
 # -- Virasoro operators on the Grassmannian state space -----------------------

@@ -4,11 +4,14 @@ The empty tuple () is the unique partition of 0.  All other modules use
 these tuples directly as dictionary keys; inside, the kernels that multiply
 p-monomials in bulk, and the field modes their Fock monomials, key them by an int
 code instead; this module owns it (``code_weights``, ``encode``, ``decode``) and the
-vertex operators on it (``translate_codes``, ``create_codes``, ``vertex_chain``).
+vertex operators on it (``translate_codes``, ``create_codes``, and ``vertex_chain``,
+which plans a chain's degrees and code width, so that its callers pass partitions).
 """
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, gcd
 from operator import add
 
@@ -129,7 +132,6 @@ def sign_of_conjugation(la):
     return -1 if (size(la) - length(la)) % 2 else 1
 
 
-@lru_cache(maxsize=64)
 def code_weights(top, colours=1):
     """(w_0, ..., w_{colours T}), w_d = k + B^d for the part k of colour i at digit d =
     colours (k - 1) + i + 1; B = 2^b, b = max((top + 1).bit_length(), 2), T = 2^b - 2.
@@ -137,9 +139,18 @@ def code_weights(top, colours=1):
     The low b bits of the code sum(w_p for p in la) of a partition, |la| <= T, hold
     |la| and digit p the multiplicity of p, so while sizes add up to at most T, a union
     adds codes; T is the largest top of width b.  A Fock monomial, sorted (basis index
-    i, mode k) pairs, is a partition of colours i.  The tuple is cached and shared.
+    i, mode k) pairs, is a partition of colours i.  Fewer than 1 colour reads as 1, the
+    weights of an uncoloured partition, one cached tuple for both; a width of 64 bits or
+    more, a tuple of over sys.maxsize weights, raises MemoryError before it is built.
     """
+    return _code_weights(top, max(colours, 1))
+
+
+@lru_cache(maxsize=64)
+def _code_weights(top, colours):
     b = max((top + 1).bit_length(), 2)
+    if colours * ((1 << b) - 2) + 1 > sys.maxsize:
+        raise MemoryError(f"a partition code of width {b} bits needs more than sys.maxsize weights")
     return tuple(-(-d // colours) + (1 << b * d) for d in range(colours * ((1 << b) - 2) + 1))
 
 
@@ -227,9 +238,10 @@ def create_codes(alpha, scale, shift, translated, weights):
     """The creation half of a vertex operator of alpha: {code: int}, the sum over the
     powers m of translated (translate_codes, m >= shift) of its terms at z^{-m} times
     scale / p! times p! S_p, p = m - shift, under weights (code_weights of len(alpha)
-    colours; the series serve the largest top of its width, so every top of one width
-    shares them); scale is divisible by every p!, and zeros stay."""
-    top, coded = (len(weights) - 1) // len(alpha), {}
+    colours; the series serve the largest top of its width, 2^b - 2, read off the weights
+    alone, so every top and colour count of one width shares them); scale is divisible by
+    every p!, and zeros stay."""
+    top, coded = (1 << (weights[1].bit_length() - 1)) - 2, {}
     for m, piece in translated.items():
         p = m - shift
         _product_into(coded, scale // factorial(p), piece, _creation_series(alpha, p, top), add)
@@ -252,17 +264,24 @@ def _creation_series(alpha, p, top):
     return tuple((code, c) for code, c in out.items() if c)
 
 
-def vertex_chain(terms, weights, steps):
-    """(d, [(code, c)]): the coded int terms (code, c0) under weights run through each step
-    (alpha, row, shift, sign, most) in turn, every c over d: sign times the z^{-shift}
-    coefficient of exp(sum_j alpha_(-j) z^j / j) exp(-sum_k row a_(k) z^{-k} / k), as
-    translate_codes up to most (None: no bound), past which the caller knows it to vanish,
-    create_codes with one lift (largest p)!, and the gcd divided out of d and the terms."""
-    den = 1
+def vertex_chain(terms, steps, colours=0):
+    """(d, [(la, c)]): the int terms (la, c0), la a partition or with colours a coloured one
+    as encode takes, run through each step (alpha, row, shift, sign, most), every c over d:
+    sign times the z^{-shift} coefficient of exp(sum_j alpha_(-j) z^j / j) exp(-sum_k row
+    a_(k) z^{-k} / k), as translate_codes up to most (None: no bound), past which the caller
+    knows it to vanish, create_codes with one lift (largest p)!, and the gcd divided out.
+    The plan comes first: a step takes the Fock degree D to D - shift, from the largest of
+    terms, and a plan below 0 is zero, (1, []); else terms are coded at its largest degree."""
+    sizes = [sum([k for _, k in la]) if colours else sum(la) for la, _ in terms]
+    plan = list(accumulate([-shift for _, _, shift, _, _ in steps], initial=max(sizes, default=0)))
+    if min(plan) < 0:
+        return 1, []
+    weights = code_weights(max(plan), colours)
+    terms, den = encode(terms, weights, colours), 1
     for alpha, row, shift, sign, most in steps:
         translated = translate_codes(terms, weights, row, shift, most)
         lift = factorial(max(translated, default=shift) - shift)
         coded = create_codes(alpha, sign * lift, shift, translated, weights)
         g = gcd(den * lift, *coded.values())
         terms, den = [(code, c // g) for code, c in coded.items() if c], den * lift // g
-    return den, terms
+    return den, decode(terms, weights, colours)

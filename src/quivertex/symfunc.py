@@ -83,14 +83,13 @@ def complete(j):
 @lru_cache(maxsize=1024)  # keyed by the caller's partition, so bounded
 def schur(la):
     """s_la = H_{la_1} ... H_{la_l}(1), H_n the Hecke operator of grasscalc.hecke
-    (Macdonald I.5 Ex. 29): one partitions.vertex_chain of H_{la_l} first, on the codes
-    of code_weights(|la|), decoded once.  Before H_{la_i} the state is s_mu, mu = (la_{i+1},
-    ...), whose translation has no power above ell(mu): its pieces are (-1)^m e_m^perp s_mu."""
+    (Macdonald I.5 Ex. 29): one partitions.vertex_chain, H_{la_l} first.  Before H_{la_i}
+    the state is s_mu, mu = (la_{i+1}, ...), whose translation has no power above ell(mu):
+    its pieces are (-1)^m e_m^perp s_mu."""
     la = pt.check_partition(la)
-    weights = pt.code_weights(pt.size(la))
     steps = [((1,), (1,), -q, 1, i) for i, q in enumerate(reversed(la))]
-    d, terms = pt.vertex_chain([(0, 1)], weights, steps)
-    return SymFunc._ints(dict(pt.decode(terms, weights)), d)
+    d, terms = pt.vertex_chain([((), 1)], steps)
+    return SymFunc._ints(dict(terms), d)
 
 
 @lru_cache(maxsize=1024)  # keyed by the caller's partition, so bounded

@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -301,6 +302,36 @@ def test_out_of_memory_in_the_wall_crossing_is_malformed_input():
         capture_output=True, text=True, env=env, preexec_fn=_limit_address_space, timeout=300,
     )
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+
+
+def test_a_code_of_64_bits_or_more_is_refused_before_it_is_built():
+    # code_weights(10**20) would be a tuple of 2^67 weights: it raises at once, and so do the
+    # commands that ask for such a code, so the child stays far below its address space
+    code = textwrap.dedent(
+        """
+        import resource
+        from quivertex import cli, partitions as pt
+        try:
+            pt.code_weights(10 ** 20)
+        except MemoryError:
+            pass
+        else:
+            raise SystemExit("built")
+        big = "99999999999999999999"
+        for argv in (["hecke", big, "p1"], ["schur", big], ["gr-class", "1", big]):
+            print(cli.main(argv))
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >> 10)  # peak MB
+        """
+    )
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_address_space, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "error: out of memory\n" * 3), done.stderr
+    *codes, peak_mb = map(int, done.stdout.split())
+    assert codes == [2, 2, 2] and peak_mb < 100, done.stdout
 
 
 def _fresh_interpreter(*args):

@@ -327,6 +327,17 @@ def test_framed_class_input():
     assert x == lv.VAElem.group_element(x.lattice, (1, 0, 0))
 
 
+def test_a_chain_planned_below_degree_0_is_zero_and_builds_no_code(monkeypatch):
+    # vertex_chain plans the degrees first: H_{-5} takes p1 p2 to degree -3, and the
+    # brackets of Gr(3,2) end below degree 0, so neither chain builds code weights
+    f = p(2, 1)
+    built, code_weights = [], pt.code_weights
+    monkeypatch.setattr(pt, "code_weights", lambda *args: built.append(args) or code_weights(*args))
+    assert gc.hecke(-5, f) == SymFunc.zero()
+    assert gc.framed_class(A1, [2], [3]) == lv.VAElem(gc.framed_lattice(A1, [2]))
+    assert not built, built
+
+
 @pytest.mark.parametrize(
     "name, framings",
     [

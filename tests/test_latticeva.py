@@ -248,6 +248,15 @@ def test_is_primary_rejects_inhomogeneous():
     assert _failures(GR, x, 0) == _failures(GR, x, 1) == ["L_0"]
 
 
+def test_field_modes_on_the_rank_0_lattice_are_the_vacuum_field():
+    # no basis vector and so no colour: the Fock monomials are all (), and e^0 acts as 1
+    point = Lattice(B=[], b=[])
+    x, zero = vac(point).scale(F(2, 3)), VAElem(point)
+    assert [lv.field_mode(point, (), n, x) for n in range(-3, 3)] == [zero, zero, x, zero, zero, zero]
+    assert [label for label, _ in lv.primary_check(point, x, 0)] == ["L_0"]
+    assert not _failures(point, x, 0) and _failures(point, x, 1) == ["L_0"]
+
+
 def test_creation_series_needs_no_deep_stack():
     # p! S_p reads the series below p from its cache, asked for in ascending order, so
     # no call nests more than two deep; one that recursed p deep ended

@@ -21,7 +21,7 @@ tuples, after ``partitions.translate_codes``, the annihilation half.
 ``latticeva.field_mode`` runs the two halves, and ``partitions.vertex_chain`` runs
 them step after step for ``symfunc.schur``, the Hecke modes
 (``grasscalc._translated_mode``) and the wall-crossing chain
-(``grasscalc.framed_class``), which call nothing else of them.
+(``grasscalc.framed_class``), which call nothing else of them, nor the code.
 ``lincomb._product_into`` is the one product loop, with three callers: the
 creation half, the creation series and ``Algebra.__mul__``.  The operators that are
 normal-ordered in the p_n and p_{-n} (``symfunc.annihilate`` and ``skew_by``, the
@@ -249,7 +249,7 @@ def test_only_partitions_builds_partition_codes():
 def test_field_mode_products_add_codes():
     # the field modes and the vertex chain multiply only through create_codes, whose
     # one product loop is keyed by add; schur, the Hecke modes and the wall-crossing
-    # chain reach the two halves only through vertex_chain
+    # chain reach the two halves and the code only through vertex_chain
     defs = {
         node.name: node
         for path in SOURCES
@@ -267,7 +267,8 @@ def test_field_mode_products_add_codes():
         assert calls(name, "create_codes") and not calls(name, "_product_into"), name
     for name in ("schur", "_translated_mode", "framed_class"):
         assert calls(name, "vertex_chain"), name
-        assert not any(calls(name, f) for f in ("translate_codes", "create_codes", "_product_into"))
+        inner = ("translate_codes", "create_codes", "_product_into", "code_weights", "encode", "decode")
+        assert not any(calls(name, f) for f in inner), name
 
 
 PRODUCT_LOOP_CALLERS = {

@@ -87,6 +87,12 @@ def test_partition_code_decode_inverts_the_code():
         assert pt.decode(coded, w) == pairs, top
 
 
+def test_no_colour_and_one_colour_share_one_cached_code():
+    # a colour count below 1 reads as 1, whose weights are those of an uncoloured partition
+    for top in CODE_TOPS:
+        assert pt.code_weights(top) is pt.code_weights(top, 1) is pt.code_weights(top, 0), top
+
+
 def test_ring_operations():
     assert p(1) * p(1) == p(1, 1)
     assert p(2) * p(2, 1) == p(2, 2, 1)
