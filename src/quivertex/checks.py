@@ -265,12 +265,11 @@ def check_r_derivation(samples=20):
 def check_l_wt0_kernel(samples=10):
     def cases():
         rng = random.Random(139)
-        dims = {"1": 2, "2": 1, "3": 3}
         for name in ("linear(1)", "beilinson_p2"):
             quiver = qv.builtin(name)
             for _ in range(samples):
                 f = _random_monomial(rng, quiver, 4)
-                yield name, dc.r_op(quiver, -1, dc.l_wt0(quiver, f)).substitute_ch0(dims)
+                yield name, dc.r_op(quiver, -1, dc.l_wt0(quiver, f))
 
     return _verdict("l_wt0_kernel", cases(), "A_1 and beilinson_p2, weight <= 4")
 
@@ -461,14 +460,13 @@ def check_virasoro_hecke_commutators(max_deg=5):
 
 
 def check_rectangle_constraints(max_side=4, max_n=3):
-    def cases():
-        for m, k in product(range(1, max_side + 1), repeat=2):
-            s = sf.schur(pt.rectangle(m, k))
-            for n in range(1, max_n + 1):
-                lhs = gc._lowering_part(n, 0, s)
-                yield f"m={m} k={k} n={n}", lhs - sf.annihilate(n, s).scale(m - k)
-
-    return _verdict("rectangle_lowering_identity", cases(), f"m,k <= {max_side}, n <= {max_n}")
+    # L_n s_{m^k} = (m - k) p_{-n} s_{m^k} is the constraint at N = m + k, as 2k - N = k - m
+    cases = (
+        (f"m={m} k={k} {label}", residual)
+        for m, k in product(range(1, max_side + 1), repeat=2)
+        for label, residual in gc.constraint_check(k, m + k, max_n)
+    )
+    return _verdict("rectangle_lowering_identity", cases, f"m,k <= {max_side}, n <= {max_n}")
 
 
 def check_calogero_sutherland(max_deg=6):

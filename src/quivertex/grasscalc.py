@@ -149,7 +149,7 @@ def _lowering_part(n, linear_coeff, f, quad_coeff=1):
     """sum_j p_j p_{-n-j} + quad_coeff sum_{a+b=n} p_{-a} p_{-b} + linear_coeff p_{-n},
     n >= 1, the symfunc._heisenberg table over the parts of f, summed in int over d_f
     times the common denominator of the two coefficients."""
-    d_c, ((_, linear), (_, quad)) = integral({0: Fraction(linear_coeff), 1: Fraction(quad_coeff)})
+    d_c, ((_, linear), (_, quad)) = integral({0: coerce(linear_coeff), 1: coerce(quad_coeff)})
     parts = set().union(*f.nums)
     ops = [((q,), (q - n,), d_c) for q in parts if q > n]
     ops.append(((n,), (), linear))
@@ -162,7 +162,7 @@ def _raising_part(n, linear_coeff, f):
     """sum_j p_{n+j} p_{-j} + sum_{a+b=n} p_a p_b + linear_coeff p_n, n >= 1, the
     symfunc._heisenberg table over the parts of f, summed in int over d_f times the
     denominator of linear_coeff."""
-    linear = Fraction(linear_coeff)
+    linear = coerce(linear_coeff)
     d_c = linear.denominator
     ops = [((j,), (j + n,), d_c) for j in set().union(*f.nums)]
     ops += [((), pt.merge((a,), (n - a,)), d_c) for a in range(1, n)]
@@ -194,19 +194,14 @@ def gr_virasoro_dual(n, N, k, f):
 
 
 def constraint_check(k, N, n_max):
-    """The explicit differential Virasoro constraints on s = s_{(N-k)^k}, as
-    (label, residual) pairs.
-
-    L_0 leaves the part of s off degree k(N-k); for 1 <= n <= n_max, L_n applies
-      sum_j (n+j) p_j d/dp_{n+j} + sum_{a+b=n} ab d/dp_a d/dp_b + (2k-N) n d/dp_n.
-    Every residual vanishes when the constraints hold.
+    """The Virasoro constraints L_n s = 0 on s = s_{(N-k)^k}, 0 <= n <= n_max, as
+    (label, gr_virasoro(n) of s on the (N, k) component) pairs: L_0 s vanishes exactly
+    when s is homogeneous of degree k(N-k).  Every residual vanishes when the
+    constraints hold.
     """
     _check_gr(k, N)
-    s = sf.schur(pt.rectangle(N - k, k))
-    pairs = [("L_0", s - s.homogeneous_part(k * (N - k)))]
-    for n in range(1, integer(n_max) + 1):
-        pairs.append((f"L_{n}", _lowering_part(n, 2 * k - N, s)))
-    return pairs
+    x = GrElem(N, k, sf.schur(pt.rectangle(N - k, k)))
+    return [(f"L_{n}", gr_virasoro(n, x).f) for n in range(integer(n_max) + 1)]
 
 
 # -- Schubert reduction and integrals -----------------------------------------
@@ -334,7 +329,7 @@ class FockParams:
     __slots__ = ("beta_sq", "r", "s")
 
     def __init__(self, beta_sq, r, s):
-        self.beta_sq = Fraction(beta_sq)
+        self.beta_sq = coerce(beta_sq)
         if self.beta_sq == 0:
             raise ValueError("beta^2 must be nonzero")
         self.r, self.s = integer(r), integer(s)

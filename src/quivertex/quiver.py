@@ -8,6 +8,7 @@ arrows of every degree, is checked by the stdlib ``graphlib``, whose order, ties
 broken by the listings of vertices and arrows, is ``DgQuiver.topological_order``.
 """
 
+from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
 
 from .lincomb import integer
@@ -192,6 +193,7 @@ def framed_quiver(quiver, f):
     return DgQuiver((FRAMING_VERTEX,) + quiver.vertices, arrows + list(quiver.arrows))
 
 
+@lru_cache(maxsize=64)  # keyed by the caller's name; a DgQuiver never changes after __init__
 def builtin(name):
     """Named example quivers: beilinson_p2, kronecker(N), linear(l), p1xp1."""
     name = name.strip()

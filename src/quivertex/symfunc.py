@@ -17,7 +17,7 @@ from itertools import accumulate
 from math import gcd
 
 from . import partitions as pt
-from .lincomb import Algebra, integer, rational
+from .lincomb import Algebra, coerce, integer, rational
 
 
 class SymFunc(Algebra):
@@ -249,7 +249,7 @@ def hall_deformed(f, g, alpha):
 
     Summed in int: alpha^l = a^l b^(top - l) / b^top for alpha = a/b, top the longest length.
     """
-    alpha = Fraction(alpha)
+    alpha = coerce(alpha)
     a, b = alpha.numerator, alpha.denominator
     small, big = (f.nums, g.nums) if len(f.nums) <= len(g.nums) else (g.nums, f.nums)
     shared = [(la, x, big[la]) for la, x in small.items() if la in big]
@@ -263,7 +263,7 @@ def jack(la, alpha):
 
     Raises for alpha = 0, and at an alpha where P_la has a pole.
     """
-    alpha = Fraction(alpha)
+    alpha = coerce(alpha)
     if alpha == 0:
         raise ValueError("Jack parameter must be nonzero")
     return _jack(pt.check_partition(la), alpha)

@@ -1,10 +1,15 @@
 """A failing check names its first non-zero residual, and the residual
-functions the acceptance criteria call see the same faults."""
+functions the acceptance criteria call see the same faults.  Every check of the
+full suite is shown to fail here under a broken operator."""
 
 import re
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from quivertex import checks as ck
+from quivertex import descendent as dc
 from quivertex import grasscalc as gc
 from quivertex import latticeva as lv
 from quivertex import quiver as qv
@@ -135,3 +140,53 @@ def test_geometricity_grid_names_the_smallest_schur_coefficient(monkeypatch):
     residual = dict(gc.geometricity_check(2, 4, 1, 4))["e3"]
     assert list(residual.items()) == [((2,), 3), ((1, 1), 3)]
     assert ck._verdict("g", [("e3", residual)])["detail"] == "e3: residual 3 * (1, 1)"
+
+
+# how an operator op is broken: "plus input" adds the identity to it
+BREAK = {
+    "doubled": lambda op: lambda *args: op(*args).scale(2),
+    "plus input": lambda op: lambda *args: op(*args) + args[-1],
+    "plus one": lambda op: lambda *args: op(*args) + 1,
+    "asymmetric": lambda op: lambda q, d1, d2: op(q, d1, d2) + d1.values[0],
+    "all ones": lambda op: lambda q: [[1] * len(row) for row in op(q)],
+    "identity": lambda op: lambda n, x: x,
+}
+
+
+# (check, module, operator, how it is broken); the checks above have their own tests
+FAULTS = [
+    (ck.check_annihilation_adjoint, sf, "annihilate", "doubled"),
+    (ck.check_newton_series_inverse, sf, "elementary", "doubled"),
+    (ck.check_involution_on_schur, sf, "involution", "doubled"),
+    (ck.check_euler_triangularity, qv, "euler_matrix", "all ones"),
+    (ck.check_euler_sym_symmetry, qv, "euler_sym", "asymmetric"),
+    (ck.check_framed_quiver_euler, qv, "framed_euler", "plus one"),
+    (ck.check_descendent_virasoro_bracket, dc, "l_op", "plus input"),
+    (ck.check_framed_virasoro_bracket, dc, "l_op_framed", "plus input"),
+    (ck.check_r_derivation, dc, "r_op", "plus input"),
+    (ck.check_l_wt0_kernel, dc, "l_wt0", "plus input"),
+    (ck.check_framed_matches_dual_virasoro, gc, "gr_virasoro_dual", "plus input"),
+    (ck.check_lattice_virasoro_bracket, lv, "virasoro", "plus input"),
+    (ck.check_field_translation_covariance, lv, "translate", "doubled"),
+    (ck.check_lattice_annihilation_dictionary, lv, "annihilate_mode", "doubled"),
+    (ck.check_vacuum_field_identity, lv, "field_mode", "doubled"),
+    (ck.check_rectangular_hecke_sym, gc, "hecke_sym", "doubled"),
+    (ck.check_virasoro_hecke_commutators, gc, "gr_virasoro_dual", "doubled"),
+    (ck.check_rectangle_constraints, gc, "gr_virasoro", "identity"),
+    (ck.check_schur_expansion_golden, sf, "schur", "doubled"),
+    (ck.check_euler_goldens, qv, "framed_euler", "plus one"),
+]
+
+
+@pytest.mark.parametrize("check, module, name, broken", FAULTS, ids=[f[0].__name__ for f in FAULTS])
+def test_a_broken_operator_fails_its_check(monkeypatch, check, module, name, broken):
+    assert check()["ok"]
+    monkeypatch.setattr(module, name, BREAK[broken](getattr(module, name)))
+    report = check()
+    assert not report["ok"] and ": residual " in report["detail"], report
+
+
+def test_every_check_has_a_fault_injection_test():
+    source = Path(__file__).read_text(encoding="utf-8")
+    named = set(re.findall(r"\bck\.(check_\w+)", source))
+    assert not (untested := [fn.__name__ for fn in ck.FULL_CHECKS if fn.__name__ not in named])

@@ -17,9 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quivertex import checks as ck
 from quivertex import cli
+from quivertex import descendent as dc
+from quivertex import grasscalc as gc
+from quivertex import latticeva as lv
 from quivertex import quiver as qv
 from quivertex import serialize as sz
+from quivertex import symfunc as sf
 from quivertex.cli import _coeff_map_text
 
 BUILD_PARSER = cli.build_parser
@@ -252,6 +257,46 @@ def test_quiver_error_carries_machine_code(tmp_path, capsys):
     code, _, err = run(capsys, "euler", str(path), "1,1", "1,1")
     assert code == 2
     assert err.startswith("error[cycle]:")
+
+
+_GR, _ONE = lv.grassmannian_lattice(), sf.SymFunc.one()
+_A1, _B = qv.builtin("linear(1)"), qv.builtin("beilinson_p2")
+# each contract branch: its call, and the QuiverError code or the ValueError text it raises
+TYPED_ERRORS = {
+    "duplicate vertex": (lambda: qv.DgQuiver(["a", "a"], []), "duplicate_vertex"),
+    "linear(x)": (lambda: qv.builtin("linear(x)"), "unknown_builtin"),
+    "kronecker(0)": (lambda: qv.builtin("kronecker(0)"), "unknown_builtin"),
+    "euler_form": (lambda: qv.euler_form(_A1, *map(_B.unit_vector, "12")), "index_mismatch"),
+    "p_0": (lambda: sf.SymFunc.p(0), "positive integers"),
+    "annihilate 0": (lambda: sf.annihilate(0, sf.SymFunc.p(1)), "must be >= 1"),
+    "Lattice": (lambda: lv.Lattice(B=[[2, 1]], b=[[1, 0]]), "square"),
+    "basis index": (lambda: lv.VAElem(_GR, {((0, 0), ((2, 1),)): 1}), "out of range"),
+    "mode 0": (lambda: lv.VAElem(_GR, {((0, 0), ((0, 0),)): 1}), "must be >= 1"),
+    "create": (lambda: lv.create(_GR, (0, 1), 0, lv.VAElem(_GR)), "must be >= 1"),
+    "annihilate_mode": (lambda: lv.annihilate_mode(_GR, (0, 1), -1, lv.VAElem(_GR)), ">= 0"),
+    "virasoro": (lambda: lv.virasoro(_GR, -2, lv.VAElem(_GR)), "n >= -1"),
+    "GrElem": (lambda: gc.GrElem(-1, 0, _ONE), "nonnegative"),
+    "gr_virasoro": (lambda: gc.gr_virasoro(-1, gc.GrElem(2, 1, _ONE)), "n >= 0"),
+    "gr_virasoro_dual": (lambda: gc.gr_virasoro_dual(-1, 2, 1, _ONE), "n >= 0"),
+    "fock_virasoro": (lambda: gc.fock_virasoro(gc.FockParams(2, 1, 1), 0, _ONE), "n >= 1"),
+    "r_n_symfunc": (lambda: gc.r_n_symfunc(0, _ONE), "n >= 1"),
+    "geometricity_check": (lambda: gc.geometricity_check(1, 2, 0, 3), "n >= 1"),
+    "ch_-1": (lambda: dc.DescendentPoly({((-1, "1"),): 1}), "nonnegative"),
+    "partition text": (lambda: sz.partition_from_text("a"), "bad partition"),
+    "blank": (lambda: sz.symfunc_from_text(" "), "empty symmetric-function"),
+    "p1 +": (lambda: sz.symfunc_from_text("p1 +"), "empty term"),
+    "p1**p2": (lambda: sz.symfunc_from_text("p1**p2"), "empty factor"),
+    "GrElem JSON": (lambda: sz.grelem_from_json({}), "malformed GrElem JSON"),
+    "suite": (lambda: ck.run_selftest("bogus"), "unknown suite"),
+}
+
+
+@pytest.mark.parametrize("call, want", TYPED_ERRORS.values(), ids=TYPED_ERRORS)
+def test_a_contract_branch_raises_its_typed_error(call, want):
+    # the CLI maps these to exit code 2; a QuiverError is named by its code
+    with pytest.raises(ValueError) as e:
+        call()
+    assert e.value.code == want if isinstance(e.value, qv.QuiverError) else want in str(e.value)
 
 
 def test_parse_error_exit_code(capsys):

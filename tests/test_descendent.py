@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quivertex import checks as ck
 from quivertex import descendent as dc
 from quivertex import quiver as qv
 from quivertex.checks import _random_monomial
@@ -33,14 +34,13 @@ def test_r_op_kills_ch0():
 
 
 def test_r_op_is_derivation():
+    # monomials of ch-weight up to 6, one more than check_r_derivation draws
     rng = random.Random(2)
     for n in range(-1, 4):
         for _ in range(10):
-            f = _random_monomial(rng, BEILINSON, 6)
-            g = _random_monomial(rng, BEILINSON, 6)
+            f, g = (_random_monomial(rng, BEILINSON, 6) for _ in range(2))
             lhs = dc.r_op(BEILINSON, n, f * g)
-            rhs = dc.r_op(BEILINSON, n, f) * g + f * dc.r_op(BEILINSON, n, g)
-            assert lhs == rhs
+            assert lhs == dc.r_op(BEILINSON, n, f) * g + f * dc.r_op(BEILINSON, n, g)
 
 
 def test_t_element_a1():
@@ -77,34 +77,11 @@ def test_framed_t_element():
 
 
 def test_virasoro_bracket():
-    # [L_n, L_m] = (m - n) L_{n+m} on monomials of ch-weight <= 6
-    rng = random.Random(4)
-    for quiver in (A1, BEILINSON):
-        monos = [_random_monomial(rng, quiver, 6) for _ in range(6)]
-        for n in range(-1, 4):
-            for m in range(-1, 4):
-                for f in monos:
-                    lhs = dc.l_op(quiver, n, dc.l_op(quiver, m, f)) - dc.l_op(
-                        quiver, m, dc.l_op(quiver, n, f)
-                    )
-                    rhs = dc.l_op(quiver, n + m, f).scale(m - n) if n + m >= -1 else f.scale(0)
-                    assert lhs == rhs, (quiver, n, m)
+    assert ck.check_descendent_virasoro_bracket()["ok"]
 
 
 def test_framed_virasoro_bracket():
-    rng = random.Random(9)
-    framing = qv.FramingVector(BEILINSON, [2, 0, 1])
-    monos = [_random_monomial(rng, BEILINSON, 6) for _ in range(5)]
-    for n in range(0, 4):
-        for m in range(0, 4):
-            for f in monos:
-                lhs = dc.l_op_framed(
-                    BEILINSON, framing, n, dc.l_op_framed(BEILINSON, framing, m, f)
-                ) - dc.l_op_framed(
-                    BEILINSON, framing, m, dc.l_op_framed(BEILINSON, framing, n, f)
-                )
-                rhs = dc.l_op_framed(BEILINSON, framing, n + m, f).scale(m - n)
-                assert lhs == rhs, (n, m)
+    assert ck.check_framed_virasoro_bracket()["ok"]
 
 
 def test_l_wt0_constant_and_kernel():
@@ -115,16 +92,7 @@ def test_l_wt0_constant_and_kernel():
 
 
 def test_l_wt0_lands_in_r_minus1_kernel():
-    rng = random.Random(6)
-    dims = {"1": 2, "2": 1, "3": 3}
-    for quiver in (A1, BEILINSON):
-        for _ in range(8):
-            f = _random_monomial(rng, quiver, 4)
-            image = dc.l_wt0(quiver, f)
-            shifted = dc.r_op(quiver, -1, image)
-            assert shifted == DescendentPoly.zero()
-            # and in the quotient ch_0(v) = d_v as well
-            assert shifted.substitute_ch0(dims) == DescendentPoly.zero()
+    assert ck.check_l_wt0_kernel()["ok"]
 
 
 @pytest.mark.parametrize("bad", [1.9, True, "1"], ids=["float", "bool", "str"])

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivertex import descendent as dc
+from quivertex import grasscalc as gc
 from quivertex import quiver as qv
 from quivertex.descendent import DescendentPoly
 from quivertex.latticeva import Lattice, VAElem, field_mode, grassmannian_lattice
 from quivertex.lincomb import LinComb, rational
-from quivertex.symfunc import SymFunc, schur
+from quivertex.symfunc import SymFunc, hall_deformed, jack, schur
 
 LATTICES = (grassmannian_lattice(), Lattice(B=[[2, 2], [2, 2]], b=[[1, 2], [0, 1]]))
 
@@ -172,3 +173,22 @@ def test_results_own_their_numerators(function, operands):
     assert _snapshot(*operands) == before
     assert _snapshot(function(*operands)) == expected
     assert _snapshot(schur((3, 2, 1))) == _snapshot(schur.__wrapped__((3, 2, 1)))
+
+
+def test_a_float_is_refused_wherever_a_rational_enters():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, so every reader goes through coerce
+    p1 = SymFunc.p(1)
+    for read in (
+        lambda x: jack((2,), x),
+        lambda x: hall_deformed(p1, p1, x),
+        lambda x: gc.FockParams(x, 1, 1),
+        lambda x: gc._lowering_part(1, x, p1),
+        lambda x: gc._raising_part(1, x, p1),
+        lambda x: SymFunc({(1,): x}),
+        lambda x: p1.scale(x),
+        lambda x: gc.integrals_by_recursion(1, 2, x),
+        lambda x: dc.to_symfunc(dc.DescendentPoly.ch(1, "1"), x),
+    ):
+        with pytest.raises(TypeError, match="must be rational"):
+            read(0.1)
+        read(Fraction(1, 10))

@@ -308,7 +308,6 @@ ENTRY_POINTS = {
     "framed_t_element",  # T_n^{f->*}, the framed sibling of t_element
     "create",  # library entry points
     "VAElem.group_element",
-    "gr_virasoro",
     "DescendentPoly.ch",
     "SymFunc.coefficient",
     "skew_by",  # the tests build their Hecke and pairing references from these two
